@@ -12,10 +12,28 @@ module evaluates the resulting closed forms:
 
 All hyperbolic ratios are evaluated in exponentially scaled form so the
 kernels are overflow-free for arbitrarily large modulus.
+
+Unsteady series.  Mode k of the transient is
+2 lam_k (-1)^k phi_k(y) / (M^2 + lam_k^2) * exp(-omega_k theta) with
+omega_k = (M^2 + lam_k^2) / scale, phi_k(y) = sin(lam_k y)/y on the sphere
+and cos(lam_k y) on the slab.  The table 2 lam_k (-1)^k phi_k(y) does not
+depend on M, so it is built once per (grid, geometry, max_terms), cached
+read-only, and each call only forms M^2 + lam_k^2 and the two quotients.
+Each call also drops the modes that are dead at its time t, meaning
+omega_k t >= 36 (exp(-36) < 2.4e-16) at every node, before any (K, n)
+array is formed.  The cut is the first k with
+(min M^2 + lam_k^2) / max(scale) * t >= 36.  That bound is at most
+omega_k t at every node, and the rounded bound is too, because every
+operation in it rounds monotonically.  omega_k increases with k at each node, so every mode after
+the cut is dead as well.  The first dead mode is kept as the last term, so
+the tail smoothing and the tail warnings see a dead last term, as with
+all max_terms modes.  Whenever mode max_terms is still live (theta = 0 or
+the early transient), no mode is dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +42,7 @@ import numpy as np
 from .core import GasProfile, PelletGeometry, SolverError, SpatialGrid
 
 _TINY_M = 1e-9  # below this the no-reaction limit a = 1 is exact to 1e-18
+_DEAD = 36.0  # omega * theta beyond which exp(-omega theta) < 2.4e-16: a dead mode
 
 
 @dataclass(frozen=True)
@@ -129,6 +148,13 @@ def profile_qss(M, grid: SpatialGrid, geometry: PelletGeometry,
 # ---------------------------------------------------------------------------
 
 
+def _positive_scale(psi_phi_sq) -> np.ndarray:
+    scale = np.asarray(psi_phi_sq, dtype=float)
+    if np.any(scale <= 0.0):
+        raise SolverError("psi_phi_sq must be positive in unsteady mode")
+    return scale
+
+
 def _smoothed_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the leading axis with one Euler step on the last term.
 
@@ -139,23 +165,44 @@ def _smoothed_sum(terms: np.ndarray) -> np.ndarray:
     return np.sum(terms, axis=0) - 0.5 * terms[-1]
 
 
-def _series_terms(M, y, geometry: PelletGeometry, n_terms: int):
-    """Eigenvalues lam (K,) and coefficients C (K, n) of the transient."""
+@functools.lru_cache(maxsize=8)
+def _series_basis(y_bytes: bytes, is_sphere: bool, n_terms: int):
+    """Squared eigenvalues lam**2 (K,) and the table 2 lam_k (-1)^k phi_k(y) (K, n).
+
+    None of these depends on M, so they are built once per grid, geometry
+    and term count (the grid arrives as bytes to be hashable) and shared
+    read-only by every call.
+    """
+    y = np.frombuffer(y_bytes, dtype=float)
     k = np.arange(1, n_terms + 1, dtype=float)
     sign = np.where(np.arange(1, n_terms + 1) % 2 == 0, 1.0, -1.0)
-    M = np.broadcast_to(np.asarray(M, dtype=float), y.shape)
-    if geometry.is_sphere:
+    if is_sphere:
         lam = k * math.pi
-        denom = M[None, :] ** 2 + lam[:, None] ** 2
         sin_term = np.sin(lam[:, None] * y[None, :])
         with np.errstate(invalid="ignore", divide="ignore"):
             shape = np.where(y[None, :] > 0.0, sin_term / np.where(y == 0.0, 1.0, y)[None, :], lam[:, None])
-        coef = 2.0 * lam[:, None] * sign[:, None] * shape / denom
     else:
         lam = (2.0 * k - 1.0) * math.pi / 2.0
-        denom = M[None, :] ** 2 + lam[:, None] ** 2
-        coef = 2.0 * lam[:, None] * sign[:, None] * np.cos(lam[:, None] * y[None, :]) / denom
-    return lam, coef
+        shape = np.cos(lam[:, None] * y[None, :])
+    basis = 2.0 * lam[:, None] * sign[:, None] * shape
+    lam_sq = lam**2
+    lam_sq.flags.writeable = False
+    basis.flags.writeable = False
+    return lam_sq, basis
+
+
+def _series_terms(M, scale, t: float, y, geometry: PelletGeometry, n_terms: int):
+    """Coefficients C (K, n) and decay rates omega (K, n) of the modes live at time t.
+
+    K is the first mode dead at every node (omega_K t >= 36), or n_terms
+    if none of them is; see the module docstring for why the cut is exact.
+    """
+    lam_sq, basis = _series_basis(y.tobytes(), geometry.is_sphere, n_terms)
+    m_sq = np.broadcast_to(np.asarray(M, dtype=float), y.shape) ** 2
+    dead = (np.min(m_sq) + lam_sq) / np.max(scale) * t >= _DEAD
+    n_live = int(np.argmax(dead)) + 1 if dead[-1] else n_terms
+    denom = m_sq[None, :] + lam_sq[:n_live, None]
+    return basis[:n_live] / denom, denom / scale
 
 
 def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
@@ -169,18 +216,14 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
     """
     if theta < 0.0:
         raise SolverError("theta must be nonnegative")
-    scale = np.asarray(psi_phi_sq, dtype=float)
-    if np.any(scale <= 0.0):
-        raise SolverError("psi_phi_sq must be positive in unsteady mode")
+    scale = _positive_scale(psi_phi_sq)
     steady = shape_ratio(geometry, M, grid.y)
-    lam, coef = _series_terms(M, grid.y, geometry, ctl.max_terms)
-    Mb = np.broadcast_to(np.asarray(M, dtype=float), grid.y.shape)
-    omega = (Mb[None, :] ** 2 + lam[:, None] ** 2) / scale
+    coef, omega = _series_terms(M, scale, theta, grid.y, geometry, ctl.max_terms)
     warning = None
-    if float(np.min(omega[0]) * theta) >= 36.0:
+    if float(np.min(omega[0]) * theta) >= _DEAD:
         # every mode has decayed below double precision
         values = steady.copy()
-    elif float(np.min(omega[-1]) * theta) >= 36.0:
+    elif float(np.min(omega[-1]) * theta) >= _DEAD:
         # the retained modes resolve the transient; the truncated tail is dead
         values = steady + _smoothed_sum(coef * np.exp(-omega * theta))
     else:
@@ -207,17 +250,19 @@ def exposure_increment(M, theta0: float, theta1: float, psi_phi_sq, grid: Spatia
     integrated transient; its terms carry an extra 1/omega_k and converge
     absolutely.
     """
+    if theta0 < 0.0:
+        raise SolverError("theta0 must be nonnegative")
+    if theta1 < theta0:
+        raise SolverError("theta1 must not precede theta0")
     dtheta = theta1 - theta0
     steady = shape_ratio(geometry, M, grid.y)
     if sherwood is not None:
         steady = steady * film_factor(M, sherwood, delta)
     if psi_phi_sq is None:
         return steady * dtheta, None
-    scale = np.asarray(psi_phi_sq, dtype=float)
-    lam, coef = _series_terms(M, grid.y, geometry, ctl.max_terms)
-    Mb = np.broadcast_to(np.asarray(M, dtype=float), grid.y.shape)
-    omega = (Mb[None, :] ** 2 + lam[:, None] ** 2) / scale
-    if float(np.min(omega[0]) * theta0) >= 36.0:
+    scale = _positive_scale(psi_phi_sq)
+    coef, omega = _series_terms(M, scale, theta0, grid.y, geometry, ctl.max_terms)
+    if float(np.min(omega[0]) * theta0) >= _DEAD:
         return steady * dtheta, None
     # exp(-w t0) - exp(-w t1) = -exp(-w t0) * expm1(-w dtheta)
     terms = coef * (-np.exp(-omega * theta0) * np.expm1(-omega * dtheta) / omega)

@@ -1,12 +1,16 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassolid import (
     PelletGeometry,
     SeriesControl,
     SolverError,
+    SpatialGrid,
     front_time,
     m_coth_m_minus_1,
     profile_qss,
@@ -15,6 +19,8 @@ from gassolid import (
     solve_moving_boundary,
 )
 from gassolid.kernels import (
+    _series_basis,
+    _series_terms,
     exposure_increment,
     film_factor,
     front_bracket,
@@ -25,6 +31,24 @@ from gassolid.kernels import (
 
 SLAB = PelletGeometry(1)
 SPHERE = PelletGeometry(3)
+
+
+def _full_series(M, scale, y, geom, n_terms):
+    """Coefficients and decay rates of all n_terms modes, mode by mode."""
+    M = np.broadcast_to(np.asarray(M, dtype=float), y.shape)
+    coef, omega = [], []
+    for k in range(1, n_terms + 1):
+        if geom.is_sphere:
+            lam = k * math.pi
+            safe_y = np.where(y > 0.0, y, 1.0)
+            phi = np.where(y > 0.0, np.sin(lam * y) / safe_y, lam)
+        else:
+            lam = (2 * k - 1) * math.pi / 2.0
+            phi = np.cos(lam * y)
+        denom = M**2 + lam**2
+        coef.append(2.0 * lam * (-1.0) ** k * phi / denom)
+        omega.append(denom / scale)
+    return np.array(coef), np.array(omega)
 
 
 # --- closed-form profile shapes ----------------------------------------------
@@ -148,6 +172,115 @@ def test_unsteady_requires_positive_scale(grid):
         profile_unsteady(1.0, 0.1, 0.0, grid, SPHERE)
     with pytest.raises(SolverError):
         profile_unsteady(1.0, -0.1, 0.1, grid, SPHERE)
+
+
+def test_exposure_increment_validates_inputs(grid):
+    with pytest.raises(SolverError):
+        exposure_increment(1.0, 0.0, 0.1, 0.0, grid, SPHERE)
+    with pytest.raises(SolverError):
+        exposure_increment(1.0, 0.1, 0.2, -0.5, grid, SLAB)
+    with pytest.raises(SolverError):
+        exposure_increment(1.0, 0.1, 0.2, np.full(grid.n, -0.5), grid, SPHERE)
+    with pytest.raises(SolverError):
+        exposure_increment(1.0, -0.1, 0.2, 0.1, grid, SPHERE)
+    for scale in (0.1, None):
+        with pytest.raises(SolverError):
+            exposure_increment(1.0, 0.2, 0.1, scale, grid, SPHERE)
+
+
+@pytest.mark.parametrize("geom", [SLAB, SPHERE])
+@pytest.mark.parametrize("per_node", [False, True])
+@pytest.mark.parametrize("n_terms", [3, 200])
+def test_series_terms_match_direct_formula(grid, geom, per_node, n_terms):
+    M = np.linspace(0.3, 4.0, grid.n) if per_node else 1.7
+    scale = 0.2
+    coef, omega = _series_terms(M, scale, 0.0, grid.y, geom, n_terms)
+    want_coef, want_omega = _full_series(M, scale, grid.y, geom, n_terms)
+    assert coef.shape == omega.shape == (n_terms, grid.n)
+    np.testing.assert_allclose(coef, want_coef, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(omega, want_omega, rtol=1e-15, atol=0.0)
+
+
+def test_series_terms_keep_first_dead_mode(grid):
+    M = np.linspace(0.3, 4.0, grid.n)
+    scale, theta = np.linspace(0.1, 0.3, grid.n), 0.05
+    coef, omega = _series_terms(M, scale, theta, grid.y, SPHERE, 200)
+    n_live = len(coef)
+    assert 1 < n_live < 200
+    assert np.min(omega[-1]) * theta >= 36.0 > np.min(omega[-2]) * theta
+    want_coef, want_omega = _full_series(M, scale, grid.y, SPHERE, 200)
+    np.testing.assert_allclose(coef, want_coef[:n_live], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(omega, want_omega[:n_live], rtol=1e-15, atol=0.0)
+
+
+def test_series_basis_cached_and_read_only():
+    y = SpatialGrid(157).y
+    _series_terms(1.0, 0.1, 0.0, y, SPHERE, 200)
+    misses = _series_basis.cache_info().misses
+    _series_terms(2.0, 0.3, 0.0, SpatialGrid(157).y, SPHERE, 200)
+    assert _series_basis.cache_info().misses == misses
+    lam_sq, basis = _series_basis(y.tobytes(), True, 200)
+    assert _series_basis(SpatialGrid(157).y.tobytes(), True, 200)[1] is basis
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        lam_sq[0] = 0.0
+
+
+def _full_profile(M, theta, scale, grid, geom, ctl):
+    """profile_unsteady summed over all max_terms modes."""
+    steady = shape_ratio(geom, M, grid.y)
+    coef, omega = _full_series(M, scale, grid.y, geom, ctl.max_terms)
+    warning = None
+    if np.min(omega[0]) * theta >= 36.0:
+        values = steady.copy()
+    elif np.min(omega[-1]) * theta >= 36.0:
+        terms = coef * np.exp(-omega * theta)
+        values = steady + terms.sum(axis=0) - 0.5 * terms[-1]
+    else:
+        terms = coef * np.expm1(-omega * theta)
+        values = np.clip(terms.sum(axis=0) - 0.5 * terms[-1], 0.0, 1.0)
+        if np.max(np.abs(terms[-1])) > ctl.term_tol and theta > 0.0:
+            warning = "tail"
+    values[-1] = steady[-1]
+    return values, warning
+
+
+def _full_exposure(M, theta0, theta1, scale, grid, geom, ctl):
+    """exposure_increment summed over all max_terms modes (Dirichlet surface)."""
+    dtheta = theta1 - theta0
+    steady = shape_ratio(geom, M, grid.y)
+    coef, omega = _full_series(M, scale, grid.y, geom, ctl.max_terms)
+    if np.min(omega[0]) * theta0 >= 36.0:
+        return steady * dtheta, None
+    terms = coef * (-np.exp(-omega * theta0) * np.expm1(-omega * dtheta) / omega)
+    warning = "tail" if np.max(np.abs(terms[-1])) > ctl.term_tol * max(dtheta, 1e-300) else None
+    out = steady * dtheta + terms.sum(axis=0) - 0.5 * terms[-1]
+    out[-1] = steady[-1] * dtheta
+    return out, warning
+
+
+_N_PROP = 101
+_modulus = st.one_of(st.floats(0.0, 30.0), hnp.arrays(float, _N_PROP, elements=st.floats(0.0, 30.0)))
+_scale = st.one_of(st.floats(1e-3, 10.0), hnp.arrays(float, _N_PROP, elements=st.floats(1e-3, 10.0)))
+_theta = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 20.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(M=_modulus, scale=_scale, theta=_theta, dtheta=st.floats(0.0, 0.5),
+       sphere=st.booleans(), n_terms=st.sampled_from([3, 40, 200]))
+def test_live_mode_cut_matches_full_series(M, scale, theta, dtheta, sphere, n_terms):
+    grid = SpatialGrid(_N_PROP)
+    geom = SPHERE if sphere else SLAB
+    ctl = SeriesControl(max_terms=n_terms)
+    prof = profile_unsteady(M, theta, scale, grid, geom, ctl)
+    want, want_warn = _full_profile(M, theta, scale, grid, geom, ctl)
+    assert np.max(np.abs(prof.values - want)) <= 1e-14
+    assert (prof.warning is None) == (want_warn is None)
+    dg, warn = exposure_increment(M, theta, theta + dtheta, scale, grid, geom, ctl=ctl)
+    want, want_warn = _full_exposure(M, theta, theta + dtheta, scale, grid, geom, ctl)
+    assert np.max(np.abs(dg - want)) <= 1e-14
+    assert (warn is None) == (want_warn is None)
 
 
 def test_exposure_increment_quasi_steady_is_a_dtheta(grid):
