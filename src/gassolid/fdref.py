@@ -7,6 +7,20 @@ generate pinned fixtures.  It deliberately shares no profile code with
 finite-volume form and solved as a tridiagonal system, and the solid is
 advanced with the trapezoidal rule.
 
+Every tridiagonal system here (quasi-steady gas, Crank-Nicolson gas and the
+bed's bulk BVP) goes through one helper, :func:`solve_banded`.  It takes
+the system packed in one ``(4, n)`` buffer (sub-, main and super-diagonal,
+then the right-hand side) and hands its rows to LAPACK ``gtsv`` in place,
+the routine ``scipy.linalg.solve_banded`` itself calls for one band on each
+side, so the solutions are bit-identical to it.  It keeps the two checks
+scipy made: one finiteness test over the whole buffer raises
+``ValueError`` on inf or NaN, and a zero pivot raises ``LinAlgError``.
+Each :class:`_GasGrid` builds the face conductances and the bands of the
+flux operator (off-diagonals ``-cond``, diagonal sums of the adjacent
+conductances) once, read-only, for the common case without a structure
+factor; a solve copies them and only adds the reaction term ``rho * vol``,
+plus the capacity term for Crank-Nicolson.
+
 The moving-boundary second stage needs no special casing here: clamping
 the solid at zero and keeping the reaction indicator reproduces the
 receding-front behavior on its own.
@@ -19,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import LN_B_CAP, ModelKind, ModelParams, SolverError
 from .driver import RunResult, sample_schedule
@@ -47,6 +61,10 @@ class FdControl:
             raise SolverError("n_space must be odd and >= 3")
         if not self.dtheta > 0.0:
             raise SolverError("dtheta must be positive")
+        if not self.refine_tol > 0.0:
+            raise SolverError("refine_tol must be positive")
+        if self.max_refines < 1:
+            raise SolverError("max_refines must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +278,36 @@ _FD_MODELS = {
 # ---------------------------------------------------------------------------
 
 
+def solve_banded(bands: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system packed as a ``(4, n)`` float64 array.
+
+    The rows are the sub-diagonal, the main diagonal, the super-diagonal
+    and the right-hand side; the off-diagonals use their first n-1 entries.
+    LAPACK ``gtsv`` works in place, so ``bands`` is consumed and the
+    solution returned is a view of its last row.
+    """
+    if not np.isfinite(bands).all():
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(bands[0, :-1], bands[1], bands[2, :-1], bands[3], 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
+def _stencil(cond: np.ndarray) -> np.ndarray:
+    """Bands of the conservative flux operator -div(cond grad a), zero rhs.
+
+    Row i holds the fluxes through the faces of cell i; the last row keeps
+    only the flux through its inner face, for the caller's surface condition.
+    """
+    bands = np.zeros((4, cond.size + 1))
+    dl, d, du, _ = bands
+    dl[:-1] = du[:-1] = -cond
+    d[:-1] = cond
+    d[1:] += cond
+    return bands
+
+
 class _GasGrid:
     """Finite-volume metadata on the uniform pellet grid."""
 
@@ -276,39 +324,42 @@ class _GasGrid:
             self.vol = right - left
         else:
             self.vol = (right**3 - left**3) / 3.0
+        # conductances and bands without a structure factor (delta is None)
+        self.cond = self.face_w / self.h
+        self.bands = _stencil(self.cond)
+        self.cond.flags.writeable = False
+        self.bands.flags.writeable = False
 
     def conductance(self, delta):
-        dface = 1.0 if delta is None else 0.5 * (delta[:-1] + delta[1:])
+        if delta is None:
+            return self.cond
+        dface = 0.5 * (delta[:-1] + delta[1:])
         return dface * self.face_w / self.h
+
+    def operator_bands(self, cond: np.ndarray, rv: np.ndarray) -> np.ndarray:
+        """Fresh bands of -div(cond grad a) + rho a; ``rv`` is ``rho * vol``."""
+        bands = self.bands.copy() if cond is self.cond else _stencil(cond)
+        bands[1] += rv
+        return bands
+
+
+def _dirichlet_surface(bands: np.ndarray) -> None:
+    """Replace the last row by a = 1 at the surface."""
+    bands[0, -2] = 0.0
+    bands[1, -1] = bands[3, -1] = 1.0
 
 
 def _solve_gas_qss(gg: _GasGrid, rho: np.ndarray, delta, sherwood: float | None):
     """Quasi-steady gas profile: conservative FV + tridiagonal solve."""
-    n = gg.n
     cond = gg.conductance(delta)
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    rhs = np.zeros(n)
-    diag[0] = cond[0] + rho[0] * gg.vol[0]
-    upper[0] = -cond[0]
-    lower[1:-1] = -cond[:-1][: n - 2]
-    diag[1:-1] = cond[:-1][: n - 2] + cond[1:][: n - 2] + rho[1:-1] * gg.vol[1:-1]
-    upper[1:-1] = -cond[1:][: n - 2]
+    bands = gg.operator_bands(cond, rho * gg.vol)
     if sherwood is None:
-        diag[-1] = 1.0
-        rhs[-1] = 1.0
+        _dirichlet_surface(bands)
     else:
         # boundary flux delta * da/dy = sh (1 - a) enters the last half cell
-        lower[-1] = -cond[-1]
-        diag[-1] = cond[-1] + rho[-1] * gg.vol[-1] + sherwood
-        rhs[-1] = sherwood
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    a = solve_banded((1, 1), ab, rhs)
-    return a, cond
+        bands[1, -1] += sherwood
+        bands[3, -1] = sherwood
+    return solve_banded(bands), cond
 
 
 def _gas_balance(gg: _GasGrid, a: np.ndarray, rho: np.ndarray, cond: np.ndarray,
@@ -337,21 +388,33 @@ def fd_solve(params: ModelParams, theta_end: float, ctl: FdControl = FdControl()
     if params.kind not in _FD_MODELS:
         raise SolverError(f"no reference model for kind '{params.kind.value}'")
     schedule = sample_schedule(theta_end, samples)
-    result = _fd_march(params, schedule, ctl, ctl.dtheta)
-    if ctl.auto_refine:
-        dt = ctl.dtheta
-        for _ in range(ctl.max_refines):
-            finer = _fd_march(params, schedule, ctl, dt / 2.0)
-            drift = float(np.max(np.abs(finer.x - result.x)))
-            result = finer
-            dt /= 2.0
-            if drift < ctl.refine_tol:
-                break
-        else:
-            raise SolverError(
-                f"reference solver did not converge under time refinement (last drift {drift:.3e})"
-            )
-    return result
+    return _refined(
+        lambda dtheta: _fd_march(params, schedule, ctl, dtheta), ctl,
+        "reference solver did not converge under time refinement (last drift {drift:.3e})",
+    )
+
+
+def _refined(march, ctl: FdControl, failure: str) -> RunResult:
+    """``march(ctl.dtheta)``; with ``auto_refine``, halve dtheta until converged.
+
+    Each level restarts the march with half the step.  The sampled
+    conversions (X, and X_a for two gases) must move by less than
+    ``refine_tol`` within ``max_refines`` levels, else ``failure``
+    (formatted with the last ``drift``) is raised.
+    """
+    result = march(ctl.dtheta)
+    if not ctl.auto_refine:
+        return result
+    dtheta = ctl.dtheta
+    for _ in range(ctl.max_refines):
+        dtheta /= 2.0
+        finer = march(dtheta)
+        drift = max(float(np.max(np.abs(f - c)))
+                    for f, c in ((finer.x, result.x), (finer.x_a, result.x_a)) if c is not None)
+        result = finer
+        if drift < ctl.refine_tol:
+            return result
+    raise SolverError(failure.format(drift=drift))
 
 
 def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
@@ -438,36 +501,21 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
 def _advance_gas_cn(gg: _GasGrid, a_old: np.ndarray, rho: np.ndarray, delta,
                     accum: float, dt: float, theta_w: float):
     """One theta-scheme step of the unsteady gas equation (Dirichlet surface)."""
-    n = gg.n
     cond = gg.conductance(delta)
     cap = accum * gg.vol / dt
-
-    def operator(a):
-        out = np.zeros(n)
-        flux = cond * (a[1:] - a[:-1])
-        out[0] = flux[0] - rho[0] * gg.vol[0] * a[0]
-        out[1:-1] = flux[1:] - flux[:-1] - rho[1:-1] * gg.vol[1:-1] * a[1:-1]
-        return out
-
-    rhs = cap * a_old + (1.0 - theta_w) * operator(a_old)
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    diag[0] = cap[0] + theta_w * (cond[0] + rho[0] * gg.vol[0])
-    upper[0] = -theta_w * cond[0]
-    lower[1:-1] = -theta_w * cond[:-1][: n - 2]
-    diag[1:-1] = cap[1:-1] + theta_w * (
-        cond[:-1][: n - 2] + cond[1:][: n - 2] + rho[1:-1] * gg.vol[1:-1]
-    )
-    upper[1:-1] = -theta_w * cond[1:][: n - 2]
-    diag[-1] = 1.0
-    rhs[-1] = 1.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    a_new = solve_banded((1, 1), ab, rhs)
-    return a_new, cond
+    rv = rho * gg.vol
+    # explicit part: the operator div(cond grad a) - rho a applied to a_old
+    explicit = np.empty(gg.n)
+    flux = cond * (a_old[1:] - a_old[:-1])
+    explicit[0] = flux[0] - rv[0] * a_old[0]
+    explicit[1:-1] = flux[1:] - flux[:-1] - rv[1:-1] * a_old[1:-1]
+    explicit[-1] = 0.0
+    bands = gg.operator_bands(cond, rv)
+    bands[:3] *= theta_w
+    bands[1] += cap
+    bands[3] = cap * a_old + (1.0 - theta_w) * explicit
+    _dirichlet_surface(bands)
+    return solve_banded(bands), cond
 
 
 def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl,
@@ -475,7 +523,7 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
     """Reference run for the two-gas model (quasi-steady, first order)."""
     schedule = sample_schedule(theta_end, samples)
 
-    def march(dtheta: float) -> tuple[np.ndarray, np.ndarray]:
+    def march(dtheta: float) -> RunResult:
         gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
         from .analysis import simpson_weights
 
@@ -510,21 +558,10 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
                 b_a = np.maximum(b_a + 0.5 * dt * (k1a + k2a), 0.0)
             xs.append(float(min(max(1.0 - np.sum(sw * b), 0.0), 1.0)))
             x_as.append(float(min(max(1.0 - np.sum(sw * b_a), 0.0), 1.0)))
-        return np.asarray(xs), np.asarray(x_as)
+        return RunResult(kind=params.kind, theta=schedule, x=np.asarray(xs),
+                         x_a=np.asarray(x_as), label="fd")
 
-    xs, x_as = march(ctl.dtheta)
-    if ctl.auto_refine:
-        dt = ctl.dtheta
-        for _ in range(ctl.max_refines):
-            xs2, x_as2 = march(dt / 2.0)
-            drift = max(float(np.max(np.abs(xs2 - xs))), float(np.max(np.abs(x_as2 - x_as))))
-            xs, x_as = xs2, x_as2
-            dt /= 2.0
-            if drift < ctl.refine_tol:
-                break
-        else:
-            raise SolverError("two-gas reference run did not converge under refinement")
-    return RunResult(kind=params.kind, theta=schedule, x=xs, x_a=x_as, label="fd")
+    return _refined(march, ctl, "two-gas reference run did not converge under refinement")
 
 
 def initial_conversion_rate(params: ModelParams, ctl: FdControl = FdControl()) -> float:
@@ -561,23 +598,18 @@ def fd_solve_bed_bulk(peclet: float, beta: float, bed_length: float,
     if n < 3:
         raise SolverError("need at least 3 axial nodes")
     h = bed_length / (n - 1)
-    lower = np.zeros(n)  # lower[i] = A[i, i-1]
-    diag = np.zeros(n)
-    upper = np.zeros(n)  # upper[i] = A[i, i+1]
-    rhs = -beta * s
+    bands = np.zeros((4, n))
+    dl, d, du, rhs = bands  # dl[i] = A[i+1, i], du[i] = A[i, i+1]
     # interior: (Y[i-1] - 2 Y[i] + Y[i+1])/h^2 - Pe (Y[i+1]-Y[i-1])/(2h) - beta Y[i]
-    lower[1:-1] = 1.0 / h**2 + peclet / (2.0 * h)
-    diag[1:-1] = -2.0 / h**2 - beta
-    upper[1:-1] = 1.0 / h**2 - peclet / (2.0 * h)
+    dl[:-2] = 1.0 / h**2 + peclet / (2.0 * h)
+    d[1:-1] = -2.0 / h**2 - beta
+    du[1:-1] = 1.0 / h**2 - peclet / (2.0 * h)
+    rhs[:] = -beta * s
     # inlet: ghost node from Y'(0) = Pe (Y0 - 1) folded into the PDE row
-    diag[0] = -2.0 / h**2 - 2.0 * peclet / h - peclet**2 - beta
-    upper[0] = 2.0 / h**2
+    d[0] = -2.0 / h**2 - 2.0 * peclet / h - peclet**2 - beta
+    du[0] = 2.0 / h**2
     rhs[0] = -beta * s[0] - 2.0 * peclet / h - peclet**2
     # outlet: ghost node from Y'(L) = 0
-    lower[-1] = 2.0 / h**2
-    diag[-1] = -2.0 / h**2 - beta
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    dl[-2] = 2.0 / h**2
+    d[-1] = -2.0 / h**2 - beta
+    return solve_banded(bands)

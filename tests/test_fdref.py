@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassolid import (
     FdControl,
@@ -13,6 +16,7 @@ from gassolid import (
     initial_conversion_rate,
     run_qm,
 )
+from gassolid import fdref
 from gassolid.analysis import simpson_weights
 
 FAST = FdControl(n_space=201, dtheta=2e-3, auto_refine=False)
@@ -69,6 +73,18 @@ def test_auto_refine_flags_nonconvergence():
                     max_refines=1)
     with pytest.raises(SolverError, match="refinement"):
         fd_solve(p, 1.0, ctl, samples=11)
+
+
+def test_fd_control_rejects_max_refines_below_one():
+    for bad in (0, -1):
+        with pytest.raises(SolverError, match="max_refines"):
+            FdControl(max_refines=bad)
+
+
+def test_fd_control_rejects_nonpositive_refine_tol():
+    for bad in (0.0, -1e-5, math.nan):
+        with pytest.raises(SolverError, match="refine_tol"):
+            FdControl(refine_tol=bad)
 
 
 def test_moving_boundary_emerges_without_special_casing(grid):
@@ -155,3 +171,157 @@ def test_bed_bulk_input_validation():
         fd_solve_bed_bulk(0.0, 1.0, 1.0, np.zeros(11))
     with pytest.raises(SolverError):
         fd_solve_bed_bulk(1.0, 1.0, 1.0, np.zeros(2))
+
+
+# --- pinned oracle output ----------------------------------------------------
+# Oracle output at n_space 101 and dtheta 2e-3 without refinement: a change to
+# the FD assembly or solves that moves X by more than rounding fails here.
+
+PIN_CONTROL = FdControl(n_space=101, dtheta=2e-3, auto_refine=False)
+PINNED_X = [
+    # quasi-steady, Dirichlet surface (no structure factor)
+    ({"kind": "grain_simple", "sigma": 1.5}, 1.0,
+     [0.0, 0.24248766057403326, 0.44542080134001627, 0.6109189640706358,
+      0.741531532250904, 0.8402914436231297, 0.9107580499893869, 0.9570401633485883,
+      0.9837895799119006, 0.9961566034261293, 0.999702946701511]),
+    # quasi-steady with a film and a structure change (delta is an array)
+    ({"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.5, "beta": 0.2, "z": 1.2,
+      "eps0": 0.5, "sh": 5}, 2.0,
+     [0.0, 0.1704245346982164, 0.32547478299910004, 0.4624105003310839,
+      0.5800344664584789, 0.6784070262357187, 0.7585624650980433, 0.8222282369707882,
+      0.8715536163827382, 0.9088614253118481, 0.9364402225542551]),
+    # unsteady gas, Crank-Nicolson
+    ({"kind": "volume_first_order", "phi_v": 1.0, "psi": 0.1}, 1.0,
+     [0.0, 0.08553712897594978, 0.16802245806537064, 0.2433972490615336,
+      0.3122241011014829, 0.37502773868270434, 0.43229733764701395, 0.4844881249135947,
+      0.5320229181410534, 0.5752936885201833, 0.6146631502929137]),
+]
+PINNED_BED = [
+    0.5974679699744052, 0.5751219340037282, 0.5525629535365406, 0.5299799632400277,
+    0.5075511711238972, 0.4854449636816844, 0.4638207789037924, 0.4428299527512703,
+    0.4226165447702743, 0.40331814867143767, 0.38506669390021375, 0.36798924448863957,
+    0.35220880181166153, 0.33784511827886066, 0.32501552948281714, 0.3138358129072886,
+    0.304421081981972, 0.2968867250674099, 0.29134939987676056, 0.28792809490564597,
+    0.28674527066415634,
+]
+
+
+@pytest.mark.parametrize("raw, theta_end, want", PINNED_X)
+def test_oracle_x_pinned(raw, theta_end, want):
+    res = fd_solve(build_model(raw), theta_end, PIN_CONTROL, samples=11)
+    assert np.max(np.abs(res.x - np.asarray(want))) <= 1e-13
+
+
+def test_bed_bulk_profile_pinned():
+    eta = np.linspace(0.0, 1.0, 21)
+    y = fd_solve_bed_bulk(1.1, 3.3, 1.0, 0.5 * (1.0 - eta) ** 2)
+    assert np.max(np.abs(y - np.asarray(PINNED_BED))) <= 1e-13
+
+
+# --- tridiagonal helper and finite-volume assembly ---------------------------
+
+
+def _dominant_bands(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    bands = rng.uniform(-1.0, 1.0, (4, n))
+    bands[1] += np.where(rng.random(n) < 0.5, -3.0, 3.0)
+    return bands
+
+
+@pytest.mark.parametrize("n", [3, 401])
+def test_solve_banded_matches_scipy(n):
+    bands = _dominant_bands(n, seed=n)
+    ab = np.zeros((3, n))  # scipy's (1, 1) layout
+    ab[0, 1:] = bands[2, :-1]
+    ab[1] = bands[1]
+    ab[2, :-1] = bands[0, :-1]
+    want = scipy.linalg.solve_banded((1, 1), ab, bands[3].copy())
+    assert np.array_equal(fdref.solve_banded(bands), want)
+
+
+def test_solve_banded_singular():
+    # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 0, 1]] are equal
+    bands = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        fdref.solve_banded(bands)
+
+
+@pytest.mark.parametrize("row", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_banded_rejects_nonfinite(row, bad):
+    bands = _dominant_bands(5, seed=1)
+    bands[row, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        fdref.solve_banded(bands)
+
+
+def test_grid_conductance_is_read_only():
+    gg = fdref._GasGrid(11, 3)
+    cond = gg.conductance(None)
+    assert cond is gg.conductance(None)
+    for cached in (cond, gg.bands):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+
+def _dense_operator(n: int, fp: int, delta, rho: np.ndarray):
+    """Rows 0..n-2 of -div(delta grad a) + rho a, built cell by cell."""
+    h = 1.0 / (n - 1)
+    y = np.linspace(0.0, 1.0, n)
+    d_face = np.ones(n - 1) if delta is None else 0.5 * (delta[:-1] + delta[1:])
+    cond = d_face * (y[:-1] + 0.5 * h) ** (fp - 1) / h
+    lo, hi = np.clip(y - 0.5 * h, 0.0, 1.0), np.clip(y + 0.5 * h, 0.0, 1.0)
+    vol = hi - lo if fp == 1 else (hi**3 - lo**3) / 3.0
+    op = np.zeros((n, n))
+    for i in range(n - 1):
+        if i > 0:
+            op[i, i - 1] -= cond[i - 1]
+            op[i, i] += cond[i - 1]
+        op[i, i + 1] -= cond[i]
+        op[i, i] += cond[i] + rho[i] * vol[i]
+    return op, cond, vol
+
+
+def _unit_arrays(n, low):
+    return st.lists(st.floats(low, 1.0), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def _fv_cases(draw):
+    n = draw(st.integers(3, 41))
+    fp = draw(st.sampled_from([1, 3]))
+    delta = draw(st.none() | _unit_arrays(n, 1e-3))
+    rho = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n).map(np.array))
+    return n, fp, delta, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fv_cases(), st.none() | st.floats(0.1, 100.0))
+def test_qss_solve_matches_dense_stencil(case, sherwood):
+    n, fp, delta, rho = case
+    op, cond, vol = _dense_operator(n, fp, delta, rho)
+    rhs = np.zeros(n)
+    if sherwood is None:
+        op[-1, -1] = rhs[-1] = 1.0
+    else:
+        op[-1, -2] = -cond[-1]
+        op[-1, -1] = cond[-1] + rho[-1] * vol[-1] + sherwood
+        rhs[-1] = sherwood
+    a, _ = fdref._solve_gas_qss(fdref._GasGrid(n, fp), rho, delta, sherwood)
+    np.testing.assert_allclose(a, np.linalg.solve(op, rhs), rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fv_cases(), st.floats(1e-3, 10.0), st.floats(1e-4, 1.0), st.sampled_from([0.5, 1.0]),
+       st.data())
+def test_cn_step_matches_dense_stencil(case, accum, dt, theta_w, data):
+    n, fp, delta, rho = case
+    a_old = data.draw(_unit_arrays(n, 0.0))
+    op, _, vol = _dense_operator(n, fp, delta, rho)
+    cap = accum * vol / dt
+    lhs = np.diag(cap) + theta_w * op
+    rhs = cap * a_old - (1.0 - theta_w) * (op @ a_old)
+    lhs[-1] = 0.0
+    lhs[-1, -1] = rhs[-1] = 1.0
+    a, _ = fdref._advance_gas_cn(fdref._GasGrid(n, fp), a_old, rho, delta, accum, dt, theta_w)
+    np.testing.assert_allclose(a, np.linalg.solve(lhs, rhs), rtol=1e-10)
