@@ -60,13 +60,6 @@ from .steppers import (
     StepReport,
     StepStatus,
     make_stepper,
-    step_grain_modified,
-    step_grain_product_layer,
-    step_grain_simple,
-    step_nucleation,
-    step_random_pore,
-    step_simultaneous,
-    step_volume,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,19 @@ evaluates the closed-form gas profile, and advances the solid by the
 model's integrated update over the increment (a cumulative-exposure
 formulation, so e.g. b = exp(-a theta) is applied as
 b_new = b_old * exp(-a dtheta)).  Steps are subdivided internally so no
-node's solid state changes by more than the decrement cap in one freeze.
+node's solid state changes by more than the decrement cap in one freeze;
+a substep that still removes more than twice the cap once halved to
+dtheta 1e-13 (or after 60 tries) raises SolverError, except at the stage
+switch.
+
+The product-layer grain, modified grain and random pore updates are
+implicit: the new solid solves g(r) = target for an increasing law g
+whose derivative is already part of the model (the grain resistance, or
+the random-pore rate resistance over u).  `_invert_increasing` solves it
+per node by Newton from the old solid, safeguarded by a bracket that
+every iterate shrinks: a step leaving the bracket is replaced by its
+midpoint, and nodes not converged after a fixed number of steps finish
+by bisection.  A law whose derivative is not positive raises.
 
 Models whose solid reaches zero in finite time (half-order volume and the
 grain family) switch to a second stage once the surface node exhausts:
@@ -76,14 +88,52 @@ def _worse(a: StepStatus, b: StepStatus) -> StepStatus:
     return a if _SEVERITY[a] >= _SEVERITY[b] else b
 
 
-def _invert_increasing(fn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                       iters: int = 52) -> np.ndarray:
-    """Vectorized bisection for fn(x) = target with fn increasing on [lo, hi]."""
+_NEWTON_STEPS = 12  # a step capped by the decrement cap converges in about five
+_BISECT_STEPS = 52
+_STOP_ULPS = 4.0 * np.finfo(float).eps
+
+
+def _invert_increasing(fn, dfn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                       x0: np.ndarray) -> np.ndarray:
+    """Solve fn(x) = target per node, fn increasing on [lo, hi] with derivative dfn.
+
+    Safeguarded Newton from x0 (clipped to the bracket).  Every iterate
+    shrinks the node's bracket by the sign of fn - target; a Newton step
+    that lands outside the shrunken bracket (by more than the tolerance) is
+    replaced by the bracket's midpoint.  A node stops once its Newton step
+    or its bracket is within a few ulp of the larger of |x0|, |x| and
+    |target| / dfn: |x0| keeps the test absolute when the root sits at
+    lo = 0, and |target| / dfn is how far the rounding of fn near the
+    target leaves the root uncertain.  Nodes still live after _NEWTON_STEPS
+    finish by bisection on their own brackets.  A derivative that is not
+    positive and finite at a live node means the law is not increasing
+    there, and raises.
+    """
     if np.any(fn(hi) < fn(lo) - 1e-12):
         raise SolverError("solid-update bracket is not monotone")
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(iters):
+    x = np.clip(x0, lo, hi)
+    scale, size = np.abs(x), np.abs(target)
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        f = fn(x) - target
+        d = dfn(x)
+        if not np.all(done | ((d > 0.0) & (d < np.inf))):
+            raise SolverError("solid-update law is not monotone")
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        newton = x - f / d
+        tol = _STOP_ULPS * np.maximum(np.maximum(scale, np.abs(x)), size / d)
+        stop = (np.abs(newton - x) <= tol) | (hi - lo <= tol)
+        kept = np.clip(newton, lo, hi)
+        step = np.where(stop | (np.abs(kept - newton) <= tol), kept, 0.5 * (lo + hi))
+        x = np.where(done, x, step)
+        done |= stop
+        if done.all():
+            return x
+    lo = np.where(done, x, lo)
+    hi = np.where(done, x, hi)
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         below = fn(mid) < target
         lo = np.where(below, mid, lo)
@@ -200,14 +250,18 @@ class _PelletStepper:
                     dt = max(dt_star, 0.0)
                     switching = True
         scale = None if self.params.quasi_steady else self.transient_scale(delta)
-        for _ in range(60):
+        for attempt in range(60):
             dg, warn = exposure_increment(M, s.theta, s.theta + dt, scale, self.grid,
                                           self.geometry, self.params.sherwood,
                                           1.0 if delta is None else delta, self.series)
             solid_new, expo_new = self.advance(s.solid, s.exposure, dg)
             dec = float(np.max(s.solid - solid_new))
-            if switching or dec <= 2.0 * self.cap or dt <= 1e-13:
+            if switching or dec <= 2.0 * self.cap:
                 break
+            if dt <= 1e-13 or attempt == 59:
+                raise SolverError(
+                    f"substep at theta {s.theta:.6g} removes {dec:.3g} of solid at "
+                    f"dtheta {dt:.3g}, above twice the decrement cap {self.cap:g}")
             dt *= 0.5
         if warn:
             status = _worse(status, StepStatus.SERIES_WARNING)
@@ -361,7 +415,8 @@ class _GrainProductLayer(_PelletStepper):
 
     def advance(self, solid, exposure, dg):
         target = np.maximum(self._g(solid) - dg, 0.0)
-        r_new = _invert_increasing(self._g, target, np.zeros_like(solid), solid.copy())
+        r_new = _invert_increasing(self._g, self._resistance, target,
+                                   np.zeros_like(solid), solid, solid)
         return np.where(dg > 0.0, r_new, solid), exposure + dg
 
     def surface_budget(self, solid, exposure):
@@ -414,7 +469,8 @@ class _GrainModified(_PelletStepper):
         frozen = self._delta(solid) <= 0.0
         g0 = self._g(np.zeros_like(solid))
         target = np.maximum(self._g(solid) - dg, g0)
-        r_new = _invert_increasing(self._g, target, np.zeros_like(solid), solid.copy())
+        r_new = _invert_increasing(self._g, self._resistance, target,
+                                   np.zeros_like(solid), solid, solid)
         r_new = np.where(frozen | (dg <= 0.0), solid, r_new)
         return r_new, exposure + dg
 
@@ -449,6 +505,10 @@ class _RandomPore(_PelletStepper):
         bz = self.params.beta * self.params.z_ratio
         return 1.0 + bz * w / (1.0 + u)
 
+    def _dh_dw(self, w):
+        u = np.sqrt(1.0 + self.params.psi_cap * w)
+        return self._rate_resistance(w, u) / u
+
     def _delta(self, solid):
         p = self.params
         bracket = 1.0 - (p.z_ratio - 1.0) * (1.0 - p.porosity0) * (1.0 - solid) / p.porosity0
@@ -477,7 +537,7 @@ class _RandomPore(_PelletStepper):
         w_new = np.where(
             self._h_of_w(hi) <= target,
             hi,
-            _invert_increasing(self._h_of_w, target, w_old.copy(), hi),
+            _invert_increasing(self._h_of_w, self._dh_dw, target, w_old, hi, w_old),
         )
         b_new = np.exp(-w_new)
         b_new = np.where(frozen | (dg <= 0.0), solid, b_new)
@@ -584,40 +644,3 @@ def make_stepper(params: ModelParams, grid: SpatialGrid,
                  decrement_cap: float = DEFAULT_DECREMENT_CAP) -> _PelletStepper:
     return _STEPPERS[params.kind](params, grid, series, decrement_cap)
 
-
-def _step_with(kind: ModelKind, state: PelletState, dtheta: float,
-               params: ModelParams, grid: SpatialGrid, **kw):
-    if params.kind is not kind:
-        raise SolverError(f"expected a {kind.value} parameter set, got {params.kind.value}")
-    return make_stepper(params, grid, **kw).step(state, dtheta)
-
-
-def step_volume(state, dtheta, params, grid, **kw):
-    kind = params.kind
-    if kind not in (ModelKind.VOLUME_FIRST_ORDER, ModelKind.VOLUME_HALF_ORDER):
-        raise SolverError("step_volume requires a volume-model parameter set")
-    return make_stepper(params, grid, **kw).step(state, dtheta)
-
-
-def step_grain_simple(state, dtheta, params, grid, **kw):
-    return _step_with(ModelKind.GRAIN_SIMPLE, state, dtheta, params, grid, **kw)
-
-
-def step_grain_product_layer(state, dtheta, params, grid, **kw):
-    return _step_with(ModelKind.GRAIN_PRODUCT_LAYER, state, dtheta, params, grid, **kw)
-
-
-def step_grain_modified(state, dtheta, params, grid, **kw):
-    return _step_with(ModelKind.GRAIN_MODIFIED, state, dtheta, params, grid, **kw)
-
-
-def step_random_pore(state, dtheta, params, grid, **kw):
-    return _step_with(ModelKind.RANDOM_PORE, state, dtheta, params, grid, **kw)
-
-
-def step_nucleation(state, dtheta, params, grid, **kw):
-    return _step_with(ModelKind.NUCLEATION, state, dtheta, params, grid, **kw)
-
-
-def step_simultaneous(state, dtheta, params, grid, **kw):
-    return _step_with(ModelKind.SIMULTANEOUS, state, dtheta, params, grid, **kw)

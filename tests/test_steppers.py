@@ -2,23 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassolid import (
     SolverError,
+    SpatialGrid,
     Stage,
     StepStatus,
     build_model,
     conversion,
     make_stepper,
     run_qm,
-    step_grain_modified,
-    step_grain_product_layer,
-    step_grain_simple,
-    step_nucleation,
-    step_random_pore,
-    step_simultaneous,
-    step_volume,
+    steppers,
 )
+from gassolid.core import LN_B_CAP
 
 ZOO = [
     {"kind": "volume_first_order", "phi_v": 1.5},
@@ -330,31 +328,21 @@ def test_decrement_cap_respected(grid):
     assert rep.max_solid_decrement <= 0.021  # soft cap, within 2x
 
 
-def test_wrappers_validate_kind(grid):
-    pv = build_model({"kind": "volume_first_order", "phi_v": 1.0})
-    pg = build_model({"kind": "grain_simple", "sigma": 1.0, "F_g": 2})
-    state = make_stepper(pv, grid).initial_state()
-    with pytest.raises(SolverError):
-        step_grain_simple(state, 0.1, pv, grid)
-    with pytest.raises(SolverError):
-        step_volume(state, 0.1, pg, grid)
-    out_state, prof, rep = step_volume(state, 0.1, pv, grid)
-    assert rep.theta_after == pytest.approx(0.1)
-    for fn, raw in [
-        (step_grain_simple, {"kind": "grain_simple", "sigma": 1.0, "F_g": 2}),
-        (step_grain_product_layer, {"kind": "grain_product_layer", "sigma": 1.0, "sigma_g_sq": 0.2}),
-        (step_grain_modified, {"kind": "grain_modified", "sigma": 1.0, "sigma_g_sq": 0.2,
-                               "Z_v": 1.2, "eps0": 0.5}),
-        (step_random_pore, {"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.0}),
-        (step_nucleation, {"kind": "nucleation", "sigma_n": 1.0, "n": 3}),
-        (step_simultaneous, {"kind": "simultaneous", "sigma_a": 0.5, "sigma_c": 0.5,
-                             "psi_ab": 0.5}),
+def test_make_stepper_steps_every_kind(grid):
+    for raw in [
+        {"kind": "volume_first_order", "phi_v": 1.0},
+        {"kind": "volume_half_order", "phi_v": 1.0, "F_p": 1},
+        {"kind": "grain_simple", "sigma": 1.0, "F_g": 2},
+        {"kind": "grain_product_layer", "sigma": 1.0, "sigma_g_sq": 0.2},
+        {"kind": "grain_modified", "sigma": 1.0, "sigma_g_sq": 0.2, "Z_v": 1.2, "eps0": 0.5},
+        {"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.0},
+        {"kind": "nucleation", "sigma_n": 1.0, "n": 3},
+        {"kind": "simultaneous", "sigma_a": 0.5, "sigma_c": 0.5, "psi_ab": 0.5},
     ]:
-        params = build_model(raw)
-        st = make_stepper(params, grid).initial_state()
-        st2, _, rep = fn(st, 0.05, params, grid)
+        stepper = make_stepper(build_model(raw), grid)
+        out, _, rep = stepper.step(stepper.initial_state(), 0.05)
         assert rep.theta_after == pytest.approx(0.05)
-        assert st2.theta == pytest.approx(0.05)
+        assert out.theta == pytest.approx(0.05)
 
 
 @pytest.mark.parametrize("raw", [
@@ -379,3 +367,215 @@ def test_negative_dtheta_rejected(grid):
     stepper = make_stepper(p, grid)
     with pytest.raises(SolverError):
         stepper.step(stepper.initial_state(), -0.1)
+
+
+# --- substep halving -------------------------------------------------------------
+
+
+def _fixed_removal(stepper, calls=60):
+    """Make the first `calls` advances remove 0.5 of solid, whatever the increment.
+
+    Later advances remove nothing, so a loop that accepted the oversized
+    substep would finish the step instead of raising.
+    """
+    seen = []
+
+    def advance(solid, exposure, dg):
+        seen.append(1)
+        return solid - (0.5 if len(seen) <= calls else 0.0), exposure + dg
+
+    stepper.advance = advance
+    return stepper
+
+
+def test_halving_reports_tiny_substep(grid):
+    stepper = _fixed_removal(make_stepper(build_model({"kind": "volume_first_order",
+                                                       "phi_v": 1.0}), grid))
+    with pytest.raises(SolverError, match="decrement cap"):
+        stepper.step(stepper.initial_state(), 1e-12)
+
+
+def test_halving_reports_exhausted_tries(grid):
+    # a zero rate estimate starts the halving at dtheta 1e6: 59 halvings leave
+    # dtheta near 1.7e-12, so the try limit ends the loop, not the 1e-13 floor
+    stepper = _fixed_removal(make_stepper(build_model({"kind": "volume_first_order",
+                                                       "phi_v": 1.0}), grid))
+    stepper.solid_rate = lambda solid, exposure, a: np.zeros_like(solid)
+    with pytest.raises(SolverError, match="decrement cap"):
+        stepper.step(stepper.initial_state(), 1e6)
+
+
+# --- solid update: safeguarded Newton --------------------------------------------
+# X series recorded at n 101 and 21 samples with the former 52-step bisection;
+# the Newton update must reproduce them within the 1e-10 refactor bound.
+
+PINNED_QM = [
+    ({"kind": "grain_product_layer", "sigma": 1.5, "sigma_g_sq": 0.5}, 2.0,
+     [0.0, 0.2213454642570999, 0.38641993066005254, 0.5158209878164496,
+      0.6198653150435108, 0.7046209655272261, 0.7740315730624053, 0.8308299993416874,
+      0.8770067168760827, 0.9140688435274202, 0.9431961479813946, 0.9653434349924986,
+      0.9813162958259471, 0.9918402339827405, 0.9976584193301922, 0.9997624343848011,
+      1.0, 1.0, 1.0, 1.0, 1.0]),
+    ({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.2, "Z_v": 1.4, "eps0": 0.5},
+     2.0,
+     [0.0, 0.22827042779589246, 0.4051164335186148, 0.5460377085555992,
+      0.6595902274838511, 0.7511434299366437, 0.8243620231718323, 0.8819093395987287,
+      0.9258377281275278, 0.9578416905101141, 0.9794576315875217, 0.9922649452140211,
+      0.9981618889379258, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    ({"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.0, "beta": 0.5, "z": 1.3, "sh": 8},
+     3.0,
+     [0.0, 0.12844682508735938, 0.24321148605223242, 0.3451522660590183,
+      0.43522359266418986, 0.5144212248841648, 0.5837442331222289, 0.6441687240955761,
+      0.6966279445968755, 0.741999647999305, 0.7811022919068442, 0.814689436954722,
+      0.8434473307929544, 0.8679978542310738, 0.88889898429807, 0.9066458636871662,
+      0.9216801444462882, 0.9343882927764015, 0.9451076434807952, 0.9541319326538092,
+      0.9617161147534606]),
+    ({"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.0, "psi": 0.02}, 2.0,
+     [0.0, 0.09068480762190578, 0.17794629625759217, 0.2603694647159245,
+      0.33773220802199366, 0.40989142108516907, 0.4767764974982803, 0.5383873600792972,
+      0.5947866227505627, 0.6460939973092696, 0.692479161133486, 0.7341538813096775,
+      0.7713630422532021, 0.8043805123754484, 0.8334963025522261, 0.8590132899830536,
+      0.8812396361595466, 0.9004807718811897, 0.917036265013248, 0.9311961684357997,
+      0.9432342665335514]),
+]
+
+
+@pytest.mark.parametrize("raw, theta_end, want", PINNED_QM,
+                         ids=["product_layer", "modified", "random_pore_film",
+                              "random_pore_unsteady"])
+def test_implicit_update_x_pinned(raw, theta_end, want):
+    res = run_qm(build_model(raw), SpatialGrid(101), theta_end, samples=21)
+    assert np.max(np.abs(res.x - np.asarray(want))) <= 1e-10
+
+
+_EPS = np.finfo(float).eps
+
+
+def _implicit_law(kind, s2=0.3, z=1.3, psi_cap=1.0, bz=0.5):
+    if kind == "grain_product_layer":
+        raw = {"kind": kind, "sigma": 1.0, "sigma_g_sq": s2}
+    elif kind == "grain_modified":
+        raw = {"kind": kind, "sigma": 1.0, "sigma_g_sq": s2, "Z_v": z, "eps0": 0.5}
+    else:
+        raw = {"kind": kind, "phi_r": 1.0, "psi_cap": psi_cap, "beta": bz / z, "z": z}
+    return make_stepper(build_model(raw), SpatialGrid(101))
+
+
+def _update_problem(stepper, solid, dg):
+    """(fn, dfn, target, lo, hi, x0) as the law's advance poses them."""
+    if isinstance(stepper, steppers._RandomPore):
+        w_old = -np.log(solid)
+        return (stepper._h_of_w, stepper._dh_dw, stepper._h_of_w(w_old) + dg,
+                w_old, np.full_like(w_old, LN_B_CAP), w_old)
+    g0 = stepper._g(np.zeros_like(solid))
+    return (stepper._g, stepper._resistance, np.maximum(stepper._g(solid) - dg, g0),
+            np.zeros_like(solid), solid, solid)
+
+
+def _bisection(fn, target, lo, hi):
+    """The former bisection, run on until every bracket is 1e-16 or one ulp wide.
+
+    52 halvings resolve the random-pore bracket [w_old, 700] only to about
+    8e-14, so the reference keeps halving instead of stopping there.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((hi - lo > 1e-16) & (mid != lo) & (mid != hi)):
+            return mid
+        below = fn(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+
+
+@st.composite
+def _implicit_updates(draw):
+    kind = draw(st.sampled_from(["grain_product_layer", "grain_modified", "random_pore"]))
+    stepper = _implicit_law(kind, s2=draw(st.floats(0.0, 1.0)), z=draw(st.floats(0.6, 2.0)),
+                            psi_cap=draw(st.floats(0.0, 5.0)), bz=draw(st.floats(0.0, 2.0)))
+    n = draw(st.integers(1, 12))
+    solid = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n)))
+    dg = np.array(draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+    return stepper, solid, dg
+
+
+@settings(max_examples=100, deadline=None)
+@given(_implicit_updates())
+def test_newton_update_matches_bisection(case):
+    stepper, solid, dg = case
+    fn, dfn, target, lo, hi, x0 = _update_problem(stepper, solid, dg)
+    evals = []
+
+    def counted(x):
+        evals.append(1)
+        return fn(x)
+
+    x = steppers._invert_increasing(counted, dfn, target, lo, hi, x0)
+    assert np.all((lo <= x) & (x <= hi))
+    # the Newton phase converges on its own: no node needs the bisection finish
+    assert len(evals) <= 2 + steppers._NEWTON_STEPS
+    # 1e-14 absolute on grain radii (<= 1); relative on random-pore w, where
+    # ulp(w) reaches 3.6e-15 at w = 17 (solid 4e-8)
+    ref = _bisection(fn, target, lo, hi)
+    assert np.all(np.abs(x - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(np.abs(fn(x) - target) <= 8 * _EPS * np.maximum(np.abs(target), 1.0))
+    # a larger exposure never leaves more solid (up to rounding of the root)
+    s0 = np.full(dg.size, solid[0])
+    new, _ = stepper.advance(s0, np.zeros_like(s0), np.sort(dg))
+    assert np.all(np.diff(new) <= 8 * _EPS * s0[0])
+
+
+@pytest.mark.parametrize("kind, law", [
+    ("grain_product_layer", {"s2": 0.7}),
+    ("grain_modified", {"s2": 0.4, "z": 1.6}),
+    ("grain_modified", {"s2": 0.4, "z": 0.7}),
+    ("grain_modified", {"s2": 0.4, "z": 1.0}),  # the Z = 1 branch of _g
+    ("random_pore", {"psi_cap": 3.0, "bz": 1.5, "z": 1.5}),
+    ("random_pore", {"psi_cap": 0.0, "bz": 0.0, "z": 1.0}),
+])
+def test_update_derivatives_match_finite_differences(kind, law):
+    stepper = _implicit_law(kind, **law)
+    if kind == "random_pore":
+        fn, dfn, x = stepper._h_of_w, stepper._dh_dw, np.linspace(1e-3, 20.0, 41)
+    else:
+        fn, dfn, x = stepper._g, stepper._resistance, np.linspace(0.02, 0.98, 41)
+    h = 1e-6 * np.maximum(x, 1.0)
+    central = (fn(x + h) - fn(x - h)) / (2.0 * h)
+    assert np.allclose(dfn(x), central, rtol=1e-8, atol=0.0)
+
+
+def test_invert_rejects_a_non_monotone_law():
+    lo, hi = np.zeros(3), np.ones(3)
+    target = np.full(3, 0.3)
+    with pytest.raises(SolverError, match="bracket is not monotone"):
+        steppers._invert_increasing(lambda x: -x, lambda x: -np.ones_like(x),
+                                    -target, lo, hi, hi)
+
+    # increasing between the endpoints, decreasing around x0 = 0.5
+    def wavy(x):
+        return x + 0.5 * np.sin(2.0 * np.pi * x)
+
+    def slope(x):
+        return 1.0 + np.pi * np.cos(2.0 * np.pi * x)
+
+    with pytest.raises(SolverError, match="law is not monotone"):
+        steppers._invert_increasing(wavy, slope, target, lo, hi, np.full(3, 0.5))
+    with pytest.raises(SolverError, match="law is not monotone"):
+        steppers._invert_increasing(lambda x: x, lambda x: np.full_like(x, np.nan),
+                                    target, lo, hi, hi)
+
+
+def test_invert_finishes_by_bisection():
+    # a derivative far too small throws every Newton step out of the bracket,
+    # so the nodes reach the bisection finish and still land on the root
+    evals = []
+
+    def fn(x):
+        evals.append(1)
+        return x**3 + x
+
+    target = np.array([0.1, 1.0, 2.0])
+    lo, hi = np.zeros(3), np.ones(3)
+    x = steppers._invert_increasing(fn, lambda x: np.full_like(x, 1e-9), target, lo, hi, hi)
+    assert len(evals) == 2 + steppers._NEWTON_STEPS + steppers._BISECT_STEPS
+    assert np.all(np.abs(x - _bisection(fn, target, lo, hi)) <= 1e-14)
