@@ -23,7 +23,6 @@ from .bed import (
     BedResult,
     bed_bulk_profile,
     bed_bulk_profile_uniform,
-    bed_pellet_profile,
     characteristic_roots,
     march_bed,
     surface_transmission,
@@ -31,10 +30,8 @@ from .bed import (
 from .config import RunConfig, RunMode, load_config
 from .core import (
     ConfigError,
-    DimensionlessGroups,
     GasProfile,
     GrainGeometry,
-    HalfOrderModulus,
     ModelKind,
     ModelParams,
     PelletGeometry,
@@ -43,10 +40,9 @@ from .core import (
     SpatialGrid,
     Stage,
     build_model,
-    dimensionless_groups_from_dimensional,
 )
 from .driver import ProfileSnapshot, RunResult, run_qm
-from .fdref import FdControl, TimeScheme, fd_solve, fd_solve_bed_bulk, initial_conversion_rate
+from .fdref import FdControl, fd_solve, fd_solve_bed_bulk, initial_conversion_rate
 from .kernels import (
     SeriesControl,
     front_time,

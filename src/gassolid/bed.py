@@ -3,7 +3,7 @@
 The bulk gas satisfies Y'' - Pe Y' = beta (Y - a|_surface) with a
 Danckwerts inlet and a zero-gradient outlet.  Pellets at each bed height
 carry a radial conversion field X(y); the pellet gas profile is the
-closed form with film resistance Bi_m and a per-node modulus
+kernels' filmed sphere with film resistance Bi_m and a per-node modulus
 M = Phi sqrt(1 - X) frozen from the previous step.  Because the pellet
 surface concentration varies along the bed, the closed-form bulk solution
 is applied piecewise: the bed is partitioned into segments with constant
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import simpson_weights
-from .core import ConfigError, GasProfile, SolverError
+from .core import ConfigError, SolverError
+from .kernels import filmed_sphere_ratio
 
 
 @dataclass(frozen=True)
@@ -51,49 +52,14 @@ def characteristic_roots(peclet: float, beta: float) -> tuple[float, float]:
     return 0.5 * (peclet + disc), 0.5 * (peclet - disc)
 
 
-def _pellet_shape(M, y, biot_m: float):
-    """a / Y of the filmed pellet profile, per-node modulus, overflow-free.
-
-    Evaluates Bi sinh(My) / (y [M cosh M + (Bi - 1) sinh M]) with all
-    hyperbolics scaled by exp(-M).
-    """
-    M = np.asarray(M, dtype=float)
-    y = np.asarray(y, dtype=float)
-    M, y = np.broadcast_arrays(M, y)
-    out = np.ones(np.broadcast(M, y).shape)
-    active = M > 1e-9
-    if np.any(active):
-        Ma, ya = M[active], y[active]
-        em = np.exp(-2.0 * Ma)
-        bracket = Ma * (1.0 + em) + (biot_m - 1.0) * (1.0 - em)
-        at_center = ya == 0.0
-        yc = np.where(at_center, 1.0, ya)
-        val = biot_m * np.exp(Ma * (ya - 1.0)) * (-np.expm1(-2.0 * Ma * ya)) / (yc * bracket)
-        center = biot_m * np.exp(-Ma) * 2.0 * Ma / bracket
-        out[active] = np.where(at_center, center, val)
-    return out if out.ndim else float(out)
-
-
-def bed_pellet_profile(M, y: np.ndarray, bulk_y: float, biot_m: float) -> GasProfile:
-    """Pellet gas profile a(y) under bulk concentration ``bulk_y``.
-
-    Satisfies the Robin surface condition da/dy = Bi_m (Y - a) at y = 1
-    for scalar M; with per-node M each node evaluates the closed form
-    with its own frozen modulus.
-    """
-    if biot_m <= 0.0:
-        raise SolverError("biot_m must be positive")
-    return GasProfile(values=np.asarray(bulk_y * _pellet_shape(M, y, biot_m), dtype=float))
+# a / Y of the filmed pellet profile (sherwood Bi_m, delta 1), per-node modulus.
+# march_bed looks it up under this name, which perfbench's tracer wraps.
+_pellet_shape = filmed_sphere_ratio
 
 
 def surface_transmission(M, biot_m: float):
     """a(1)/Y of the filmed profile: the fraction reaching the pellet surface."""
-    M = np.asarray(M, dtype=float)
-    em = np.exp(-2.0 * M)
-    bracket = M * (1.0 + em) + (biot_m - 1.0) * (1.0 - em)
-    safe = np.where(M > 1e-9, bracket, 1.0)
-    out = np.where(M > 1e-9, biot_m * (1.0 - em) / safe, 1.0)
-    return out if out.ndim else float(out)
+    return filmed_sphere_ratio(M, 1.0, biot_m)
 
 
 class SegmentedBulkSolver:

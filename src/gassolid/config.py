@@ -45,7 +45,7 @@ _MODE_ALIASES = {
 _GRID_KEYS = {"n", "theta_end", "samples", "decrement_cap"}
 _BED_KEYS = {"peclet", "beta", "phi", "biot_m", "bed_length", "dtau", "tau_end",
              "n_eta", "n_radial", "n_segments", "samples"}
-_OUTPUT_KEYS = {"directory", "snapshots", "conversion_csv", "profiles_csv", "bed_csv"}
+_OUTPUT_KEYS = {"directory", "snapshots", "conversion_csv", "profiles_csv"}
 
 
 @dataclass

@@ -3,8 +3,7 @@
 Everything downstream works in dimensionless variables: gas concentration
 ``a`` in [0, 1], solid state (``b`` or the shrinking-core radius ``r*``)
 in [0, 1], pellet coordinate ``y`` in [0, 1] and a model-specific
-dimensionless time ``theta``.  The single place where physical units enter
-is :func:`dimensionless_groups_from_dimensional`.
+dimensionless time ``theta``.
 """
 
 from __future__ import annotations
@@ -37,19 +36,6 @@ class ModelKind(Enum):
     RANDOM_PORE = "random_pore"
     NUCLEATION = "nucleation"
     SIMULTANEOUS = "simultaneous"
-
-
-class HalfOrderModulus(Enum):
-    """Per-step modulus law for the half-order volume model.
-
-    SQRT_RATE freezes the lagged solid inside the rate (modulus^2 scales
-    with sqrt(b)); TABLE_LITERAL takes the tabulated header at face value
-    (modulus scales with sqrt(b)).  SQRT_RATE is the default; the
-    finite-difference reference arbitrates.
-    """
-
-    SQRT_RATE = "sqrt_rate"
-    TABLE_LITERAL = "table_literal"
 
 
 class Stage(Enum):
@@ -140,7 +126,6 @@ class ModelParams:
     thiele_c: float = 0.0            # sigma_C (simultaneous)
     pellet: PelletGeometry = SPHERE
     grain: GrainGeometry = GrainGeometry(3)
-    half_order_modulus: HalfOrderModulus = HalfOrderModulus.SQRT_RATE
 
     def __post_init__(self):
         k = self.kind
@@ -256,7 +241,6 @@ _KEY_ALIASES = {
     "f_p": "pellet_shape",
     "grain_shape": "grain_shape",
     "f_g": "grain_shape",
-    "half_order_modulus": "half_order_modulus",
 }
 
 _KIND_ALIASES = {k.value: k for k in ModelKind}
@@ -322,12 +306,6 @@ def build_model(raw: Mapping[str, object]) -> ModelParams:
         else:
             sh = _as_float("sherwood", sv)
             kwargs["sherwood"] = None if math.isinf(sh) else sh
-    if "half_order_modulus" in canon:
-        hv = str(canon.pop("half_order_modulus")).strip().lower()
-        try:
-            kwargs["half_order_modulus"] = HalfOrderModulus(hv)
-        except ValueError:
-            raise ConfigError(f"unknown half_order_modulus '{hv}'") from None
     for fname in (
         "thiele",
         "psi",
@@ -384,10 +362,6 @@ class GasProfile:
     values: np.ndarray
     warning: str | None = None
 
-    @property
-    def surface(self) -> float:
-        return float(self.values[-1])
-
 
 @dataclass
 class PelletState:
@@ -423,120 +397,3 @@ class PelletState:
             theta_c=self.theta_c,
             solid_aux=None if self.solid_aux is None else self.solid_aux.copy(),
         )
-
-
-@dataclass(frozen=True)
-class DimensionlessGroups:
-    """Result of the dimensional -> dimensionless reduction.
-
-    ``theta_per_second`` converts physical time in seconds to the model's
-    dimensionless time; it is the only place that mapping lives.
-    """
-
-    params: ModelParams
-    theta_per_second: float
-    groups: dict
-
-
-def _need(dims: Mapping[str, float], keys: tuple[str, ...], kind: ModelKind) -> list[float]:
-    out = []
-    for key in keys:
-        if key not in dims:
-            raise ConfigError(f"model '{kind.value}' needs dimensional quantity '{key}'")
-        val = float(dims[key])
-        if val <= 0.0:
-            raise ConfigError(f"dimensional quantity '{key}' must be positive, got {val}")
-        out.append(val)
-    return out
-
-
-def dimensionless_groups_from_dimensional(
-    dims: Mapping[str, float], kind: ModelKind, **model_kwargs
-) -> DimensionlessGroups:
-    """Form the dimensionless groups of ``kind`` from dimensional data.
-
-    Expected keys (SI units, all strictly positive) by model:
-
-    * volume models: ``R, k_v, C_B0, D_e0`` (+ ``eps, C_Ab`` for psi)
-    * grain models:  ``R, k_s, r_g0, D_e0, eps0`` (+ ``D_p`` for sigma_g,
-      ``C_Ab, M_B, rho_B, nu_B`` for the time scale)
-    * random pore:   ``R, k_s, S_0, D_e0, nu_B`` (+ ``C_Ab, C_B0, eps0``)
-    * nucleation:    ``R, k_v, rho_B, M_B, D_e0`` (+ ``eps``)
-    """
-
-    kind = ModelKind(kind)
-    groups: dict[str, float] = {}
-    theta_per_second = 0.0
-    n = float(model_kwargs.get("solid_order", 0.5 if kind is ModelKind.VOLUME_HALF_ORDER else 1.0))
-    fp = int(model_kwargs.pop("pellet_shape", 3))
-    fg = int(model_kwargs.pop("grain_shape", 3))
-
-    param_groups: dict[str, float] = {}
-
-    def record(name: str, value: float, feeds_model: bool = True) -> None:
-        groups[name] = value
-        if feeds_model:
-            param_groups[name] = value
-
-    if "eps" in dims and "C_Ab" in dims and "C_B0" in dims:
-        eps, c_ab, c_b0 = (float(dims[k]) for k in ("eps", "C_Ab", "C_B0"))
-        if not 0.0 < eps < 1.0:
-            raise ConfigError(f"porosity 'eps' must lie in (0, 1), got {eps}")
-        record("psi", eps * c_ab / ((1.0 - eps) * c_b0))
-
-    if kind in (ModelKind.VOLUME_FIRST_ORDER, ModelKind.VOLUME_HALF_ORDER):
-        r_len, k_v, c_b0, d_e0 = _need(dims, ("R", "k_v", "C_B0", "D_e0"), kind)
-        record("thiele", r_len * math.sqrt(k_v * c_b0**n / d_e0))
-        if "C_Ab" in dims and "nu_B" in dims:
-            theta_per_second = float(dims["nu_B"]) * k_v * float(dims["C_Ab"]) * c_b0 ** (n - 1.0)
-    elif kind in (ModelKind.GRAIN_SIMPLE, ModelKind.GRAIN_PRODUCT_LAYER, ModelKind.GRAIN_MODIFIED):
-        r_len, k_s, r_g0, d_e0, eps0 = _need(dims, ("R", "k_s", "r_g0", "D_e0", "eps0"), kind)
-        if not eps0 < 1.0:
-            raise ConfigError("initial porosity 'eps0' must be < 1")
-        record("thiele", r_len * math.sqrt(fg * k_s * (1.0 - eps0) / (d_e0 * r_g0)))
-        record("porosity0", eps0, feeds_model=kind is not ModelKind.GRAIN_SIMPLE)
-        if "D_p" in dims:
-            d_p = float(dims["D_p"])
-            if d_p <= 0.0:
-                raise ConfigError("dimensional quantity 'D_p' must be positive")
-            record("sigma_g_sq", k_s * r_g0 / (2.0 * fg * d_p),
-                   feeds_model=kind is not ModelKind.GRAIN_SIMPLE)
-        if all(k in dims for k in ("nu_B", "C_Ab", "M_B", "rho_B")):
-            theta_per_second = (
-                float(dims["nu_B"]) * k_s * float(dims["C_Ab"]) * float(dims["M_B"])
-                / (float(dims["rho_B"]) * r_g0)
-            )
-        if all(k in dims for k in ("nu_D", "rho_B", "M_D", "nu_B", "rho_D", "M_B")):
-            z_v = (
-                float(dims["nu_D"]) * float(dims["rho_B"]) * float(dims["M_D"])
-                / (float(dims["nu_B"]) * float(dims["rho_D"]) * float(dims["M_B"]))
-            )
-            if "eps_D" in dims:
-                z_v /= 1.0 - float(dims["eps_D"])
-            record("z_ratio", z_v, feeds_model=kind is ModelKind.GRAIN_MODIFIED)
-    elif kind is ModelKind.RANDOM_PORE:
-        r_len, k_s, s_0, d_e0, nu_b = _need(dims, ("R", "k_s", "S_0", "D_e0", "nu_B"), kind)
-        record("thiele", r_len * math.sqrt(k_s * s_0 / (nu_b * d_e0)))
-        if "eps0" in dims:
-            record("porosity0", float(dims["eps0"]))
-        if all(k in dims for k in ("C_Ab", "C_B0", "eps0")):
-            theta_per_second = (
-                k_s * s_0 * float(dims["C_Ab"])
-                / (float(dims["C_B0"]) * (1.0 - float(dims["eps0"])))
-            )
-        if "D_p" in dims and "eps0" in dims:
-            record("beta", 2.0 * k_s * (1.0 - float(dims["eps0"])) / (
-                nu_b * float(dims["D_p"]) * s_0
-            ))
-    elif kind is ModelKind.NUCLEATION:
-        r_len, k_v, rho_b, m_b, d_e0 = _need(dims, ("R", "k_v", "rho_B", "M_B", "D_e0"), kind)
-        eps = float(dims.get("eps", dims.get("eps0", 0.5)))
-        record("thiele", r_len * math.sqrt(k_v * rho_b * (1.0 - eps) / (2.0 * fp * d_e0 * m_b)))
-        if "nu_B" in dims and "C_Ab" in dims:
-            theta_per_second = float(dims["nu_B"]) * k_v * float(dims["C_Ab"])
-    else:
-        raise ConfigError(f"dimensional reduction not defined for model '{kind.value}'")
-
-    merged = {**param_groups, **model_kwargs, "kind": kind.value, "pellet_shape": fp, "grain_shape": fg}
-    params = build_model(merged)
-    return DimensionlessGroups(params=params, theta_per_second=theta_per_second, groups=groups)

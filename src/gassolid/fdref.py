@@ -19,7 +19,8 @@ Each :class:`_GasGrid` builds the face conductances and the bands of the
 flux operator (off-diagonals ``-cond``, diagonal sums of the adjacent
 conductances) once, read-only, for the common case without a structure
 factor; a solve copies them and only adds the reaction term ``rho * vol``,
-plus the capacity term for Crank-Nicolson.
+plus the capacity term for Crank-Nicolson.  The Simpson weights of the
+conversion quadrature are built once per grid on first use, read-only too.
 
 The moving-boundary second stage needs no special casing here: clamping
 the solid at zero and keeping the reaction indicator reproduces the
@@ -28,13 +29,14 @@ receding-front behavior on its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
+from .analysis import simpson_weights
 from .core import LN_B_CAP, ModelKind, ModelParams, SolverError
 from .driver import RunResult, sample_schedule
 
@@ -42,16 +44,10 @@ _R_FLOOR = 1e-12
 _B_MIN = math.exp(-LN_B_CAP)
 
 
-class TimeScheme(Enum):
-    CRANK_NICOLSON = "crank_nicolson"
-    BACKWARD_EULER = "backward_euler"
-
-
 @dataclass(frozen=True)
 class FdControl:
     n_space: int = 401
     dtheta: float = 1e-3
-    time_scheme: TimeScheme = TimeScheme.CRANK_NICOLSON
     auto_refine: bool = True
     refine_tol: float = 1e-5
     max_refines: int = 6
@@ -330,6 +326,13 @@ class _GasGrid:
         self.cond.flags.writeable = False
         self.bands.flags.writeable = False
 
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Simpson weights of the conversion quadrature F_p * int y^(F_p-1) f dy."""
+        w = simpson_weights(self.n) * self.fp * self.y ** (self.fp - 1)
+        w.flags.writeable = False
+        return w
+
     def conductance(self, delta):
         if delta is None:
             return self.cond
@@ -379,9 +382,9 @@ def fd_solve(params: ModelParams, theta_end: float, ctl: FdControl = FdControl()
 
     In quasi-steady mode each step solves the gas two-point BVP with the
     lagged solid and advances the solid by the trapezoidal rule; unsteady
-    mode integrates the gas equation with Crank-Nicolson (or backward
-    Euler).  With ``auto_refine`` the time step is halved until the
-    sampled conversions change by less than ``refine_tol``.
+    mode integrates the gas equation with Crank-Nicolson.  With
+    ``auto_refine`` the time step is halved until the sampled conversions
+    change by less than ``refine_tol``.
     """
     if params.kind is ModelKind.SIMULTANEOUS:
         return _fd_solve_simultaneous(params, theta_end, ctl, samples)
@@ -422,16 +425,13 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     model = _FD_MODELS[params.kind](params)
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
     st = model.initial(gg.n)
-    from .analysis import simpson_weights
-
-    sw = simpson_weights(gg.n) * params.pellet.shape_factor * gg.y ** (params.pellet.shape_factor - 1)
+    sw = gg.weights
 
     def x_of(state) -> float:
         return float(min(max(1.0 - np.sum(sw * model.unreacted_integrand(state)), 0.0), 1.0))
 
     unsteady = not params.quasi_steady
     accum = params.psi * params.thiele**2
-    theta_w = 1.0 if ctl.time_scheme is TimeScheme.BACKWARD_EULER else 0.5
     if unsteady and params.sherwood is not None:
         raise SolverError("unsteady reference runs support Dirichlet surfaces only")
 
@@ -452,7 +452,7 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
             if not unsteady:
                 a, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
             else:
-                a, cond = _advance_gas_cn(gg, a, rho, delta, accum, dt, theta_w)
+                a, cond = _advance_gas_cn(gg, a, rho, delta, accum, dt)
             flux, consumption = _gas_balance(gg, a, rho, cond, params.sherwood)
             max_flux_residual = max(
                 max_flux_residual, abs(flux - consumption) / max(1.0, abs(flux))
@@ -499,8 +499,8 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
 
 
 def _advance_gas_cn(gg: _GasGrid, a_old: np.ndarray, rho: np.ndarray, delta,
-                    accum: float, dt: float, theta_w: float):
-    """One theta-scheme step of the unsteady gas equation (Dirichlet surface)."""
+                    accum: float, dt: float):
+    """One Crank-Nicolson step of the unsteady gas equation (Dirichlet surface)."""
     cond = gg.conductance(delta)
     cap = accum * gg.vol / dt
     rv = rho * gg.vol
@@ -511,9 +511,9 @@ def _advance_gas_cn(gg: _GasGrid, a_old: np.ndarray, rho: np.ndarray, delta,
     explicit[1:-1] = flux[1:] - flux[:-1] - rv[1:-1] * a_old[1:-1]
     explicit[-1] = 0.0
     bands = gg.operator_bands(cond, rv)
-    bands[:3] *= theta_w
+    bands[:3] *= 0.5
     bands[1] += cap
-    bands[3] = cap * a_old + (1.0 - theta_w) * explicit
+    bands[3] = cap * a_old + 0.5 * explicit
     _dirichlet_surface(bands)
     return solve_banded(bands), cond
 
@@ -525,11 +525,7 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
 
     def march(dtheta: float) -> RunResult:
         gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
-        from .analysis import simpson_weights
-
-        sw = simpson_weights(gg.n) * params.pellet.shape_factor * gg.y ** (
-            params.pellet.shape_factor - 1
-        )
+        sw = gg.weights
         b = np.ones(gg.n)
         b_a = np.ones(gg.n)
         two_fp = 2.0 * params.pellet.shape_factor

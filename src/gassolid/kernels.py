@@ -6,6 +6,7 @@ reaction-diffusion problem with a per-node effective modulus M.  This
 module evaluates the resulting closed forms:
 
 * first-stage profiles, quasi-steady and with the unsteady eigen-series,
+  and the filmed sphere that the packed bed's pellets use as well,
 * per-step gas exposure integrals (time integral of a over an increment),
 * the second-stage (receding reaction front) piecewise profiles, and
 * the front-position relation theta(y_m) with its bisection inverse.
@@ -115,27 +116,54 @@ def shape_ratio(geometry: PelletGeometry, M, y, y_ref=1.0):
     return sphere_ratio(M, y, y_ref) if geometry.is_sphere else slab_ratio(M, y, y_ref)
 
 
-def film_factor(M, sherwood: float | None, delta=1.0):
-    """Surface-film scaling of the spherical first-stage profile.
+def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
+    """a / a_bulk of the spherical profile behind a surface film (vectorized).
 
-    With a Robin surface condition delta * da/dy = sh (1 - a) the profile
-    keeps its shape and is scaled by 1 / (1 + (delta/sh) [M coth M - 1]).
-    Returns 1 for a Dirichlet surface (sherwood=None).
+    The Robin surface condition is delta * da/dy = sh (1 - a), with per-node
+    modulus M and structure factor delta (scalar or per node).  The profile
+    sh sinh(My) / (y [delta M cosh M + (sh - delta) sinh M]) is evaluated
+    with every hyperbolic scaled by exp(-M): with q = -expm1(-2M),
+    sh exp(M(y-1)) (-expm1(-2My)) / (y [delta M (2 - q) + (sh - delta) q]).
+    The y -> 0 value is the analytic limit and nodes with M <= 1e-9 give 1.
+    delta = 0 reduces to sphere_ratio, y = 1 gives the film factor
+    1 / (1 + (delta/sh) [M coth M - 1]), and delta = 1 with sh = Bi_m is the
+    packed bed's pellet.  For small M the bracket cancels when sh << delta,
+    which costs about log10(delta/sh) digits.
     """
+    M = np.asarray(M, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(M.shape, y.shape, np.shape(delta))
+    M, y = np.broadcast_to(M, shape), np.broadcast_to(y, shape)
+    out = np.ones(shape)
+    active = M > _TINY_M
+    if np.any(active):
+        Ma, ya = M[active], y[active]
+        da = delta if np.ndim(delta) == 0 else np.broadcast_to(delta, shape)[active]
+        q = -np.expm1(-2.0 * Ma)
+        bracket = da * Ma * (2.0 - q) + (sherwood - da) * q
+        at_center = ya == 0.0
+        yc = np.where(at_center, 1.0, ya)
+        vals = sherwood * np.exp(Ma * (ya - 1.0)) * (-np.expm1(-2.0 * Ma * ya)) / (yc * bracket)
+        Mc = Ma[at_center]
+        vals[at_center] = sherwood * 2.0 * Mc * np.exp(-Mc) / bracket[at_center]
+        out[active] = vals
+    return out if out.ndim else float(out)
+
+
+def _steady_profile(M, y, geometry: PelletGeometry, sherwood: float | None, delta):
+    """Quasi-steady a(y): the plain shape for a Dirichlet surface (sherwood None),
+    else the filmed sphere."""
     if sherwood is None:
-        return np.ones_like(np.asarray(M, dtype=float)) if np.ndim(M) else 1.0
-    return 1.0 / (1.0 + (np.asarray(delta, dtype=float) / sherwood) * m_coth_m_minus_1(M))
+        return shape_ratio(geometry, M, y)
+    if not geometry.is_sphere:
+        raise SolverError("film resistance profile is tabulated for spheres only")
+    return filmed_sphere_ratio(M, y, sherwood, delta)
 
 
 def profile_qss(M, grid: SpatialGrid, geometry: PelletGeometry,
                 sherwood: float | None = None, delta=1.0) -> GasProfile:
     """Quasi-steady gas profile for per-node (or scalar) modulus M."""
-    values = shape_ratio(geometry, M, grid.y)
-    if sherwood is not None:
-        if not geometry.is_sphere:
-            raise SolverError("film resistance profile is tabulated for spheres only")
-        values = values * film_factor(M, sherwood, delta)
-    return GasProfile(values=np.asarray(values, dtype=float))
+    return GasProfile(values=_steady_profile(M, grid.y, geometry, sherwood, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +283,7 @@ def exposure_increment(M, theta0: float, theta1: float, psi_phi_sq, grid: Spatia
     if theta1 < theta0:
         raise SolverError("theta1 must not precede theta0")
     dtheta = theta1 - theta0
-    steady = shape_ratio(geometry, M, grid.y)
-    if sherwood is not None:
-        steady = steady * film_factor(M, sherwood, delta)
+    steady = _steady_profile(M, grid.y, geometry, sherwood, delta)
     if psi_phi_sq is None:
         return steady * dtheta, None
     scale = _positive_scale(psi_phi_sq)

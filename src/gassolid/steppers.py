@@ -37,7 +37,6 @@ from .core import (
     LN_B_CAP,
     SOLID_FLOOR,
     GasProfile,
-    HalfOrderModulus,
     ModelKind,
     ModelParams,
     PelletState,
@@ -357,8 +356,6 @@ class _VolumeHalfOrder(_PelletStepper):
     two_stage = True
 
     def modulus(self, solid, exposure):
-        if self.params.half_order_modulus is HalfOrderModulus.TABLE_LITERAL:
-            return self.params.thiele * np.sqrt(solid), None, False
         return self.params.thiele * solid**0.25, None, False
 
     def solid_rate(self, solid, exposure, a):

@@ -9,12 +9,13 @@ from gassolid import (
     SolverError,
     bed_bulk_profile,
     bed_bulk_profile_uniform,
-    bed_pellet_profile,
     characteristic_roots,
     fd_solve_bed_bulk,
     march_bed,
     surface_transmission,
 )
+from gassolid import bed as bed_module
+from gassolid.kernels import filmed_sphere_ratio
 
 FIG9 = BedParams(peclet=1.1, beta=3.3, phi=10.0, biot_m=50.0, bed_length=1.0)
 
@@ -42,44 +43,47 @@ def test_characteristic_roots():
 
 
 # --- pellet profile -----------------------------------------------------------
+# The bed's pellet is the kernels' filmed sphere with sherwood Bi_m and delta 1:
+# a(y) = Y * filmed_sphere_ratio(M, y, Bi_m).
 
 
 def test_pellet_profile_fixture():
     # a(1) = Bi sinh M / (M cosh M + (Bi - 1) sinh M) at M = 1, Bi = 50, Y = 1
+    assert bed_module._pellet_shape is filmed_sphere_ratio
     y = np.linspace(0.0, 1.0, 201)
-    prof = bed_pellet_profile(1.0, y, 1.0, 50.0)
+    prof = filmed_sphere_ratio(1.0, y, 50.0)
     want = 50.0 * math.sinh(1.0) / (math.cosh(1.0) + 49.0 * math.sinh(1.0))
     assert want == pytest.approx(0.9937782468554515, abs=1e-12)
-    assert prof.values[-1] == pytest.approx(want, abs=1e-12)
+    assert prof[-1] == pytest.approx(want, abs=1e-12)
 
 
 def test_pellet_profile_robin_condition():
     # da/dy|_1 = Bi (Y - a(1)), checked analytically and by differencing
     y = np.linspace(0.0, 1.0, 2001)
     for m, bi, bulk in [(1.0, 50.0, 1.0), (4.0, 3.0, 0.7), (0.3, 10.0, 0.2)]:
-        prof = bed_pellet_profile(m, y, bulk, bi)
-        slope = (3 * prof.values[-1] - 4 * prof.values[-2] + prof.values[-3]) / (2 * (y[1] - y[0]))
-        assert slope == pytest.approx(bi * (bulk - prof.values[-1]), rel=1e-4, abs=1e-8)
+        prof = bulk * filmed_sphere_ratio(m, y, bi)
+        slope = (3 * prof[-1] - 4 * prof[-2] + prof[-3]) / (2 * (y[1] - y[0]))
+        assert slope == pytest.approx(bi * (bulk - prof[-1]), rel=1e-4, abs=1e-8)
         denom = m * math.cosh(m) + (bi - 1.0) * math.sinh(m)
         exact = bi * bulk * (m * math.cosh(m) - math.sinh(m)) / denom
-        assert exact == pytest.approx(bi * (bulk - prof.values[-1]), rel=1e-12)
+        assert exact == pytest.approx(bi * (bulk - prof[-1]), rel=1e-12)
 
 
 def test_pellet_profile_limits():
     y = np.linspace(0.0, 1.0, 101)
     # Bi -> infinity: Dirichlet, a(1) -> Y
-    prof = bed_pellet_profile(1.0, y, 0.8, 1e9)
-    assert prof.values[-1] == pytest.approx(0.8, rel=1e-8)
+    prof = 0.8 * filmed_sphere_ratio(1.0, y, 1e9)
+    assert prof[-1] == pytest.approx(0.8, rel=1e-8)
     # M -> 0: no reaction, a = Y throughout
-    prof0 = bed_pellet_profile(0.0, y, 0.6, 50.0)
-    assert np.allclose(prof0.values, 0.6, atol=1e-12)
-    prof_small = bed_pellet_profile(1e-7, y, 0.6, 50.0)
-    assert np.allclose(prof_small.values, 0.6, atol=1e-6)
+    prof0 = 0.6 * filmed_sphere_ratio(0.0, y, 50.0)
+    assert np.allclose(prof0, 0.6, atol=1e-12)
+    prof_small = 0.6 * filmed_sphere_ratio(1e-7, y, 50.0)
+    assert np.allclose(prof_small, 0.6, atol=1e-6)
     # per-node modulus evaluation broadcasts
     m = np.linspace(0.0, 10.0, 101)
-    profm = bed_pellet_profile(m, y, 1.0, 50.0)
-    assert profm.values.shape == (101,)
-    assert np.all(np.isfinite(profm.values))
+    profm = filmed_sphere_ratio(m, y, 50.0)
+    assert profm.shape == (101,)
+    assert np.all(np.isfinite(profm))
 
 
 def test_surface_transmission_limits():
@@ -196,6 +200,77 @@ def test_march_exhaustion_limit():
     # cumulative concentration keeps growing ~linearly once Y ~ 1
     tail = np.diff(res.cumulative[:, -1])[-3:]
     assert np.all(tail > 0.0)
+
+
+# Y, X_surface and X_pellet_avg at every 8th axial node of the small march of
+# test_cli.py::test_bed_section_writes_bed_csv, recorded with the bed's former
+# inline copy of the filmed pellet profile; the kernel form must agree to 1e-12.
+BED_PIN = {
+    "bulk": [
+        [0.7976980155010783, 0.7711533188588069, 0.7471997338103011, 0.7260169026561977,
+         0.7078342736617882, 0.6929403688911047, 0.6816939146360921, 0.6745372025212968,
+         0.6720121223656852],
+        [0.8020215552759798, 0.7760304963512064, 0.752553184927087, 0.7317738689100051,
+         0.713924981043295, 0.6992961954212823, 0.6882452678152535, 0.6812110062314224,
+         0.6787287838542151],
+        [0.8063755988671386, 0.7809427728924011, 0.7579468595368817, 0.7375762919036443,
+         0.7200661143478112, 0.7057068172325264, 0.6948548785923143, 0.6879453378903463,
+         0.6855067859000444],
+        [0.81075775759765, 0.7858874592267266, 0.7633778210717459, 0.7434210367166306,
+         0.7262543842196328, 0.7121688294781411, 0.7015192614160732, 0.6947366634241987,
+         0.6923425778148662],
+        [0.8151654982845751, 0.7908617012093787, 0.7688429473939338, 0.7493047630057894,
+         0.7324862778301316, 0.7186785884542543, 0.708234679951423, 0.7015811902634227,
+         0.6992323476733145],
+        [0.8195961447894033, 0.795862481470214, 0.7743389323942069, 0.7552239264036359,
+         0.7387580599950371, 0.7252322124114007, 0.7149971476159548, 0.7084748676853093,
+         0.7061720225836363],
+    ],
+    "x_surface": [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.06554284494304352, 0.06344346848876725, 0.061544669101858074,
+         0.05986207702006252, 0.058415235942926524, 0.057228330926885174,
+         0.05633104923489596, 0.05575959557212051, 0.055557885238160964],
+        [0.1274471825513076, 0.12354196060651979, 0.12000122978468775,
+         0.11685687788739807, 0.11414803008531316, 0.1119223875624118,
+         0.11023778589074429, 0.10916399847875768, 0.10878480771591548],
+        [0.18586565544223344, 0.18042295148749388, 0.17547627069187632,
+         0.1710739126728058, 0.16727424068216823, 0.16414751826395102,
+         0.1617780128570876, 0.16026638101872703, 0.1597323371200402],
+        [0.24094766808382262, 0.23421199172940832, 0.22807543050171275,
+         0.2226024511154242, 0.2178699900914992, 0.2139696819572927,
+         0.21101036794484673, 0.20912087735154883, 0.20845304695403444],
+        [0.29283928801148595, 0.28503259662538305, 0.2779032881821607,
+         0.27153142118172935, 0.2660115748314129, 0.2614553699926301,
+         0.25799425579128865, 0.25578252221932307, 0.2550004557336477],
+    ],
+    "x_average": [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.017994331663335528, 0.017408408831201205, 0.01687902929328422,
+         0.016410373529329725, 0.016007715995595806, 0.01567762901561842,
+         0.015428225753173375, 0.015269449327816487, 0.015213416234670873],
+        [0.03563720596583342, 0.03450612204406278, 0.03348289787493819,
+         0.03257603662235842, 0.03179613989193908, 0.03115629948939813,
+         0.03067256098294968, 0.03036447087101357, 0.03025572044177227],
+        [0.052931706541739176, 0.051294754087355954, 0.04981204948120388,
+         0.04849651447288661, 0.04736409188739654, 0.046434309148165265,
+         0.045730940462965886, 0.04528278210534309, 0.045124555897731344],
+        [0.06988102132343221, 0.0677760245174045, 0.06586702629013363,
+         0.06417141978932994, 0.0627104670557882, 0.06151001828160263,
+         0.06060135119560972, 0.06002214573824882, 0.059817608568979996],
+        [0.08648844202654227, 0.08395175977441038, 0.08164847256401753,
+         0.07960045789386583, 0.0778342415336486, 0.07638185670151998,
+         0.07528183988048864, 0.0745803774678393, 0.07433261496719412],
+    ],
+}
+
+
+def test_march_matches_pinned_bed():
+    res = march_bed(FIG9, dtau=0.05, tau_end=0.5, n_eta=65, n_radial=51,
+                    n_segments=16, samples=6)
+    for name, want in BED_PIN.items():
+        got = getattr(res, name)[:, ::8]
+        assert np.max(np.abs(got - np.asarray(want))) <= 1e-12, name
 
 
 def test_march_validates_inputs():

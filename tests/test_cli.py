@@ -52,6 +52,13 @@ def test_config_unknown_key():
         config_from_entries({"mode": "qm_only"})
 
 
+def test_config_rejects_bed_csv_switch():
+    # bed.csv is always written with a bed section; there is no switch for it
+    with pytest.raises(ConfigError, match="output.bed_csv"):
+        config_from_entries({"model.kind": "volume_first_order", "model.phi_v": "1",
+                             "output.bed_csv": "0"})
+
+
 def test_run_happy_path(tmp_path, capsys):
     cfg = _write(tmp_path, BASE)
     out = tmp_path / "out"

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from gassolid import (
     PelletState,
     SpatialGrid,
     build_model,
-    dimensionless_groups_from_dimensional,
 )
 
 
@@ -55,6 +53,10 @@ def test_unknown_kind_and_keys():
         build_model({"kind": "volume_first_order", "phi_v": 1, "no_such_key": 2})
     with pytest.raises(ConfigError, match="kind"):
         build_model({"phi_v": 1})
+    # the square-root-rate law is the only half-order modulus law
+    with pytest.raises(ConfigError, match="half_order_modulus"):
+        build_model({"kind": "volume_half_order", "phi_v": 1,
+                     "half_order_modulus": "table_literal"})
 
 
 def test_value_validation():
@@ -147,54 +149,6 @@ def test_construction_is_total_for_stepping(grid):
         state = stepper.initial_state()
         state, _, report = stepper.step(state, 0.1)
         assert report.theta_after == pytest.approx(0.1)
-
-
-# --- dimensionless reduction ------------------------------------------------
-
-
-def test_volume_thiele_from_dimensional():
-    out = dimensionless_groups_from_dimensional(
-        {"R": 1.0, "k_v": 4.0, "C_B0": 1.0, "D_e0": 1.0},
-        ModelKind.VOLUME_FIRST_ORDER,
-    )
-    assert out.params.thiele == pytest.approx(2.0, abs=1e-15)
-
-
-def test_grain_sigma_g_all_ones():
-    out = dimensionless_groups_from_dimensional(
-        {"R": 1.0, "k_s": 1.0, "r_g0": 1.0, "D_e0": 1.0, "eps0": 0.5, "D_p": 1.0},
-        ModelKind.GRAIN_SIMPLE,
-    )
-    # sqrt(k_s r_g0 / (2 F_g D_p)) with F_g = 3
-    assert out.groups["sigma_g_sq"] == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert math.sqrt(out.groups["sigma_g_sq"]) == pytest.approx(0.4082482904638630, abs=1e-12)
-
-
-def test_accumulation_parameter():
-    out = dimensionless_groups_from_dimensional(
-        {"R": 1.0, "k_v": 1.0, "C_B0": 1.0, "D_e0": 1.0, "eps": 0.5, "C_Ab": 1e-3},
-        ModelKind.VOLUME_FIRST_ORDER,
-    )
-    assert out.groups["psi"] == pytest.approx(1e-3, rel=1e-12)
-
-
-def test_grain_sigma_formula_and_time_scale():
-    dims = {"R": 2.0, "k_s": 3.0, "r_g0": 0.5, "D_e0": 1.5, "eps0": 0.4,
-            "nu_B": 1.0, "C_Ab": 2.0, "M_B": 0.1, "rho_B": 4.0}
-    out = dimensionless_groups_from_dimensional(dims, ModelKind.GRAIN_SIMPLE, grain_shape=2)
-    want = 2.0 * math.sqrt(2 * 3.0 * 0.6 / (1.5 * 0.5))
-    assert out.params.thiele == pytest.approx(want, rel=1e-14)
-    assert out.theta_per_second == pytest.approx(1.0 * 3.0 * 2.0 * 0.1 / (4.0 * 0.5), rel=1e-14)
-
-
-def test_nonpositive_dimensional_quantity_rejected():
-    with pytest.raises(ConfigError, match="D_e0"):
-        dimensionless_groups_from_dimensional(
-            {"R": 1.0, "k_v": 1.0, "C_B0": 1.0, "D_e0": 0.0},
-            ModelKind.VOLUME_FIRST_ORDER,
-        )
-    with pytest.raises(ConfigError, match="needs"):
-        dimensionless_groups_from_dimensional({"R": 1.0}, ModelKind.RANDOM_PORE)
 
 
 # --- grids and state ---------------------------------------------------------

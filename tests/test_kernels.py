@@ -22,7 +22,7 @@ from gassolid.kernels import (
     _series_basis,
     _series_terms,
     exposure_increment,
-    film_factor,
+    filmed_sphere_ratio,
     front_bracket,
     shape_ratio,
     slab_ratio,
@@ -125,9 +125,64 @@ def test_m_coth_m_minus_1_small_and_large():
 def test_film_factor_satisfies_robin(grid):
     # c (M coth M - 1) = sh (1 - c) is the surface balance of the scaled profile
     for m, sh in [(1.0, 5.0), (4.0, 0.5), (0.01, 10.0)]:
-        c = film_factor(m, sh)
+        c = filmed_sphere_ratio(m, 1.0, sh)
         assert c * m_coth_m_minus_1(m) == pytest.approx(sh * (1.0 - c), rel=1e-12)
-    assert film_factor(2.0, None) == 1.0
+        filmed = profile_qss(m, grid, SPHERE, sh).values
+        assert np.allclose(filmed, c * sphere_ratio(m, grid.y), rtol=1e-13, atol=0.0)
+    assert np.array_equal(profile_qss(2.0, grid, SPHERE, None).values, sphere_ratio(2.0, grid.y))
+
+
+def _m_coth_m_minus_1_exact(M):
+    """M coth M - 1 to a few ulp: the series below 1e-2, else M / tanh(M) - 1.
+
+    The reference does not use kernels.m_coth_m_minus_1, whose 1 - exp(-2M)
+    cancels just above its 1e-4 series cutoff (absolute error up to 3e-13).
+    """
+    small = M < 1e-2
+    m = np.where(small, 1.0, M)
+    series = M**2 / 3.0 - M**4 / 45.0 + 2.0 * M**6 / 945.0 - M**8 / 4725.0
+    return np.where(small, series, m / np.tanh(m) - 1.0)
+
+
+@st.composite
+def _filmed_nodes(draw):
+    # y > 0 stays above 1e-12: near 1e-300 the product 2 M y is subnormal
+    # in the kernel and in sphere_ratio alike, and both lose digits.  sh stays
+    # at 0.1 or more: for small M the bracket loses log10(delta/sh) digits.
+    n = draw(st.integers(1, 24))
+    nodes = st.tuples(
+        st.floats(1e-9, 1e-4) | st.floats(1e-9, 50.0),  # M, small moduli drawn apart
+        st.just(0.0) | st.floats(1e-12, 1.0),             # y, the centre included
+        st.just(0.0) | st.floats(0.0, 1.0),               # delta, 0 included
+    )
+    m, y, delta = (np.array(col) for col in zip(*draw(st.lists(nodes, min_size=n, max_size=n))))
+    return m, y, delta, draw(st.floats(0.1, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filmed_nodes())
+def test_filmed_sphere_matches_product_form(case):
+    # sh sinh(My) / (y [delta M cosh M + (sh - delta) sinh M]) is the sphere
+    # shape times the film factor 1 / (1 + (delta/sh) [M coth M - 1])
+    m, y, delta, sh = case
+    ref = sphere_ratio(m, y) / (1.0 + (delta / sh) * _m_coth_m_minus_1_exact(m))
+    np.testing.assert_allclose(filmed_sphere_ratio(m, y, sh, delta), ref, rtol=1e-13, atol=0.0)
+    # delta = 0 removes the film: the plain sphere shape
+    np.testing.assert_allclose(filmed_sphere_ratio(m, y, sh, 0.0), sphere_ratio(m, y),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_filmed_sphere_small_modulus_pin():
+    # M = 1e-8, Bi 50: the exact a/Y (mpmath, 50 digits) rounds to 1 at these
+    # nodes; forming 1 - exp(-2M) by subtraction was off by 1.6e-9 inside
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        m, bi = mp.mpf("1e-8"), mp.mpf(50)
+        for y in (0.0, 0.5, 1.0):
+            shape = m if y == 0.0 else mp.sinh(m * y) / y
+            exact = bi * shape / (m * mp.cosh(m) + (bi - 1) * mp.sinh(m))
+            got = filmed_sphere_ratio(1e-8, y, 50.0)
+            assert abs(got - exact) / exact <= 1e-15
 
 
 # --- unsteady eigen-series -----------------------------------------------------

@@ -55,18 +55,6 @@ def test_half_order_completes_at_two(grid):
     assert done == pytest.approx(2.0, abs=0.05)
 
 
-def test_half_order_modulus_variants(grid):
-    from gassolid import HalfOrderModulus
-
-    base = build_model({"kind": "volume_half_order", "phi_v": 2.0, "F_p": 3})
-    lit = base.with_(half_order_modulus=HalfOrderModulus.TABLE_LITERAL)
-    rb = run_qm(base, grid, 1.0, samples=51)
-    rl = run_qm(lit, grid, 1.0, samples=51)
-    # the variants differ measurably at finite modulus but stay close
-    gap = np.max(np.abs(rb.x - rl.x))
-    assert 1e-5 < gap < 0.05
-
-
 def test_grain_kinetic_control_exact(grid):
     # sigma = 0: a = 1 everywhere, r* = 1 - theta, X = 1 - (1-theta)^Fg
     p = build_model({"kind": "grain_simple", "sigma": 0.0, "F_g": 3})
@@ -448,6 +436,35 @@ def test_implicit_update_x_pinned(raw, theta_end, want):
     assert np.max(np.abs(res.x - np.asarray(want))) <= 1e-10
 
 
+# --- filmed first stage: one kernel expression for pellet and bed -------------
+# X series recorded at n 101 and 21 samples with the former product
+# sphere_ratio * film_factor; the fused filmed kernel must agree to 1e-12.
+
+PINNED_FILM = [
+    ({"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.0, "beta": 0.5, "z": 1.3, "sh": 8},
+     3.0,
+     [0.0, 0.12844682508734628, 0.24321148605222676, 0.3451522660590213,
+      0.4352235926642064, 0.514421224884182, 0.5837442331222514, 0.6441687240956038,
+      0.696627944596904, 0.7419996479993317, 0.7811022919068664, 0.8146894369547399,
+      0.843447330792971, 0.8679978542310871, 0.8888989842980815, 0.9066458636871778,
+      0.9216801444462978, 0.9343882927764093, 0.9451076434808018, 0.9541319326538154,
+      0.9617161147534656]),
+    ({"kind": "grain_simple", "sigma": 2.0, "F_g": 2, "sh": 5}, 1.5,
+     [0.0, 0.09760274539602665, 0.19153118491360166, 0.28161779411053234,
+      0.36767975650633034, 0.449516848761885, 0.5269089286847817, 0.5996129303838802,
+      0.6673592423446395, 0.7298473053308504, 0.786740213402053, 0.8376580262856086,
+      0.8821707147238597, 0.9197854552332463, 0.9499319983192059, 0.9720806419616211,
+      0.9909931299153234, 1.0, 1.0, 1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("raw, theta_end, want", PINNED_FILM,
+                         ids=["random_pore", "grain_simple"])
+def test_filmed_x_pinned(raw, theta_end, want):
+    res = run_qm(build_model(raw), SpatialGrid(101), theta_end, samples=21)
+    assert np.max(np.abs(res.x - np.asarray(want))) <= 1e-12
+
+
 _EPS = np.finfo(float).eps
 
 
@@ -579,3 +596,50 @@ def test_invert_finishes_by_bisection():
     x = steppers._invert_increasing(fn, lambda x: np.full_like(x, 1e-9), target, lo, hi, hi)
     assert len(evals) == 2 + steppers._NEWTON_STEPS + steppers._BISECT_STEPS
     assert np.all(np.abs(x - _bisection(fn, target, lo, hi)) <= 1e-14)
+
+
+# --- invariants over random quasi-steady parameters -----------------------------
+
+_MODULUS = st.floats(0.01, 10.0)
+
+
+@st.composite
+def _quasi_steady_models(draw):
+    """A valid quasi-steady parameter set of any kind, as build_model takes it."""
+    kind = draw(st.sampled_from(sorted(steppers._STEPPERS, key=lambda k: k.value)))
+    raw = {"kind": kind.value}
+    if kind.value in ("volume_first_order", "volume_half_order"):
+        raw.update(phi_v=draw(_MODULUS), F_p=draw(st.sampled_from([1, 3])))
+    elif kind.value == "grain_simple":
+        raw.update(sigma=draw(_MODULUS), F_p=draw(st.sampled_from([1, 3])),
+                   F_g=draw(st.sampled_from([1, 2, 3])))
+        if raw["F_p"] == 3 and draw(st.booleans()):
+            raw["sh"] = draw(st.floats(0.5, 50.0))
+    elif kind.value == "grain_product_layer":
+        raw.update(sigma=draw(_MODULUS), sigma_g_sq=draw(st.floats(0.0, 1.0)))
+    elif kind.value == "grain_modified":
+        raw.update(sigma=draw(_MODULUS), sigma_g_sq=draw(st.floats(0.0, 1.0)),
+                   Z_v=draw(st.floats(0.6, 2.0)), eps0=draw(st.floats(0.2, 0.8)))
+    elif kind.value == "random_pore":
+        raw.update(phi_r=draw(_MODULUS), psi_cap=draw(st.floats(0.0, 5.0)),
+                   beta=draw(st.floats(0.0, 2.0)), z=draw(st.floats(0.6, 2.0)),
+                   eps0=draw(st.floats(0.2, 0.8)))
+        if draw(st.booleans()):
+            raw["sh"] = draw(st.floats(0.5, 50.0))
+    elif kind.value == "nucleation":
+        raw.update(sigma_n=draw(_MODULUS), n=draw(st.sampled_from([1, 3])))
+    else:
+        raw.update(sigma_a=draw(_MODULUS), sigma_c=draw(_MODULUS),
+                   psi_ab=draw(st.floats(0.0, 1.0)))
+    return build_model(raw), draw(st.floats(0.2, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quasi_steady_models())
+def test_conversion_bounded_and_nondecreasing(case):
+    params, theta_end = case
+    res = run_qm(params, SpatialGrid(101), theta_end, samples=11)
+    for x in (res.x, res.x_a):
+        if x is not None:
+            assert np.all((0.0 <= x) & (x <= 1.0))
+            assert np.all(np.diff(x) >= 0.0)
