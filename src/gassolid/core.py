@@ -9,7 +9,7 @@ dimensionless time ``theta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -204,9 +204,6 @@ class ModelParams:
     @property
     def psi_cb(self) -> float:
         return 1.0 - self.psi_ab
-
-    def with_(self, **changes) -> "ModelParams":
-        return replace(self, **changes)
 
 
 # Canonical config keys and their aliases (per-model symbol names welcome).

@@ -7,20 +7,25 @@ generate pinned fixtures.  It deliberately shares no profile code with
 finite-volume form and solved as a tridiagonal system, and the solid is
 advanced with the trapezoidal rule.
 
+Each solid law is an ``_FdModel`` whose state is one array per node: the
+solid or a transform of it (sqrt(b), the grain radius, -ln b).  A model
+gives the fresh state ``start``, the bounds ``lo`` and ``hi`` every new
+state is clamped to, ``gas_terms`` (the reaction coefficient and the
+structure factor, None where diffusion does not change) and ``rates``
+under a gas profile.  ``_fd_march`` forms the Heun predictor and trapezoid
+itself, so one march serves every single-gas law; the two-gas model has its
+own.  A cell whose pores closed on both faces and that no longer reacts has
+a zero row in the quasi-steady system and is given a = 0.
+
 Every tridiagonal system here (quasi-steady gas, Crank-Nicolson gas and the
-bed's bulk BVP) goes through one helper, :func:`solve_banded`.  It takes
-the system packed in one ``(4, n)`` buffer (sub-, main and super-diagonal,
-then the right-hand side) and hands its rows to LAPACK ``gtsv`` in place,
-the routine ``scipy.linalg.solve_banded`` itself calls for one band on each
-side, so the solutions are bit-identical to it.  It keeps the two checks
-scipy made: one finiteness test over the whole buffer raises
-``ValueError`` on inf or NaN, and a zero pivot raises ``LinAlgError``.
-Each :class:`_GasGrid` builds the face conductances and the bands of the
-flux operator (off-diagonals ``-cond``, diagonal sums of the adjacent
-conductances) once, read-only, for the common case without a structure
-factor; a solve copies them and only adds the reaction term ``rho * vol``,
-plus the capacity term for Crank-Nicolson.  The Simpson weights of the
-conversion quadrature are built once per grid on first use, read-only too.
+bed's bulk BVP) goes through :func:`solve_banded`, a direct call of LAPACK
+``gtsv``, the routine ``scipy.linalg.solve_banded`` calls for one band on
+each side, so the solutions are bit-identical to it; scipy's two checks
+stay (inf or NaN raises ``ValueError``, a zero pivot ``LinAlgError``).
+Each :class:`_GasGrid` builds the face conductances, the bands of the flux
+operator without a structure factor and the Simpson weights once,
+read-only; a solve copies the bands and adds the reaction term
+``rho * vol``, plus the capacity term for Crank-Nicolson.
 
 The moving-boundary second stage needs no special casing here: clamping
 the solid at zero and keeping the reaction indicator reproduces the
@@ -69,92 +74,66 @@ class FdControl:
 
 
 class _FdModel:
+    """One solid law; its state is one array of the transformed solid per node."""
+
+    start = 1.0  # the state of the unreacted solid
+    lo, hi = 0.0, np.inf  # every new state is clamped to [lo, hi]
+
     def __init__(self, params: ModelParams):
         self.p = params
 
-    def initial(self, n: int) -> dict:
+    def gas_terms(self, st: np.ndarray):
+        """(reaction coefficient rho, structure factor delta or None) of the gas balance."""
         raise NotImplementedError
 
-    def reaction_coefficient(self, st: dict) -> np.ndarray:
+    def rates(self, st: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """d(state)/dtheta under the gas profile a."""
         raise NotImplementedError
 
-    def delta(self, st: dict):
-        return None
-
-    def rates(self, st: dict, a: np.ndarray) -> dict:
-        raise NotImplementedError
-
-    def apply(self, st: dict, *rated: tuple[dict, float]) -> dict:
-        """New state from weighted rate contributions (w1*r1 + w2*r2) * dtheta."""
-        raise NotImplementedError
-
-    def unreacted_integrand(self, st: dict) -> np.ndarray:
+    def unreacted_integrand(self, st: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def consumption_norm(self) -> float:
         """Factor turning the integrated gas uptake into dX/dtheta."""
-        raise NotImplementedError
+        return self.p.pellet.shape_factor / self.p.thiele**2
 
 
 class _FdVolumeFirst(_FdModel):
-    def initial(self, n):
-        return {"b": np.ones(n)}
+    lo = _B_MIN  # state: b
 
-    def reaction_coefficient(self, st):
-        return self.p.thiele**2 * st["b"]
+    def gas_terms(self, b):
+        return self.p.thiele**2 * b, None
 
-    def rates(self, st, a):
-        return {"b": -a * st["b"]}
+    def rates(self, b, a):
+        return -a * b
 
-    def apply(self, st, *rated):
-        db = sum(w * r["b"] for r, w in rated)
-        return {"b": np.maximum(st["b"] + db, _B_MIN)}
-
-    def unreacted_integrand(self, st):
-        return st["b"]
-
-    def consumption_norm(self):
-        return self.p.pellet.shape_factor / self.p.thiele**2
+    def unreacted_integrand(self, b):
+        return b
 
 
 class _FdVolumeHalf(_FdModel):
-    def initial(self, n):
-        return {"s": np.ones(n)}  # s = sqrt(b)
+    # state: s = sqrt(b)
+    def gas_terms(self, s):
+        return self.p.thiele**2 * s * (s > _R_FLOOR), None
 
-    def reaction_coefficient(self, st):
-        return self.p.thiele**2 * st["s"] * (st["s"] > _R_FLOOR)
+    def rates(self, s, a):
+        return -0.5 * a * (s > _R_FLOOR)
 
-    def rates(self, st, a):
-        return {"s": -0.5 * a * (st["s"] > _R_FLOOR)}
-
-    def apply(self, st, *rated):
-        ds = sum(w * r["s"] for r, w in rated)
-        return {"s": np.maximum(st["s"] + ds, 0.0)}
-
-    def unreacted_integrand(self, st):
-        return st["s"] ** 2
-
-    def consumption_norm(self):
-        return self.p.pellet.shape_factor / self.p.thiele**2
+    def unreacted_integrand(self, s):
+        return s**2
 
 
 class _FdGrainSimple(_FdModel):
-    def initial(self, n):
-        return {"r": np.ones(n)}
-
-    def reaction_coefficient(self, st):
+    # state: r, the grain core radius
+    def gas_terms(self, r):
         fg = self.p.grain.shape_factor
-        return self.p.thiele**2 * st["r"] ** (fg - 1) * (st["r"] > _R_FLOOR)
+        return self.p.thiele**2 * r ** (fg - 1) * (r > _R_FLOOR), None
 
-    def rates(self, st, a):
-        return {"r": -a * (st["r"] > _R_FLOOR)}
+    def rates(self, r, a):
+        return -a * (r > _R_FLOOR)
 
-    def apply(self, st, *rated):
-        dr = sum(w * r["r"] for r, w in rated)
-        return {"r": np.maximum(st["r"] + dr, 0.0)}
-
-    def unreacted_integrand(self, st):
-        return st["r"] ** self.p.grain.shape_factor
+    def unreacted_integrand(self, r):
+        return r**self.p.grain.shape_factor
 
     def consumption_norm(self):
         return self.p.pellet.shape_factor * self.p.grain.shape_factor / self.p.thiele**2
@@ -164,12 +143,11 @@ class _FdGrainProductLayer(_FdGrainSimple):
     def _resistance(self, r):
         return 1.0 + 6.0 * self.p.sigma_g_sq * (r - r * r)
 
-    def reaction_coefficient(self, st):
-        r = st["r"]
-        return self.p.thiele**2 * r * r / self._resistance(r) * (r > _R_FLOOR)
+    def gas_terms(self, r):
+        return self.p.thiele**2 * r * r / self._resistance(r) * (r > _R_FLOOR), None
 
-    def rates(self, st, a):
-        return {"r": -a / self._resistance(st["r"]) * (st["r"] > _R_FLOOR)}
+    def rates(self, r, a):
+        return -a / self._resistance(r) * (r > _R_FLOOR)
 
     def consumption_norm(self):
         return 3.0 * self.p.pellet.shape_factor / self.p.thiele**2
@@ -181,78 +159,66 @@ class _FdGrainModified(_FdGrainProductLayer):
         outer = np.cbrt(zv + (1.0 - zv) * r**3)
         return 1.0 + 6.0 * self.p.sigma_g_sq * (r - r * r / outer)
 
-    def delta(self, st):
+    def _delta(self, r):
         p = self.p
-        bracket = 1.0 - (1.0 - p.porosity0) / p.porosity0 * (p.z_ratio - 1.0) * (1.0 - st["r"] ** 3)
+        bracket = 1.0 - (1.0 - p.porosity0) / p.porosity0 * (p.z_ratio - 1.0) * (1.0 - r**3)
         return np.maximum(bracket, 0.0) ** 2
 
-    def rates(self, st, a):
-        alive = (st["r"] > _R_FLOOR) & (self.delta(st) > 0.0)
-        return {"r": -a / self._resistance(st["r"]) * alive}
+    def gas_terms(self, r):
+        delta = self._delta(r)
+        alive = (r > _R_FLOOR) & (delta > 0.0)
+        return self.p.thiele**2 * r * r / self._resistance(r) * alive, delta
 
-    def reaction_coefficient(self, st):
-        r = st["r"]
-        alive = (r > _R_FLOOR) & (self.delta(st) > 0.0)
-        return self.p.thiele**2 * r * r / self._resistance(r) * alive
+    def rates(self, r, a):
+        alive = (r > _R_FLOOR) & (self._delta(r) > 0.0)
+        return -a / self._resistance(r) * alive
 
 
 class _FdRandomPore(_FdModel):
-    def initial(self, n):
-        return {"w": np.zeros(n)}  # w = -ln b
+    start = 0.0  # state: w = -ln b
+    lo, hi = -np.inf, LN_B_CAP
 
     def _pieces(self, w):
         u = np.sqrt(1.0 + self.p.psi_cap * w)
         resist = 1.0 + self.p.beta * self.p.z_ratio * w / (1.0 + u)
         return u, resist
 
-    def delta(self, st):
+    def _delta(self, w):
         p = self.p
-        b = np.exp(-st["w"])
+        b = np.exp(-w)
         bracket = 1.0 - (p.z_ratio - 1.0) * (1.0 - p.porosity0) * (1.0 - b) / p.porosity0
         return np.maximum(bracket, 0.0) ** 2
 
-    def reaction_coefficient(self, st):
-        u, resist = self._pieces(st["w"])
-        rho = self.p.thiele**2 * np.exp(-st["w"]) * u / resist
-        return rho * (self.delta(st) > 0.0)
+    def gas_terms(self, w):
+        delta = self._delta(w)
+        u, resist = self._pieces(w)
+        rho = self.p.thiele**2 * np.exp(-w) * u / resist
+        return rho * (delta > 0.0), delta
 
-    def rates(self, st, a):
-        u, resist = self._pieces(st["w"])
-        return {"w": a * u / resist * (self.delta(st) > 0.0)}
+    def rates(self, w, a):
+        u, resist = self._pieces(w)
+        return a * u / resist * (self._delta(w) > 0.0)
 
-    def apply(self, st, *rated):
-        dw = sum(w * r["w"] for r, w in rated)
-        return {"w": np.minimum(st["w"] + dw, LN_B_CAP)}
-
-    def unreacted_integrand(self, st):
-        return np.exp(-st["w"])
-
-    def consumption_norm(self):
-        return self.p.pellet.shape_factor / self.p.thiele**2
+    def unreacted_integrand(self, w):
+        return np.exp(-w)
 
 
 class _FdNucleation(_FdModel):
-    def initial(self, n):
-        return {"u": np.zeros(n)}  # u = (-ln b)^(1/n), the transformed solid
+    start = 0.0  # state: u = (-ln b)^(1/n), the transformed solid
 
     def _b(self, u):
         return np.exp(-np.minimum(u**self.p.solid_order, LN_B_CAP))
 
-    def reaction_coefficient(self, st):
+    def gas_terms(self, u):
         n = self.p.solid_order
-        u = st["u"]
         gain = n * self._b(u) * (u ** (n - 1.0) if n != 1.0 else 1.0)
-        return 2.0 * self.p.pellet.shape_factor * self.p.thiele**2 * gain
+        return 2.0 * self.p.pellet.shape_factor * self.p.thiele**2 * gain, None
 
-    def rates(self, st, a):
-        return {"u": np.asarray(a, dtype=float)}
+    def rates(self, u, a):
+        return a
 
-    def apply(self, st, *rated):
-        du = sum(w * r["u"] for r, w in rated)
-        return {"u": np.maximum(st["u"] + du, 0.0)}
-
-    def unreacted_integrand(self, st):
-        return self._b(st["u"])
+    def unreacted_integrand(self, u):
+        return self._b(u)
 
     def consumption_norm(self):
         return 1.0 / (2.0 * self.p.thiele**2)
@@ -362,6 +328,11 @@ def _solve_gas_qss(gg: _GasGrid, rho: np.ndarray, delta, sherwood: float | None)
         # boundary flux delta * da/dy = sh (1 - a) enters the last half cell
         bands[1, -1] += sherwood
         bands[3, -1] = sherwood
+    if delta is not None:
+        # a cell whose pores closed on both faces and that no longer reacts
+        # has a zero row; it holds no gas (a = 0).  Only delta closes faces.
+        diag = bands[1]
+        diag[diag == 0.0] = 1.0
     return solve_banded(bands), cond
 
 
@@ -424,11 +395,14 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
               dtheta: float) -> RunResult:
     model = _FD_MODELS[params.kind](params)
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
-    st = model.initial(gg.n)
+    st = np.full(gg.n, model.start)
     sw = gg.weights
 
     def x_of(state) -> float:
         return float(min(max(1.0 - np.sum(sw * model.unreacted_integrand(state)), 0.0), 1.0))
+
+    def clamped(state):
+        return np.minimum(np.maximum(state, model.lo), model.hi)
 
     unsteady = not params.quasi_steady
     accum = params.psi * params.thiele**2
@@ -447,8 +421,7 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
         nsub = max(1, int(math.ceil((t1 - t0) / dtheta - 1e-12)))
         dt = (t1 - t0) / nsub
         for _ in range(nsub):
-            rho = model.reaction_coefficient(st)
-            delta = model.delta(st)
+            rho, delta = model.gas_terms(st)
             if not unsteady:
                 a, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
             else:
@@ -461,24 +434,23 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
             if pending is not None:
                 uptake_integral += 0.5 * pending[1] * (pending[0] + uptake)
             pending = (uptake, dt)
+            # Heun: predictor, then the trapezoid of the two rates
             k1 = model.rates(st, a)
-            pred = model.apply(st, (k1, dt))
-            rho2 = model.reaction_coefficient(pred)
-            delta2 = model.delta(pred)
+            pred = clamped(st + dt * k1)
             if not unsteady:
-                a2, _ = _solve_gas_qss(gg, rho2, delta2, params.sherwood)
+                a2, _ = _solve_gas_qss(gg, *model.gas_terms(pred), params.sherwood)
             else:
                 a2 = a
             k2 = model.rates(pred, a2)
-            st = model.apply(st, (k1, 0.5 * dt), (k2, 0.5 * dt))
+            st = clamped(st + (0.5 * dt * k1 + 0.5 * dt * k2))
         xs.append(x_of(st))
 
     # close the trapezoid with the uptake of the final state
-    rho = model.reaction_coefficient(st)
+    rho, delta = model.gas_terms(st)
     if not unsteady:
-        a_end, cond = _solve_gas_qss(gg, rho, model.delta(st), params.sherwood)
+        a_end, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
     else:
-        a_end, cond = a, gg.conductance(model.delta(st))
+        a_end, cond = a, gg.conductance(delta)
     flux, _ = _gas_balance(gg, a_end, rho, cond, params.sherwood)
     if pending is not None:
         uptake_integral += 0.5 * pending[1] * (pending[0] + flux * model.consumption_norm())
@@ -566,9 +538,8 @@ def initial_conversion_rate(params: ModelParams, ctl: FdControl = FdControl()) -
         raise SolverError(f"no reference model for kind '{params.kind.value}'")
     model = _FD_MODELS[params.kind](params)
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
-    st = model.initial(gg.n)
-    rho = model.reaction_coefficient(st)
-    a, cond = _solve_gas_qss(gg, rho, model.delta(st), params.sherwood)
+    rho, delta = model.gas_terms(np.full(gg.n, model.start))
+    a, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
     flux, _ = _gas_balance(gg, a, rho, cond, params.sherwood)
     return flux * model.consumption_norm()
 

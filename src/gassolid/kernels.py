@@ -61,13 +61,18 @@ class SeriesControl:
 
 
 def m_coth_m_minus_1(x):
-    """x*coth(x) - 1, stable for x -> 0 and large x (vectorized)."""
+    """x*coth(x) - 1, stable for x -> 0 and large x (vectorized).
+
+    With q = 1 - exp(-2x) taken from expm1, x coth x = x (2 - q) / q; below
+    1e-2 the Taylor series, whose first omitted term is below 1e-19 there.
+    """
     x = np.asarray(x, dtype=float)
-    small = x < 1e-4
+    small = x < 1e-2
     xs = np.where(small, 1.0, x)  # dummy to avoid 0/0 in the large branch
-    e = np.exp(-2.0 * xs)
-    large_val = xs * (1.0 + e) / (1.0 - e) - 1.0
-    small_val = x * x / 3.0 - x**4 / 45.0
+    q = -np.expm1(-2.0 * xs)
+    large_val = xs * (2.0 - q) / q - 1.0
+    x2 = x * x
+    small_val = x2 / 3.0 - x2 * x2 / 45.0 + 2.0 * x2**3 / 945.0
     out = np.where(small, small_val, large_val)
     return out if out.ndim else float(out)
 

@@ -23,6 +23,9 @@ Models whose solid reaches zero in finite time (half-order volume and the
 grain family) switch to a second stage once the surface node exhausts:
 a reaction front y_m recedes behind a fully converted shell, advanced by
 inverting the tabulated theta(y_m) relation incrementally.
+
+Every model runs on the one step loop of `_PelletStepper.step`; the
+two-gas model replaces only the first-stage substep and the profile.
 """
 
 from __future__ import annotations
@@ -475,11 +478,6 @@ class _GrainModified(_PelletStepper):
         r_s = np.asarray(solid[-1])
         return float(self._g(r_s) - self._g(np.asarray(0.0)))
 
-    def porosity(self, solid):
-        """Pellet porosity field implied by the current grain sizes."""
-        p = self.params
-        return 1.0 - (1.0 - p.porosity0) * (1.0 + self._x(solid))
-
 
 # ---------------------------------------------------------------------------
 # Random pore model
@@ -575,53 +573,39 @@ class _Simultaneous(_PelletStepper):
     """First-order kinetics in two gases A and C sharing the solid.
 
     ``solid`` is the total b; ``solid_aux`` on the state carries b_A, the
-    solid that would remain if only gas A had reacted.
+    solid that would remain if only gas A had reacted.  Profiles are pairs
+    (A, C), and every substep is a first-stage one.
     """
 
-    def _moduli(self, solid):
+    def _profiles(self, s: PelletState):
+        if s.solid_aux is None:
+            raise SolverError("simultaneous model state requires solid_aux (b_A)")
         p = self.params
-        root = np.sqrt(2.0 * p.pellet.shape_factor * solid)
-        return p.thiele_a * root, p.thiele_c * root
-
-    def _profiles(self, solid):
-        p = self.params
-        m_a, m_c = self._moduli(solid)
-        psi_a = p.psi_ab * sphere_ratio(m_a, self.grid.y)
-        psi_c = p.psi_cb * sphere_ratio(m_c, self.grid.y)
+        root = np.sqrt(2.0 * p.pellet.shape_factor * s.solid)
+        psi_a = p.psi_ab * sphere_ratio(p.thiele_a * root, self.grid.y)
+        psi_c = p.psi_cb * sphere_ratio(p.thiele_c * root, self.grid.y)
         return psi_a, psi_c
 
     def current_profile(self, state: PelletState):
-        psi_a, psi_c = self._profiles(state.solid)
+        psi_a, psi_c = self._profiles(state)
         return GasProfile(values=psi_a), GasProfile(values=psi_c)
 
-    def step(self, state: PelletState, dtheta: float):
-        if dtheta < 0.0:
-            raise SolverError("dtheta must be nonnegative")
-        s = state.copy()
-        if s.solid_aux is None:
-            raise SolverError("simultaneous model state requires solid_aux (b_A)")
-        max_dec = 0.0
-        remaining = dtheta
-        psi_a, psi_c = self._profiles(s.solid)
-        floor = 1e-14 * max(1.0, dtheta)
-        while remaining > floor:
-            psi_a, psi_c = self._profiles(s.solid)
-            total = psi_a + psi_c
-            rate = total * s.solid
-            rmax = float(np.max(rate))
-            dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
-            shrink = -np.expm1(-total * dt)  # 1 - exp(-(psiA+psiC) dt)
-            kernel = np.where(total > 0.0, shrink / np.where(total > 0.0, total, 1.0), dt)
-            b_new = np.maximum(s.solid * (1.0 - shrink), _B_MIN)
-            s.solid_aux = np.maximum(s.solid_aux - psi_a * s.solid * kernel, 0.0)
-            max_dec = max(max_dec, float(np.max(s.solid - b_new)))
-            s.solid = b_new
-            s.exposure = s.exposure + total * dt
-            s.theta += dt
-            remaining -= dt
+    def _first_stage_substep(self, s: PelletState, remaining: float):
+        psi_a, psi_c = self._profiles(s)
+        total = psi_a + psi_c
+        rate = total * s.solid
+        rmax = float(np.max(rate))
+        dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
+        shrink = -np.expm1(-total * dt)  # 1 - exp(-(psiA+psiC) dt)
+        kernel = np.where(total > 0.0, shrink / np.where(total > 0.0, total, 1.0), dt)
+        b_new = np.maximum(s.solid * (1.0 - shrink), _B_MIN)
+        s.solid_aux = np.maximum(s.solid_aux - psi_a * s.solid * kernel, 0.0)
+        dec = float(np.max(s.solid - b_new))
+        s.solid = b_new
+        s.exposure = s.exposure + total * dt
+        s.theta += dt
         profiles = (GasProfile(values=psi_a), GasProfile(values=psi_c))
-        report = StepReport(s.theta, max_dec, False, StepStatus.OK)
-        return s, profiles, report
+        return dt, profiles, dec, False, StepStatus.OK
 
 
 _STEPPERS = {

@@ -126,7 +126,7 @@ def test_params_are_immutable():
     p = build_model({"kind": "volume_first_order", "phi_v": 1})
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.thiele = 2.0
-    q = p.with_(thiele=2.0)
+    q = dataclasses.replace(p, thiele=2.0)
     assert q.thiele == 2.0 and p.thiele == 1.0
 
 

@@ -17,6 +17,7 @@ from gassolid import (
 )
 from gassolid import fdref
 from gassolid.analysis import simpson_weights
+from test_steppers import _quasi_steady_models
 
 FAST = FdControl(n_space=201, dtheta=2e-3, auto_refine=False)
 
@@ -191,6 +192,25 @@ PINNED_X = [
      [0.0, 0.08553712897594978, 0.16802245806537064, 0.2433972490615336,
       0.3122241011014829, 0.37502773868270434, 0.43229733764701395, 0.4844881249135947,
       0.5320229181410534, 0.5752936885201833, 0.6146631502929137]),
+    # the rest of the solid laws: half order (slab), the grain family with a
+    # product layer and with a structure change (delta is an array), nucleation
+    ({"kind": "volume_half_order", "phi_v": 0.8, "F_p": 1}, 3.0,
+     [0.0, 0.23558614531600097, 0.44328807020375505, 0.621409454806118,
+      0.7680158702518085, 0.8808833354648301, 0.9574314731465526, 0.9947716156550879,
+      1.0, 1.0, 1.0]),
+    ({"kind": "grain_product_layer", "sigma": 1.5, "sigma_g_sq": 0.5}, 2.0,
+     [0.0, 0.38696082390716013, 0.6204360752419038, 0.7745215541993888,
+      0.8773858813353727, 0.9434615402548914, 0.9814739045896156, 0.9977201836993796,
+      0.9999998029280859, 1.0, 1.0]),
+    ({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.2, "Z_v": 1.4, "eps0": 0.5},
+     2.0,
+     [0.0, 0.40476231780208694, 0.6588211210429484, 0.8235764204661166,
+      0.925330936594653, 0.9792891077491752, 0.9981893626532796, 0.9999995616608405,
+      1.0, 1.0, 1.0]),
+    ({"kind": "nucleation", "sigma_n": 1.0, "n": 3}, 2.0,
+     [0.0, 0.007619599233290364, 0.053526899924531524, 0.15135916232111024,
+      0.2923293857853585, 0.4549039253626097, 0.6137300254667077, 0.7486309253726018,
+      0.8503062615690773, 0.9195990630928507, 0.9624605091040134]),
 ]
 PINNED_BED = [
     0.5974679699744052, 0.5751219340037282, 0.5525629535365406, 0.5299799632400277,
@@ -212,6 +232,44 @@ def test_bed_bulk_profile_pinned():
     eta = np.linspace(0.0, 1.0, 21)
     y = fd_solve_bed_bulk(1.1, 3.3, 1.0, 0.5 * (1.0 - eta) ** 2)
     assert np.max(np.abs(y - np.asarray(PINNED_BED))) <= 1e-13
+
+
+# --- pore plugging: closed cells hold no gas ----------------------------------
+# Growing solid closes every pore of a cell and stops its reaction; its row of
+# the quasi-steady system is then zero.  These two runs raised LinAlgError
+# before such cells were given a = 0.
+
+PLUG_CONTROL = FdControl(n_space=101, dtheta=1e-2, auto_refine=False)
+PINNED_PLUGGED = [
+    ({"kind": "grain_modified", "sigma": 0.25, "sigma_g_sq": 0.0, "Z_v": 2.0, "eps0": 0.25},
+     [0.0, 0.266393145302503, 0.31498938727366665, 0.31498938727366665,
+      0.31498938727366665, 0.31498938727366665, 0.31498938727366665, 0.31498938727366665,
+      0.31498938727366665, 0.31498938727366665, 0.31498938727366665]),
+    ({"kind": "random_pore", "phi_r": 0.125, "z": 2.0, "eps0": 0.25, "sh": 1.0},
+     [0.0, 0.0945921328261361, 0.18016571574500062, 0.2573140870936246,
+      0.32118787573939045, 0.32391207016623014, 0.32391207016623014, 0.32391207016623014,
+      0.32391207016623014, 0.32391207016623014, 0.32391207016623014]),
+]
+
+
+@pytest.mark.parametrize("raw, want", PINNED_PLUGGED, ids=["grain_modified", "random_pore"])
+def test_plugged_pellet_x_pinned(raw, want):
+    res = fd_solve(build_model(raw), 1.0, PLUG_CONTROL, samples=11)
+    assert np.max(np.abs(res.x - np.asarray(want))) <= 1e-13
+    assert res.diagnostics["max_flux_residual"] <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(_quasi_steady_models())
+def test_oracle_bounded_nondecreasing_and_balanced(case):
+    params, theta_end = case
+    res = fd_solve(params, theta_end, PLUG_CONTROL, samples=11)
+    for x in (res.x, res.x_a):
+        if x is not None:
+            assert np.all((0.0 <= x) & (x <= 1.0))
+            assert np.all(np.diff(x) >= 0.0)
+    if res.x_a is None:
+        assert res.diagnostics["max_flux_residual"] <= 1e-6
 
 
 # --- tridiagonal helper and finite-volume assembly ---------------------------

@@ -122,6 +122,18 @@ def test_m_coth_m_minus_1_small_and_large():
         assert m_coth_m_minus_1(x) == pytest.approx(ref, rel=1e-10)
 
 
+def test_m_coth_m_minus_1_against_mpmath():
+    # q = -expm1(-2x) in x (2 - q) / q - 1; forming 1 - exp(-2x) by
+    # subtraction was off by 3e-13 just above the former 1e-4 series cutoff
+    mp = pytest.importorskip("mpmath")
+    xs = np.concatenate([[0.0], np.geomspace(1e-8, 50.0, 400)])
+    got = m_coth_m_minus_1(xs)
+    with mp.workdps(50):
+        exact = [mp.mpf(x) / mp.tanh(mp.mpf(x)) - 1 if x else mp.mpf(0) for x in xs]
+        err = max(abs(mp.mpf(g) - e) for g, e in zip(got, exact))
+    assert err <= 1e-14
+
+
 def test_film_factor_satisfies_robin(grid):
     # c (M coth M - 1) = sh (1 - c) is the surface balance of the scaled profile
     for m, sh in [(1.0, 5.0), (4.0, 0.5), (0.01, 10.0)]:
@@ -135,8 +147,8 @@ def test_film_factor_satisfies_robin(grid):
 def _m_coth_m_minus_1_exact(M):
     """M coth M - 1 to a few ulp: the series below 1e-2, else M / tanh(M) - 1.
 
-    The reference does not use kernels.m_coth_m_minus_1, whose 1 - exp(-2M)
-    cancels just above its 1e-4 series cutoff (absolute error up to 3e-13).
+    Formed here, not by kernels.m_coth_m_minus_1, so that the reference does
+    not share the kernel's expression.
     """
     small = M < 1e-2
     m = np.where(small, 1.0, M)

@@ -116,9 +116,6 @@ def test_modified_grain_structure_formulas(grid):
     # diffusivity ratio at r*^3 = 0.5: (1 - (0.5/0.5) * 0.5 * 0.5)^2
     r = 0.5 ** (1.0 / 3.0)
     assert float(stepper._delta(np.asarray(r))) == pytest.approx(0.5625, abs=1e-12)
-    # porosity bookkeeping matches the diffusivity law: delta = (eps/eps0)^2
-    eps = stepper.porosity(np.asarray(r))
-    assert float((eps / 0.5) ** 2) == pytest.approx(0.5625, abs=1e-12)
 
 
 def test_modified_grain_pore_plugging(grid):
@@ -241,6 +238,16 @@ def test_simultaneous_initial_condition(grid):
     assert np.all(state.solid == 1.0) and np.all(state.solid_aux == 1.0)
     assert profs[0].values[-1] == pytest.approx(0.4)
     assert profs[1].values[-1] == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("dtheta", [0.0, 0.1])
+def test_simultaneous_step_requires_b_a(grid, dtheta):
+    p = build_model({"kind": "simultaneous", "sigma_a": 0.3, "sigma_c": 1.0, "psi_ab": 0.4})
+    stepper = make_stepper(p, grid)
+    state = stepper.initial_state()
+    state.solid_aux = None
+    with pytest.raises(SolverError, match="solid_aux"):
+        stepper.step(state, dtheta)
 
 
 def test_simultaneous_selectivity_exceeds_flat_ratio_when_fast_gas_starved(grid):
@@ -403,13 +410,13 @@ PINNED_QM = [
       0.6198653150435108, 0.7046209655272261, 0.7740315730624053, 0.8308299993416874,
       0.8770067168760827, 0.9140688435274202, 0.9431961479813946, 0.9653434349924986,
       0.9813162958259471, 0.9918402339827405, 0.9976584193301922, 0.9997624343848011,
-      1.0, 1.0, 1.0, 1.0, 1.0]),
+      1.0, 1.0, 1.0, 1.0, 1.0], None),
     ({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.2, "Z_v": 1.4, "eps0": 0.5},
      2.0,
      [0.0, 0.22827042779589246, 0.4051164335186148, 0.5460377085555992,
       0.6595902274838511, 0.7511434299366437, 0.8243620231718323, 0.8819093395987287,
       0.9258377281275278, 0.9578416905101141, 0.9794576315875217, 0.9922649452140211,
-      0.9981618889379258, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+      0.9981618889379258, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], None),
     ({"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.0, "beta": 0.5, "z": 1.3, "sh": 8},
      3.0,
      [0.0, 0.12844682508735938, 0.24321148605223242, 0.3451522660590183,
@@ -417,23 +424,40 @@ PINNED_QM = [
       0.6966279445968755, 0.741999647999305, 0.7811022919068442, 0.814689436954722,
       0.8434473307929544, 0.8679978542310738, 0.88889898429807, 0.9066458636871662,
       0.9216801444462882, 0.9343882927764015, 0.9451076434807952, 0.9541319326538092,
-      0.9617161147534606]),
+      0.9617161147534606], None),
     ({"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.0, "psi": 0.02}, 2.0,
      [0.0, 0.09068480762190578, 0.17794629625759217, 0.2603694647159245,
       0.33773220802199366, 0.40989142108516907, 0.4767764974982803, 0.5383873600792972,
       0.5947866227505627, 0.6460939973092696, 0.692479161133486, 0.7341538813096775,
       0.7713630422532021, 0.8043805123754484, 0.8334963025522261, 0.8590132899830536,
       0.8812396361595466, 0.9004807718811897, 0.917036265013248, 0.9311961684357997,
-      0.9432342665335514]),
+      0.9432342665335514], None),
+    # two gases, recorded with the former _Simultaneous.step loop: X, then X_A
+    ({"kind": "simultaneous", "psi_ab": 0.5, "sigma_a": 1.0, "sigma_c": 2.0}, 2.0,
+     [0.0, 0.05986706914813111, 0.11660004388106548, 0.17034320353422383,
+      0.22123504728433585, 0.26940942935163326, 0.31499017977168886, 0.35809958898052263,
+      0.3988520548526008, 0.4373594351802126, 0.4737231400525743, 0.5080524452175927,
+      0.5404417700384337, 0.5709820299757963, 0.5997607728479931, 0.6268650142702445,
+      0.6523794747549135, 0.6763812749479274, 0.6989444964904951, 0.7201402952912315,
+      0.740037012910197],
+     [0.0, 0.036139849696304016, 0.07034674595617674, 0.10270866972380543,
+      0.133310161119929, 0.1622328504277626, 0.18955315793726046, 0.21534606703034243,
+      0.23968238384709006, 0.26263108330717966, 0.28425601889364804, 0.3046235820728186,
+      0.3237932177877859, 0.341822288754695, 0.3587661398348583, 0.3746792009738322,
+      0.3896142286501352, 0.4036202871757273, 0.41674460131637203, 0.4290326092394081,
+      0.44052801370658945]),
 ]
 
 
-@pytest.mark.parametrize("raw, theta_end, want", PINNED_QM,
+@pytest.mark.parametrize("raw, theta_end, want, want_a", PINNED_QM,
                          ids=["product_layer", "modified", "random_pore_film",
-                              "random_pore_unsteady"])
-def test_implicit_update_x_pinned(raw, theta_end, want):
+                              "random_pore_unsteady", "simultaneous"])
+def test_implicit_update_x_pinned(raw, theta_end, want, want_a):
     res = run_qm(build_model(raw), SpatialGrid(101), theta_end, samples=21)
     assert np.max(np.abs(res.x - np.asarray(want))) <= 1e-10
+    assert (res.x_a is None) == (want_a is None)
+    if want_a is not None:
+        assert np.max(np.abs(res.x_a - np.asarray(want_a))) <= 1e-10
 
 
 # --- filmed first stage: one kernel expression for pellet and bed -------------
