@@ -8,7 +8,9 @@ M = Phi sqrt(1 - X) frozen from the previous step.  Because the pellet
 surface concentration varies along the bed, the closed-form bulk solution
 is applied piecewise: the bed is partitioned into segments with constant
 surface concentration and the two-exponential solution is joined with
-continuous value and slope.
+continuous value and slope.  That bulk solution is affine in the segment
+means of the surface field, Y = y0 + G m, so each time step finds the
+self-consistent bulk field with one n_segments x n_segments linear solve.
 """
 
 from __future__ import annotations
@@ -140,6 +142,20 @@ class SegmentedBulkSolver:
         self.e1_nodes = np.exp(r1 * (self.eta - self.edges[self.seg_idx + 1]))
         self.e2_nodes = np.exp(r2 * (self.eta - self.edges[self.seg_idx]))
 
+        # solve is affine in the segment means: solve(s) == offset + gain @ (weights @ s).
+        # Column 0 is the inlet unit vector, column 1 + k the jump pattern of unit mean k.
+        cols = np.zeros((n_unknown, 1 + self.n_seg))
+        cols[0, 0] = 1.0
+        cols[0, 1] = -1.0
+        k = np.arange(self.n_seg - 1)
+        cols[1 + 2 * k, 2 + k] = 1.0
+        cols[1 + 2 * k, 1 + k] = -1.0
+        coef = lu_solve(self._factored, cols)
+        nodes = (coef[2 * self.seg_idx] * self.e1_nodes[:, None]
+                 + coef[2 * self.seg_idx + 1] * self.e2_nodes[:, None])
+        self.offset = nodes[:, 0]
+        self.gain = nodes[:, 1:] + np.eye(self.n_seg)[self.seg_idx]
+
     def solve(self, a_surface: np.ndarray) -> np.ndarray:
         s = np.asarray(a_surface, dtype=float)
         if s.shape != self.eta.shape:
@@ -197,16 +213,25 @@ class BedResult:
 
 
 def _self_consistent_bulk(solver: SegmentedBulkSolver, trans: np.ndarray,
-                          y_guess: np.ndarray,
-                          tol: float = 1e-11, max_iter: int = 200) -> np.ndarray:
-    """Fixed point of Y = bulk_profile(trans * Y): the quasi-static bulk field."""
-    y = y_guess
-    for _ in range(max_iter):
-        y_new = solver.solve(trans * y)
-        if float(np.max(np.abs(y_new - y))) < tol:
-            return y_new
-        y = y_new
-    raise SolverError("bed bulk fixed point did not converge")
+                          tol: float = 1e-11) -> np.ndarray:
+    """Fixed point of Y = bulk_profile(trans * Y): the quasi-static bulk field.
+
+    With Y = offset + gain @ m and m = weights @ (trans * Y), the segment
+    means solve (I - W diag(trans) G) m = W diag(trans) y0 exactly.  One
+    ``solver.solve`` of the result checks it against the fixed-point map.
+    """
+    wt = solver.weights * trans
+    try:
+        means = np.linalg.solve(np.eye(solver.n_seg) - wt @ solver.gain, wt @ solver.offset)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"bed bulk coupling system is singular: {exc}") from None
+    y = solver.offset + solver.gain @ means
+    if not np.all(np.isfinite(y)):
+        raise SolverError("bed bulk coupling solve is not finite")
+    y_out = solver.solve(trans * y)
+    if not float(np.max(np.abs(y_out - y))) < tol:
+        raise SolverError("bed bulk coupling solve is not a fixed point")
+    return y_out
 
 
 def march_bed(bed: BedParams, dtau: float, tau_end: float,
@@ -215,8 +240,9 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float,
     """March the bed with first-order pellet consumption f(X) = 1 - X.
 
     Each time step freezes the pellet modulus from the lagged conversion,
-    resolves the pellet/bulk coupling to a fixed point, then updates the
-    radial conversion field node-wise with X <- 1 - (1 - X) exp(-a dtau).
+    solves the pellet/bulk coupling exactly with one linear solve over the
+    segment means, then updates the radial conversion field node-wise with
+    X <- 1 - (1 - X) exp(-a dtau).
     """
     if dtau <= 0.0 or tau_end <= 0.0:
         raise SolverError("dtau and tau_end must be positive")
@@ -231,7 +257,7 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float,
     x = np.zeros((n_eta, n_radial))
     modulus = bed.phi * np.sqrt(1.0 - x)
     trans = np.asarray(surface_transmission(modulus[:, -1], bed.biot_m))
-    bulk = _self_consistent_bulk(solver, trans, np.ones(n_eta))
+    bulk = _self_consistent_bulk(solver, trans)
     c_y = np.zeros(n_eta)
 
     out_bulk = [bulk.copy()]
@@ -249,7 +275,7 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float,
             tau += dt
             modulus = bed.phi * np.sqrt(np.maximum(1.0 - x, 0.0))
             trans = np.asarray(surface_transmission(modulus[:, -1], bed.biot_m))
-            bulk_new = _self_consistent_bulk(solver, trans, bulk)
+            bulk_new = _self_consistent_bulk(solver, trans)
             c_y = c_y + 0.5 * dt * (bulk + bulk_new)
             bulk = bulk_new
         out_bulk.append(bulk.copy())

@@ -1,7 +1,10 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassolid import (
     BedParams,
@@ -202,65 +205,123 @@ def test_march_exhaustion_limit():
     assert np.all(tail > 0.0)
 
 
+@pytest.mark.parametrize("peclet, beta, phi", [(0.1, 3.3, 0.1), (0.1, 30.0, 0.05)])
+def test_march_slow_pellets_low_peclet(peclet, beta, phi):
+    # surface transmission ~0.999 makes the bulk map a weak contraction
+    bed = BedParams(peclet=peclet, beta=beta, phi=phi, biot_m=50.0)
+    res = march_bed(bed, dtau=0.05, tau_end=1.0, n_eta=65, n_radial=21,
+                    n_segments=16, samples=5)
+    assert np.all((res.bulk >= 0.0) & (res.bulk <= 1.0))
+    for x_s, bulk in zip(res.x_surface, res.bulk):
+        trans = surface_transmission(phi * np.sqrt(1.0 - x_s), bed.biot_m)
+        fd = fd_solve_bed_bulk(peclet, beta, bed.bed_length, trans * bulk)
+        assert np.max(np.abs(fd - bulk)) < 1e-4
+
+
+def _picard_bulk(solver, trans, tol=1e-12, max_iter=300):
+    """Plain fixed-point iteration of Y = solve(trans * Y); None if it stalls."""
+    y = np.ones(solver.eta.size)
+    for _ in range(max_iter):
+        y_new = solver.solve(trans * y)
+        if np.max(np.abs(y_new - y)) < tol:
+            return y_new
+        y = y_new
+    return None
+
+
+_ETA_257 = np.linspace(0.0, 1.0, 257)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_pe=st.floats(-2.0, 2.0),
+    beta=st.one_of(st.just(0.0), st.floats(-2.0, 5.0).map(lambda e: 10.0**e)),
+    n_segments=st.sampled_from([1, 4, 16, 64]),
+    trans=hnp.arrays(float, 257, elements=st.floats(0.0, 1.0)),
+)
+def test_coupling_solve_is_the_fixed_point(log_pe, beta, n_segments, trans):
+    bed = BedParams(peclet=10.0**log_pe, beta=beta, phi=1.0, biot_m=1.0)
+    solver = bed_module.SegmentedBulkSolver(bed, _ETA_257, n_segments)
+    y = bed_module._self_consistent_bulk(solver, trans)
+    assert np.max(np.abs(solver.solve(trans * y) - y)) <= 1e-13
+    assert np.all((y >= -1e-12) & (y <= 1.0 + 1e-12))
+    picard = _picard_bulk(solver, trans)
+    if picard is not None:
+        assert np.max(np.abs(picard - y)) <= 5e-11
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_coupling_solve_rejects_nonfinite_transmission(bad):
+    solver = bed_module.SegmentedBulkSolver(FIG9, _ETA_257, 16)
+    trans = np.full(257, 0.5)
+    trans[100] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError):
+        bed_module._self_consistent_bulk(solver, trans)
+
+
 # Y, X_surface and X_pellet_avg at every 8th axial node of the small march of
-# test_cli.py::test_bed_section_writes_bed_csv, recorded with the bed's former
-# inline copy of the filmed pellet profile; the kernel form must agree to 1e-12.
+# test_cli.py::test_bed_section_writes_bed_csv, recorded from the direct coupling
+# solve, the exact fixed point of the bulk map.
 BED_PIN = {
     "bulk": [
-        [0.7976980155010783, 0.7711533188588069, 0.7471997338103011, 0.7260169026561977,
-         0.7078342736617882, 0.6929403688911047, 0.6816939146360921, 0.6745372025212968,
-         0.6720121223656852],
-        [0.8020215552759798, 0.7760304963512064, 0.752553184927087, 0.7317738689100051,
-         0.713924981043295, 0.6992961954212823, 0.6882452678152535, 0.6812110062314224,
-         0.6787287838542151],
-        [0.8063755988671386, 0.7809427728924011, 0.7579468595368817, 0.7375762919036443,
-         0.7200661143478112, 0.7057068172325264, 0.6948548785923143, 0.6879453378903463,
-         0.6855067859000444],
-        [0.81075775759765, 0.7858874592267266, 0.7633778210717459, 0.7434210367166306,
-         0.7262543842196328, 0.7121688294781411, 0.7015192614160732, 0.6947366634241987,
-         0.6923425778148662],
-        [0.8151654982845751, 0.7908617012093787, 0.7688429473939338, 0.7493047630057894,
-         0.7324862778301316, 0.7186785884542543, 0.708234679951423, 0.7015811902634227,
-         0.6992323476733145],
-        [0.8195961447894033, 0.795862481470214, 0.7743389323942069, 0.7552239264036359,
-         0.7387580599950371, 0.7252322124114007, 0.7149971476159548, 0.7084748676853093,
-         0.7061720225836363],
+        [0.7976980154935225, 0.7711533188502236, 0.7471997338007266, 0.7260169026456951,
+         0.7078342736504504, 0.6929403688790564, 0.681693914623492, 0.6745372025083389,
+         0.6720121223526],
+        [0.8020215552846244, 0.7760304963610265, 0.7525531849380407, 0.7317738689220197,
+         0.7139249810562645, 0.6992961954350635, 0.6882452678296653, 0.6812110062462429,
+         0.6787287838691812],
+        [0.8063755988736987, 0.7809427728998528, 0.757946859545193, 0.73757629191276,
+         0.7200661143576504, 0.7057068172429808, 0.6948548786032462, 0.687945337901588,
+         0.6855067859113962],
+        [0.8107577576057549, 0.7858874592359332, 0.7633778210820139, 0.7434210367278917,
+         0.7262543842317869, 0.7121688294910541, 0.7015192614295754, 0.6947366634380828,
+         0.6923425778288864],
+        [0.815165498290818, 0.7908617012164701, 0.7688429474018426, 0.749304763014462,
+         0.7324862778394912, 0.7186785884641974, 0.7082346799618192, 0.7015811902741126,
+         0.6992323476841089],
+        [0.8195961447970737, 0.7958624814789264, 0.774338932403923, 0.7552239264142904,
+         0.7387580600065347, 0.7252322124236148, 0.714997147628725, 0.7084748676984399,
+         0.7061720225968953],
     ],
     "x_surface": [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.06554284494304352, 0.06344346848876725, 0.061544669101858074,
-         0.05986207702006252, 0.058415235942926524, 0.057228330926885174,
-         0.05633104923489596, 0.05575959557212051, 0.055557885238160964],
-        [0.1274471825513076, 0.12354196060651979, 0.12000122978468775,
-         0.11685687788739807, 0.11414803008531316, 0.1119223875624118,
-         0.11023778589074429, 0.10916399847875768, 0.10878480771591548],
-        [0.18586565544223344, 0.18042295148749388, 0.17547627069187632,
-         0.1710739126728058, 0.16727424068216823, 0.16414751826395102,
-         0.1617780128570876, 0.16026638101872703, 0.1597323371200402],
-        [0.24094766808382262, 0.23421199172940832, 0.22807543050171275,
-         0.2226024511154242, 0.2178699900914992, 0.2139696819572927,
-         0.21101036794484673, 0.20912087735154883, 0.20845304695403444],
-        [0.29283928801148595, 0.28503259662538305, 0.2779032881821607,
-         0.27153142118172935, 0.2660115748314129, 0.2614553699926301,
-         0.25799425579128865, 0.25578252221932307, 0.2550004557336477],
+        [0.0, 0.0, 0.0,
+         0.0, 0.0, 0.0,
+         0.0, 0.0, 0.0],
+        [0.06554284494305185, 0.06344346848877669, 0.06154466910186873,
+         0.05986207702007418, 0.05841523594293918, 0.05722833092689861,
+         0.056331049234909836, 0.055759595572134835, 0.0555578852381754],
+        [0.12744718255185739, 0.12354196060714706, 0.12000122978539018,
+         0.11685687788817112, 0.11414803008614993, 0.11192238756330297,
+         0.11023778589167765, 0.1091639984797188, 0.10878480771688614],
+        [0.18586565544323397, 0.18042295148863752, 0.1754762706931594,
+         0.17107391267422, 0.16727424068370111, 0.1641475182655856,
+         0.1617780128588011, 0.16026638102049218, 0.15973233712182344],
+        [0.2409476680853212, 0.23421199173112472, 0.22807543050364165,
+         0.22260245111755372, 0.2178699900938108, 0.21396968195976018,
+         0.21101036794743577, 0.20912087735421714, 0.20845304695673084],
+        [0.29283928801329384, 0.28503259662745783, 0.2779032881844965,
+         0.2715314211843123, 0.26601157483422055, 0.26145536999563024,
+         0.25799425579443924, 0.2557825222225718, 0.2550004557369312],
     ],
     "x_average": [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.017994331663335528, 0.017408408831201205, 0.01687902929328422,
-         0.016410373529329725, 0.016007715995595806, 0.01567762901561842,
-         0.015428225753173375, 0.015269449327816487, 0.015213416234670873],
-        [0.03563720596583342, 0.03450612204406278, 0.03348289787493819,
-         0.03257603662235842, 0.03179613989193908, 0.03115629948939813,
-         0.03067256098294968, 0.03036447087101357, 0.03025572044177227],
-        [0.052931706541739176, 0.051294754087355954, 0.04981204948120388,
-         0.04849651447288661, 0.04736409188739654, 0.046434309148165265,
-         0.045730940462965886, 0.04528278210534309, 0.045124555897731344],
-        [0.06988102132343221, 0.0677760245174045, 0.06586702629013363,
-         0.06417141978932994, 0.0627104670557882, 0.06151001828160263,
-         0.06060135119560972, 0.06002214573824882, 0.059817608568979996],
-        [0.08648844202654227, 0.08395175977441038, 0.08164847256401753,
-         0.07960045789386583, 0.0778342415336486, 0.07638185670151998,
-         0.07528183988048864, 0.0745803774678393, 0.07433261496719412],
+        [0.0, 0.0, 0.0,
+         0.0, 0.0, 0.0,
+         0.0, 0.0, 0.0],
+        [0.01799433166333797, 0.01740840883120376, 0.016879029293287107,
+         0.016410373529332944, 0.016007715995599248, 0.015677629015622196,
+         0.015428225753177482, 0.015269449327820594, 0.01521341623467487],
+        [0.035637205965992846, 0.0345061220442443, 0.033482897875140916,
+         0.03257603662258124, 0.031796139892179776, 0.03115629948965426,
+         0.030672560983217467, 0.03036447087128924, 0.030255720442050604],
+        [0.0529317065420406, 0.051294754087699235, 0.049812049481587684,
+         0.048496514473308605, 0.047364091887852844, 0.046434309148650765,
+         0.045730940463474146, 0.045282782105866115, 0.04512455589825959],
+        [0.06988102132390162, 0.06777602451793951, 0.06586702629073227,
+         0.06417141978998842, 0.06271046705650052, 0.06151001828236102,
+         0.06060135119640364, 0.06002214573906628, 0.05981760856980567],
+        [0.08648844202713146, 0.08395175977508251, 0.08164847256477015,
+         0.07960045789469394, 0.07783424153454488, 0.07638185670247455,
+         0.07528183988148851, 0.07458037746886892, 0.07433261496823407],
     ],
 }
 
