@@ -142,19 +142,18 @@ class SegmentedBulkSolver:
         self.e1_nodes = np.exp(r1 * (self.eta - self.edges[self.seg_idx + 1]))
         self.e2_nodes = np.exp(r2 * (self.eta - self.edges[self.seg_idx]))
 
-        # solve is affine in the segment means: solve(s) == offset + gain @ (weights @ s).
-        # Column 0 is the inlet unit vector, column 1 + k the jump pattern of unit mean k.
-        cols = np.zeros((n_unknown, 1 + self.n_seg))
-        cols[0, 0] = 1.0
-        cols[0, 1] = -1.0
+        # solve is affine in the segment means and solve(1) == 1, so
+        # solve(s) == 1 - gain @ (1 - weights @ s).  Column k of the right
+        # side is the jump pattern of a unit mean in segment k.
+        cols = np.zeros((n_unknown, self.n_seg))
+        cols[0, 0] = -1.0
         k = np.arange(self.n_seg - 1)
-        cols[1 + 2 * k, 2 + k] = 1.0
-        cols[1 + 2 * k, 1 + k] = -1.0
+        cols[1 + 2 * k, 1 + k] = 1.0
+        cols[1 + 2 * k, k] = -1.0
         coef = lu_solve(self._factored, cols)
-        nodes = (coef[2 * self.seg_idx] * self.e1_nodes[:, None]
-                 + coef[2 * self.seg_idx + 1] * self.e2_nodes[:, None])
-        self.offset = nodes[:, 0]
-        self.gain = nodes[:, 1:] + np.eye(self.n_seg)[self.seg_idx]
+        self.gain = (coef[2 * self.seg_idx] * self.e1_nodes[:, None]
+                     + coef[2 * self.seg_idx + 1] * self.e2_nodes[:, None]
+                     + np.eye(self.n_seg)[self.seg_idx])
 
     def solve(self, a_surface: np.ndarray) -> np.ndarray:
         s = np.asarray(a_surface, dtype=float)
@@ -216,16 +215,19 @@ def _self_consistent_bulk(solver: SegmentedBulkSolver, trans: np.ndarray,
                           tol: float = 1e-11) -> np.ndarray:
     """Fixed point of Y = bulk_profile(trans * Y): the quasi-static bulk field.
 
-    With Y = offset + gain @ m and m = weights @ (trans * Y), the segment
-    means solve (I - W diag(trans) G) m = W diag(trans) y0 exactly.  One
-    ``solver.solve`` of the result checks it against the fixed-point map.
+    With Y = 1 - G d and the segment-mean deficit d = 1 - weights @ (trans * Y),
+    d solves (I - W diag(trans) G) d = W (1 - trans) exactly.  Solving for
+    the deficit rather than the means keeps Y = 1 exact where trans = 1 even
+    when the map is a very weak contraction.  One ``solver.solve`` of the
+    result checks it against the fixed-point map.
     """
     wt = solver.weights * trans
     try:
-        means = np.linalg.solve(np.eye(solver.n_seg) - wt @ solver.gain, wt @ solver.offset)
+        deficit = np.linalg.solve(np.eye(solver.n_seg) - wt @ solver.gain,
+                                  solver.weights @ (1.0 - trans))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"bed bulk coupling system is singular: {exc}") from None
-    y = solver.offset + solver.gain @ means
+    y = 1.0 - solver.gain @ deficit
     if not np.all(np.isfinite(y)):
         raise SolverError("bed bulk coupling solve is not finite")
     y_out = solver.solve(trans * y)

@@ -8,7 +8,6 @@ import numpy as np
 
 from .analysis import conversion, conversion_by_gas_a
 from .core import ModelKind, ModelParams, PelletState, SolverError, SpatialGrid
-from .kernels import SeriesControl
 from .steppers import DEFAULT_DECREMENT_CAP, StepStatus, make_stepper
 
 
@@ -64,10 +63,9 @@ def sample_schedule(theta_end: float, samples: int,
 
 def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
            samples: int = 201, snapshot_thetas: tuple[float, ...] = (),
-           decrement_cap: float = DEFAULT_DECREMENT_CAP,
-           series: SeriesControl | None = None) -> RunResult:
+           decrement_cap: float = DEFAULT_DECREMENT_CAP) -> RunResult:
     """March the incremental analytical solver and record X(theta)."""
-    stepper = make_stepper(params, grid, series, decrement_cap)
+    stepper = make_stepper(params, grid, decrement_cap)
     schedule = sample_schedule(theta_end, samples, snapshot_thetas)
     snap_set = {round(float(t), 12) for t in snapshot_thetas}
     state = stepper.initial_state()

@@ -7,7 +7,8 @@ module evaluates the resulting closed forms:
 
 * first-stage profiles, quasi-steady and with the unsteady eigen-series,
   and the filmed sphere that the packed bed's pellets use as well,
-* per-step gas exposure integrals (time integral of a over an increment),
+* the exposure integral of a given profile over an increment (the time
+  integral of a), from the modes an unsteady profile keeps,
 * the second-stage (receding reaction front) piecewise profiles, and
 * the front-position relation theta(y_m) with its bisection inverse.
 
@@ -155,20 +156,15 @@ def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
     return out if out.ndim else float(out)
 
 
-def _steady_profile(M, y, geometry: PelletGeometry, sherwood: float | None, delta):
-    """Quasi-steady a(y): the plain shape for a Dirichlet surface (sherwood None),
-    else the filmed sphere."""
-    if sherwood is None:
-        return shape_ratio(geometry, M, y)
-    if not geometry.is_sphere:
-        raise SolverError("film resistance profile is tabulated for spheres only")
-    return filmed_sphere_ratio(M, y, sherwood, delta)
-
-
 def profile_qss(M, grid: SpatialGrid, geometry: PelletGeometry,
                 sherwood: float | None = None, delta=1.0) -> GasProfile:
-    """Quasi-steady gas profile for per-node (or scalar) modulus M."""
-    return GasProfile(values=_steady_profile(M, grid.y, geometry, sherwood, delta))
+    """Quasi-steady gas profile for per-node (or scalar) modulus M: the plain
+    shape for a Dirichlet surface (sherwood None), else the filmed sphere."""
+    if sherwood is None:
+        return GasProfile(values=shape_ratio(geometry, M, grid.y))
+    if not geometry.is_sphere:
+        raise SolverError("film resistance profile is tabulated for spheres only")
+    return GasProfile(values=filmed_sphere_ratio(M, grid.y, sherwood, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +234,17 @@ def _series_terms(M, scale, t: float, y, geometry: PelletGeometry, n_terms: int)
     return basis[:n_live] / denom, denom / scale
 
 
+@dataclass(frozen=True)
+class _Transient:
+    """The modes of an unsteady profile at time theta: a = steady + series."""
+
+    steady: np.ndarray
+    coef: np.ndarray
+    omega: np.ndarray
+    theta: float
+    ctl: SeriesControl
+
+
 def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
                      geometry: PelletGeometry, ctl: SeriesControl = SeriesControl()) -> GasProfile:
     """First-stage gas profile with the accumulation transient.
@@ -246,17 +253,19 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
     be an array for node-dependent diffusivity scaling.  The profile tends
     to the quasi-steady one as the exponentials decay; at theta = 0 it is
     identically zero in the open interior (surface node pinned to 1).
+    Unless every mode has decayed, the profile keeps its modes for
+    `exposure_increment`.
     """
     if theta < 0.0:
         raise SolverError("theta must be nonnegative")
     scale = _positive_scale(psi_phi_sq)
     steady = shape_ratio(geometry, M, grid.y)
     coef, omega = _series_terms(M, scale, theta, grid.y, geometry, ctl.max_terms)
-    warning = None
     if float(np.min(omega[0]) * theta) >= _DEAD:
         # every mode has decayed below double precision
-        values = steady.copy()
-    elif float(np.min(omega[-1]) * theta) >= _DEAD:
+        return GasProfile(values=steady)
+    warning = None
+    if float(np.min(omega[-1]) * theta) >= _DEAD:
         # the retained modes resolve the transient; the truncated tail is dead
         values = steady + _smoothed_sum(coef * np.exp(-omega * theta))
     else:
@@ -270,39 +279,31 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
         if tail > ctl.term_tol and theta > 0.0:
             warning = f"series tail {tail:.2e} above tol after {ctl.max_terms} terms"
     values[-1] = steady[-1]  # Dirichlet surface holds for all theta > 0
-    return GasProfile(values=np.asarray(values, dtype=float), warning=warning)
+    return GasProfile(values=values, warning=warning,
+                      _transient=_Transient(steady, coef, omega, theta, ctl))
 
 
-def exposure_increment(M, theta0: float, theta1: float, psi_phi_sq, grid: SpatialGrid,
-                       geometry: PelletGeometry, sherwood: float | None = None, delta=1.0,
-                       ctl: SeriesControl = SeriesControl()):
-    """Per-node integral of a(y, theta) over [theta0, theta1].
+def exposure_increment(profile: GasProfile, dtheta: float):
+    """Per-node integral of the profile's a(y, theta) over [theta, theta + dtheta].
 
-    Quasi-steady mode (psi_phi_sq=None): a is constant over the increment,
-    so the integral is a * dtheta.  Unsteady mode adds the analytically
-    integrated transient; its terms carry an extra 1/omega_k and converge
-    absolutely.
+    A profile without a transient (quasi-steady, or every mode decayed) is
+    constant over the increment, so the integral is a * dtheta.  An
+    unsteady one adds its analytically integrated modes; their terms carry
+    an extra 1/omega_k and converge absolutely.
     """
-    if theta0 < 0.0:
-        raise SolverError("theta0 must be nonnegative")
-    if theta1 < theta0:
-        raise SolverError("theta1 must not precede theta0")
-    dtheta = theta1 - theta0
-    steady = _steady_profile(M, grid.y, geometry, sherwood, delta)
-    if psi_phi_sq is None:
-        return steady * dtheta, None
-    scale = _positive_scale(psi_phi_sq)
-    coef, omega = _series_terms(M, scale, theta0, grid.y, geometry, ctl.max_terms)
-    if float(np.min(omega[0]) * theta0) >= _DEAD:
-        return steady * dtheta, None
+    if dtheta < 0.0:
+        raise SolverError("dtheta must be nonnegative")
+    tr = profile._transient
+    if tr is None:
+        return profile.values * dtheta, None
     # exp(-w t0) - exp(-w t1) = -exp(-w t0) * expm1(-w dtheta)
-    terms = coef * (-np.exp(-omega * theta0) * np.expm1(-omega * dtheta) / omega)
+    terms = tr.coef * (-np.exp(-tr.omega * tr.theta) * np.expm1(-tr.omega * dtheta) / tr.omega)
     warning = None
     tail = float(np.max(np.abs(terms[-1])))
-    if tail > ctl.term_tol * max(dtheta, 1e-300):
-        warning = f"exposure series tail {tail:.2e} after {ctl.max_terms} terms"
-    out = steady * dtheta + _smoothed_sum(terms)
-    out[-1] = steady[-1] * dtheta  # series vanishes at the surface
+    if tail > tr.ctl.term_tol * max(dtheta, 1e-300):
+        warning = f"exposure series tail {tail:.2e} after {tr.ctl.max_terms} terms"
+    out = tr.steady * dtheta + _smoothed_sum(terms)
+    out[-1] = tr.steady[-1] * dtheta  # series vanishes at the surface
     return out, warning
 
 
@@ -385,8 +386,6 @@ class TwoZoneProfile:
 
     values: np.ndarray
     a_m: float
-    y_m: float
-    warning: str | None = None
 
 
 def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
@@ -425,4 +424,4 @@ def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
         flux_inner = a_m * t
     if abs(flux_outer - flux_inner) > 1e-8 * max(1.0, abs(flux_outer)):
         raise SolverError("second-stage flux mismatch at the front")
-    return TwoZoneProfile(values=np.asarray(values, dtype=float), a_m=a_m, y_m=y_m)
+    return TwoZoneProfile(values=np.asarray(values, dtype=float), a_m=a_m)

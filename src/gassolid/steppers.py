@@ -48,7 +48,6 @@ from .core import (
     Stage,
 )
 from .kernels import (
-    SeriesControl,
     exposure_increment,
     front_time,
     profile_qss,
@@ -149,12 +148,10 @@ class _PelletStepper:
     two_stage = False
 
     def __init__(self, params: ModelParams, grid: SpatialGrid,
-                 series: SeriesControl | None = None,
                  decrement_cap: float = DEFAULT_DECREMENT_CAP):
         self.params = params
         self.grid = grid
         self.geometry = params.pellet
-        self.series = series if series is not None else SeriesControl()
         if not decrement_cap > 0.0:
             raise SolverError("decrement cap must be positive")
         self.cap = decrement_cap
@@ -195,11 +192,13 @@ class _PelletStepper:
             two = second_stage_profiles(state.y_m, m_eff, self.grid, self.geometry,
                                         self.params.sherwood)
             return GasProfile(values=two.values)
+        return self._first_stage_profile(M, delta, state.theta)
+
+    def _first_stage_profile(self, M, delta, theta: float) -> GasProfile:
         if self.params.quasi_steady:
             return profile_qss(M, self.grid, self.geometry, self.params.sherwood,
                                1.0 if delta is None else delta)
-        return profile_unsteady(M, state.theta, self.transient_scale(delta),
-                                self.grid, self.geometry, self.series)
+        return profile_unsteady(M, theta, self.transient_scale(delta), self.grid, self.geometry)
 
     def step(self, state: PelletState, dtheta: float):
         """Advance by dtheta (internally subdivided); returns (state, profile, report)."""
@@ -209,8 +208,6 @@ class _PelletStepper:
         status = StepStatus.OK
         max_dec = 0.0
         switched = False
-        if dtheta == 0.0:
-            return s, self.current_profile(s), StepReport(s.theta, 0.0, False, status)
         remaining = dtheta
         floor = 1e-14 * max(1.0, dtheta)
         profile = None
@@ -232,14 +229,9 @@ class _PelletStepper:
     def _first_stage_substep(self, s: PelletState, remaining: float):
         M, delta, plugged = self.modulus(s.solid, s.exposure)
         status = StepStatus.PORE_PLUGGED if plugged else StepStatus.OK
-        if self.params.quasi_steady:
-            prof = profile_qss(M, self.grid, self.geometry, self.params.sherwood,
-                               1.0 if delta is None else delta)
-        else:
-            prof = profile_unsteady(M, s.theta, self.transient_scale(delta),
-                                    self.grid, self.geometry, self.series)
-            if prof.warning:
-                status = _worse(status, StepStatus.SERIES_WARNING)
+        prof = self._first_stage_profile(M, delta, s.theta)
+        if prof.warning:
+            status = _worse(status, StepStatus.SERIES_WARNING)
         rate = self.solid_rate(s.solid, s.exposure, prof.values)
         rmax = float(np.max(rate))
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
@@ -251,11 +243,8 @@ class _PelletStepper:
                 if dt_star <= dt:
                     dt = max(dt_star, 0.0)
                     switching = True
-        scale = None if self.params.quasi_steady else self.transient_scale(delta)
         for attempt in range(60):
-            dg, warn = exposure_increment(M, s.theta, s.theta + dt, scale, self.grid,
-                                          self.geometry, self.params.sherwood,
-                                          1.0 if delta is None else delta, self.series)
+            dg, warn = exposure_increment(prof, dt)
             solid_new, expo_new = self.advance(s.solid, s.exposure, dg)
             dec = float(np.max(s.solid - solid_new))
             if switching or dec <= 2.0 * self.cap:
@@ -275,7 +264,7 @@ class _PelletStepper:
             s.stage = Stage.SECOND
             s.theta_c = s.theta
             s.y_m = 1.0
-        return dt, GasProfile(values=prof.values, warning=prof.warning), dec, switching, status
+        return dt, prof, dec, switching, status
 
     def _front_modulus(self, M: np.ndarray, s: PelletState) -> float:
         """Volume-mean effective modulus of the unexhausted inner zone.
@@ -621,7 +610,6 @@ _STEPPERS = {
 
 
 def make_stepper(params: ModelParams, grid: SpatialGrid,
-                 series: SeriesControl | None = None,
                  decrement_cap: float = DEFAULT_DECREMENT_CAP) -> _PelletStepper:
-    return _STEPPERS[params.kind](params, grid, series, decrement_cap)
+    return _STEPPERS[params.kind](params, grid, decrement_cap)
 

@@ -250,6 +250,16 @@ def test_coupling_solve_is_the_fixed_point(log_pe, beta, n_segments, trans):
         assert np.max(np.abs(picard - y)) <= 5e-11
 
 
+@pytest.mark.parametrize("n_segments", [1, 64])
+def test_coupling_solve_exact_for_converted_bed(n_segments):
+    # trans = 1 makes the bulk map a very weak contraction at low Pe and high
+    # beta; the exact fixed point is Y = 1 everywhere
+    bed = BedParams(peclet=0.01, beta=1e5, phi=1.0, biot_m=1.0)
+    solver = bed_module.SegmentedBulkSolver(bed, _ETA_257, n_segments)
+    y = bed_module._self_consistent_bulk(solver, np.ones(257))
+    assert np.max(np.abs(y - 1.0)) <= 1e-15
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_coupling_solve_rejects_nonfinite_transmission(bad):
     solver = bed_module.SegmentedBulkSolver(FIG9, _ETA_257, 16)

@@ -238,21 +238,19 @@ def test_unsteady_requires_positive_scale(grid):
     with pytest.raises(SolverError):
         profile_unsteady(1.0, 0.1, 0.0, grid, SPHERE)
     with pytest.raises(SolverError):
+        profile_unsteady(1.0, 0.1, -0.5, grid, SLAB)
+    with pytest.raises(SolverError):
+        profile_unsteady(1.0, 0.1, np.full(grid.n, -0.5), grid, SPHERE)
+    with pytest.raises(SolverError):
         profile_unsteady(1.0, -0.1, 0.1, grid, SPHERE)
 
 
 def test_exposure_increment_validates_inputs(grid):
-    with pytest.raises(SolverError):
-        exposure_increment(1.0, 0.0, 0.1, 0.0, grid, SPHERE)
-    with pytest.raises(SolverError):
-        exposure_increment(1.0, 0.1, 0.2, -0.5, grid, SLAB)
-    with pytest.raises(SolverError):
-        exposure_increment(1.0, 0.1, 0.2, np.full(grid.n, -0.5), grid, SPHERE)
-    with pytest.raises(SolverError):
-        exposure_increment(1.0, -0.1, 0.2, 0.1, grid, SPHERE)
-    for scale in (0.1, None):
+    for prof in (profile_unsteady(1.0, 0.1, 0.1, grid, SPHERE),
+                 profile_unsteady(1.0, 50.0, 0.1, grid, SPHERE),
+                 profile_qss(1.0, grid, SPHERE)):
         with pytest.raises(SolverError):
-            exposure_increment(1.0, 0.2, 0.1, scale, grid, SPHERE)
+            exposure_increment(prof, -0.1)
 
 
 @pytest.mark.parametrize("geom", [SLAB, SPHERE])
@@ -313,9 +311,9 @@ def _full_profile(M, theta, scale, grid, geom, ctl):
     return values, warning
 
 
-def _full_exposure(M, theta0, theta1, scale, grid, geom, ctl):
-    """exposure_increment summed over all max_terms modes (Dirichlet surface)."""
-    dtheta = theta1 - theta0
+def _full_exposure(M, theta0, dtheta, scale, grid, geom, ctl):
+    """exposure_increment over [theta0, theta0 + dtheta], summed over all
+    max_terms modes (Dirichlet surface)."""
     steady = shape_ratio(geom, M, grid.y)
     coef, omega = _full_series(M, scale, grid.y, geom, ctl.max_terms)
     if np.min(omega[0]) * theta0 >= 36.0:
@@ -344,16 +342,18 @@ def test_live_mode_cut_matches_full_series(M, scale, theta, dtheta, sphere, n_te
     want, want_warn = _full_profile(M, theta, scale, grid, geom, ctl)
     assert np.max(np.abs(prof.values - want)) <= 1e-14
     assert (prof.warning is None) == (want_warn is None)
-    dg, warn = exposure_increment(M, theta, theta + dtheta, scale, grid, geom, ctl=ctl)
-    want, want_warn = _full_exposure(M, theta, theta + dtheta, scale, grid, geom, ctl)
+    dg, warn = exposure_increment(prof, dtheta)
+    want, want_warn = _full_exposure(M, theta, dtheta, scale, grid, geom, ctl)
     assert np.max(np.abs(dg - want)) <= 1e-14
     assert (warn is None) == (want_warn is None)
 
 
 def test_exposure_increment_quasi_steady_is_a_dtheta(grid):
-    dg, warn = exposure_increment(1.5, 0.3, 0.45, None, grid, SPHERE)
-    assert warn is None
-    assert np.allclose(dg, profile_qss(1.5, grid, SPHERE).values * 0.15, atol=1e-15)
+    for prof in (profile_qss(1.5, grid, SPHERE), profile_qss(1.5, grid, SPHERE, 4.0, 0.5),
+                 profile_unsteady(1.5, 50.0, 0.1, grid, SPHERE)):
+        dg, warn = exposure_increment(prof, 0.15)
+        assert warn is None
+        assert np.array_equal(dg, prof.values * 0.15)
 
 
 def test_exposure_increment_matches_quadrature(grid):
@@ -364,7 +364,7 @@ def test_exposure_increment_matches_quadrature(grid):
         prof = np.array([profile_unsteady(m, t, scale, grid, SPHERE).values for t in ts])
         prof[:, -1] = 1.0
         quad = np.trapezoid(prof, ts, axis=0)
-        dg, _ = exposure_increment(m, t0, t1, scale, grid, SPHERE)
+        dg, _ = exposure_increment(profile_unsteady(m, t0, scale, grid, SPHERE), t1 - t0)
         assert np.max(np.abs(dg - quad)) <= tol
 
 

@@ -12,6 +12,7 @@ from gassolid import (
     StepStatus,
     build_model,
     conversion,
+    kernels,
     make_stepper,
     run_qm,
     steppers,
@@ -622,7 +623,7 @@ def test_invert_finishes_by_bisection():
     assert np.all(np.abs(x - _bisection(fn, target, lo, hi)) <= 1e-14)
 
 
-# --- invariants over random quasi-steady parameters -----------------------------
+# --- invariants over random parameters -----------------------------------------
 
 _MODULUS = st.floats(0.01, 10.0)
 
@@ -658,8 +659,35 @@ def _quasi_steady_models(draw):
     return build_model(raw), draw(st.floats(0.2, 3.0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_quasi_steady_models())
+@st.composite
+def _unsteady_models(draw):
+    """A valid unsteady parameter set (psi > 0) of any kind that has one: no
+    film, and beta 0 and Z 1 for random pore."""
+    kinds = sorted((k for k in steppers._STEPPERS if k.value != "simultaneous"),
+                   key=lambda k: k.value)
+    kind = draw(st.sampled_from(kinds))
+    raw = {"kind": kind.value, "psi": draw(st.floats(0.01, 0.2))}
+    if kind.value in ("volume_first_order", "volume_half_order"):
+        raw.update(phi_v=draw(_MODULUS), F_p=draw(st.sampled_from([1, 3])))
+    elif kind.value == "grain_simple":
+        raw.update(sigma=draw(_MODULUS), F_p=draw(st.sampled_from([1, 3])),
+                   F_g=draw(st.sampled_from([1, 2, 3])))
+    elif kind.value == "grain_product_layer":
+        raw.update(sigma=draw(_MODULUS), sigma_g_sq=draw(st.floats(0.0, 1.0)))
+    elif kind.value == "grain_modified":
+        raw.update(sigma=draw(_MODULUS), sigma_g_sq=draw(st.floats(0.0, 1.0)),
+                   Z_v=draw(st.floats(0.6, 2.0)), eps0=draw(st.floats(0.2, 0.8)))
+    elif kind.value == "random_pore":
+        raw.update(phi_r=draw(_MODULUS), psi_cap=draw(st.floats(0.0, 5.0)),
+                   beta=0.0, z=1.0, eps0=draw(st.floats(0.2, 0.8)))
+    else:
+        raw.update(sigma_n=draw(_MODULUS), n=draw(st.sampled_from([1, 3])))
+    return build_model(raw), draw(st.floats(0.2, 3.0))
+
+
+# about 60 draws of each
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_quasi_steady_models(), _unsteady_models()))
 def test_conversion_bounded_and_nondecreasing(case):
     params, theta_end = case
     res = run_qm(params, SpatialGrid(101), theta_end, samples=11)
@@ -667,3 +695,24 @@ def test_conversion_bounded_and_nondecreasing(case):
         if x is not None:
             assert np.all((0.0 <= x) & (x <= 1.0))
             assert np.all(np.diff(x) >= 0.0)
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "volume_first_order", "phi_v": 2.0, "F_p": 1, "psi": 0.05},
+    {"kind": "grain_simple", "sigma": 1.5, "F_g": 2, "psi": 0.05},
+])
+def test_unsteady_substep_builds_series_once(monkeypatch, grid, raw):
+    calls = {"series": 0, "substeps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "_series_terms", counted("series", kernels._series_terms))
+    monkeypatch.setattr(steppers._PelletStepper, "_first_stage_substep",
+                        counted("substeps", steppers._PelletStepper._first_stage_substep))
+    run_qm(build_model(raw), grid, 3.0, samples=31)
+    assert calls["substeps"] > 0
+    assert calls["series"] == calls["substeps"]
