@@ -15,8 +15,6 @@ from .analysis import (
     compare_runs,
     conversion,
     conversion_by_gas_a,
-    cumulative_bulk_concentration,
-    selectivity,
 )
 from .bed import (
     BedParams,

@@ -1,4 +1,4 @@
-"""Conversion, selectivity, cumulative quantities and run comparison."""
+"""Conversion quadrature and run comparison."""
 
 from __future__ import annotations
 
@@ -48,33 +48,6 @@ def conversion_by_gas_a(state: PelletState, params: ModelParams) -> float:
         raise SolverError("state carries no b_A field")
     unreacted = radial_average(state.solid_aux, params.pellet.shape_factor)
     return float(min(max(1.0 - unreacted, 0.0), 1.0))
-
-
-def selectivity(x: float, x_a: float) -> float | None:
-    """Overall selectivity S0 = X_A / (X - X_A); None when undefined (X == X_A)."""
-    if not 0.0 <= x_a <= x <= 1.0:
-        raise SolverError(f"need 0 <= X_A <= X <= 1, got X={x}, X_A={x_a}")
-    if x_a == 0.0:
-        return 0.0
-    if x == x_a:
-        return None
-    return x_a / (x - x_a)
-
-
-def cumulative_bulk_concentration(tau: np.ndarray, y_series: np.ndarray) -> np.ndarray:
-    """Trapezoidal running integral of Y over tau, per position.
-
-    ``y_series`` has shape (n_tau, n_eta); tau must increase from 0.
-    """
-    tau = np.asarray(tau, dtype=float)
-    y_series = np.asarray(y_series, dtype=float)
-    if tau.ndim != 1 or tau[0] != 0.0 or np.any(np.diff(tau) <= 0.0):
-        raise SolverError("tau samples must increase strictly from 0")
-    out = np.zeros_like(y_series)
-    dt = np.diff(tau)
-    increments = 0.5 * dt[:, None] * (y_series[1:] + y_series[:-1])
-    out[1:] = np.cumsum(increments, axis=0)
-    return out
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ surface concentration varies along the bed, the closed-form bulk solution
 is applied piecewise: the bed is partitioned into segments with constant
 surface concentration and the two-exponential solution is joined with
 continuous value and slope.  That bulk solution is affine in the segment
-means of the surface field, Y = y0 + G m, so each time step finds the
-self-consistent bulk field with one n_segments x n_segments linear solve.
+means m of the surface field, Y = 1 - G (1 - m), so each time step finds
+the self-consistent bulk field with one n_segments x n_segments linear
+solve.
 """
 
 from __future__ import annotations
@@ -71,26 +72,23 @@ class SegmentedBulkSolver:
     ``n_segments`` equal segments; within each segment Y is the exact
     two-exponential solution and the pieces are joined with continuous
     value and slope.  The joint system depends only on the bed
-    parameters, so its LU factorization is built once and reused.
+    parameters, so it is solved once, for the unit-deficit column of each
+    segment; ``solve`` applies the resulting affine map.
     """
 
     def __init__(self, bed: BedParams, eta: np.ndarray, n_segments: int = 64):
-        from scipy.linalg import lu_factor, lu_solve
-
-        self._lu_solve = lu_solve
-        self.bed = bed
         self.eta = np.asarray(eta, dtype=float)
         if self.eta.ndim != 1 or self.eta.size < 2:
             raise SolverError("eta must be a 1-d grid with at least 2 nodes")
         self.n_seg = max(1, int(n_segments))
         lam = bed.bed_length
-        self.edges = np.linspace(0.0, lam, self.n_seg + 1)
-        self.r1, self.r2 = characteristic_roots(bed.peclet, bed.beta)
+        edges = np.linspace(0.0, lam, self.n_seg + 1)
+        r1, r2 = characteristic_roots(bed.peclet, bed.beta)
 
         # trapezoidal segment-mean weights: means = weights @ a_surface
         self.weights = np.zeros((self.n_seg, self.eta.size))
         for j in range(self.n_seg):
-            mask = (self.eta >= self.edges[j] - 1e-12) & (self.eta <= self.edges[j + 1] + 1e-12)
+            mask = (self.eta >= edges[j] - 1e-12) & (self.eta <= edges[j + 1] + 1e-12)
             idx = np.nonzero(mask)[0]
             if idx.size == 0:
                 raise SolverError("axial grid too coarse for the requested segment count")
@@ -104,12 +102,11 @@ class SegmentedBulkSolver:
                 w[1:] += 0.5 * d
                 self.weights[j, idx] = w / (sub[-1] - sub[0])
 
-        r1, r2 = self.r1, self.r2
         n_unknown = 2 * self.n_seg
         mat = np.zeros((n_unknown, n_unknown))
 
         def basis(j, x):
-            return math.exp(r1 * (x - self.edges[j + 1])), math.exp(r2 * (x - self.edges[j]))
+            return math.exp(r1 * (x - edges[j + 1])), math.exp(r2 * (x - edges[j]))
 
         row = 0
         e1, e2 = basis(0, 0.0)  # Danckwerts inlet: Y(0) - Y'(0)/Pe = 1
@@ -117,7 +114,7 @@ class SegmentedBulkSolver:
         mat[row, 1] = e2 * (1.0 - r2 / bed.peclet)
         row += 1
         for j in range(self.n_seg - 1):
-            xj = self.edges[j + 1]
+            xj = edges[j + 1]
             e1l, e2l = basis(j, xj)
             e1r, e2r = basis(j + 1, xj)
             mat[row, 2 * j] = e1l
@@ -133,44 +130,31 @@ class SegmentedBulkSolver:
         e1, e2 = basis(self.n_seg - 1, lam)  # outlet: Y'(L) = 0
         mat[row, 2 * self.n_seg - 2] = r1 * e1
         mat[row, 2 * self.n_seg - 1] = r2 * e2
-        try:
-            self._factored = lu_factor(mat)
-        except ValueError as exc:
-            raise SolverError(f"bulk profile system is singular: {exc}") from None
 
-        self.seg_idx = np.minimum((self.eta / lam * self.n_seg).astype(int), self.n_seg - 1)
-        self.e1_nodes = np.exp(r1 * (self.eta - self.edges[self.seg_idx + 1]))
-        self.e2_nodes = np.exp(r2 * (self.eta - self.edges[self.seg_idx]))
-
-        # solve is affine in the segment means and solve(1) == 1, so
-        # solve(s) == 1 - gain @ (1 - weights @ s).  Column k of the right
-        # side is the jump pattern of a unit mean in segment k.
+        # Y is affine in the segment means m and equals 1 when m = 1, so
+        # Y = 1 - gain @ (1 - m).  Column k of the right side is the jump
+        # pattern of a unit deficit in segment k.
         cols = np.zeros((n_unknown, self.n_seg))
         cols[0, 0] = -1.0
         k = np.arange(self.n_seg - 1)
         cols[1 + 2 * k, 1 + k] = 1.0
         cols[1 + 2 * k, k] = -1.0
-        coef = lu_solve(self._factored, cols)
-        self.gain = (coef[2 * self.seg_idx] * self.e1_nodes[:, None]
-                     + coef[2 * self.seg_idx + 1] * self.e2_nodes[:, None]
-                     + np.eye(self.n_seg)[self.seg_idx])
+        try:
+            coef = np.linalg.solve(mat, cols)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"bulk profile system is singular: {exc}") from None
+        seg_idx = np.minimum((self.eta / lam * self.n_seg).astype(int), self.n_seg - 1)
+        e1_nodes = np.exp(r1 * (self.eta - edges[seg_idx + 1]))
+        e2_nodes = np.exp(r2 * (self.eta - edges[seg_idx]))
+        self.gain = (coef[2 * seg_idx] * e1_nodes[:, None]
+                     + coef[2 * seg_idx + 1] * e2_nodes[:, None]
+                     + np.eye(self.n_seg)[seg_idx])
 
     def solve(self, a_surface: np.ndarray) -> np.ndarray:
         s = np.asarray(a_surface, dtype=float)
         if s.shape != self.eta.shape:
             raise SolverError("a_surface must match the eta grid")
-        means = self.weights @ s
-        rhs = np.zeros(2 * self.n_seg)
-        rhs[0] = 1.0 - means[0]
-        if self.n_seg > 1:
-            jumps = means[1:] - means[:-1]
-            rhs[1:-1:2] = jumps
-        coef = self._lu_solve(self._factored, rhs)
-        return (
-            means[self.seg_idx]
-            + coef[2 * self.seg_idx] * self.e1_nodes
-            + coef[2 * self.seg_idx + 1] * self.e2_nodes
-        )
+        return 1.0 - self.gain @ (1.0 - self.weights @ s)
 
 
 def bed_bulk_profile(bed: BedParams, a_surface: np.ndarray, eta: np.ndarray,
@@ -219,7 +203,7 @@ def _self_consistent_bulk(solver: SegmentedBulkSolver, trans: np.ndarray,
     d solves (I - W diag(trans) G) d = W (1 - trans) exactly.  Solving for
     the deficit rather than the means keeps Y = 1 exact where trans = 1 even
     when the map is a very weak contraction.  One ``solver.solve`` of the
-    result checks it against the fixed-point map.
+    result checks the residual of that solve against the fixed-point map.
     """
     wt = solver.weights * trans
     try:

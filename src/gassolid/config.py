@@ -12,8 +12,11 @@ Example::
     grid.samples = 201
     output.snapshots = 1.0, 3.0
 
-Unknown keys, malformed lines and invalid values raise
-:class:`~gassolid.core.ConfigError` carrying the line number.
+Every grid, output and bed key is listed once, in ``_KEYS``, with the
+field it sets and its parser; ``model.*`` keys go to
+:func:`~gassolid.core.build_model`.  Malformed lines raise
+:class:`~gassolid.core.ConfigError` carrying the line number; unknown keys
+and invalid values raise it naming the key.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 
 from .bed import BedParams
-from .core import ConfigError, ModelParams, build_model
+from .core import ConfigError, ModelParams, _as_float, build_model
 
 
 class RunMode(Enum):
@@ -41,11 +44,6 @@ _MODE_ALIASES = {
     "fd": RunMode.FD_ONLY,
     "compare": RunMode.COMPARE,
 }
-
-_GRID_KEYS = {"n", "theta_end", "samples", "decrement_cap"}
-_BED_KEYS = {"peclet", "beta", "phi", "biot_m", "bed_length", "dtau", "tau_end",
-             "n_eta", "n_radial", "n_segments", "samples"}
-_OUTPUT_KEYS = {"directory", "snapshots", "conversion_csv", "profiles_csv"}
 
 
 @dataclass
@@ -98,13 +96,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return entries
 
 
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {value!r}") from None
-
-
 def _to_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -121,86 +112,60 @@ def _to_bool(key: str, value: str) -> bool:
     raise ConfigError(f"key '{key}': expected a boolean, got {value!r}")
 
 
+def _to_floats(key: str, value: str) -> tuple[float, ...]:
+    return tuple(_as_float(key, p) for p in value.replace(",", " ").split())
+
+
+_BED_REQUIRED = ("peclet", "beta", "phi", "biot_m")
+_BED_GROUPS = _BED_REQUIRED + ("bed_length",)
+
+# Every grid, output and bed key: (field, parser).  The bed's physical
+# groups are BedParams fields; every other field is RunConfig's.
+_KEYS = {
+    "grid.n": ("grid_n", _to_int),
+    "grid.theta_end": ("theta_end", _as_float),
+    "grid.samples": ("samples", _to_int),
+    "grid.decrement_cap": ("decrement_cap", _as_float),
+    "output.directory": ("out_dir", lambda key, value: value),
+    "output.snapshots": ("snapshots", _to_floats),
+    "output.conversion_csv": ("write_conversion", _to_bool),
+    "output.profiles_csv": ("write_profiles", _to_bool),
+    **{f"bed.{group}": (group, _as_float) for group in _BED_GROUPS},
+    "bed.dtau": ("bed_dtau", _as_float),
+    "bed.tau_end": ("bed_tau_end", _as_float),
+    "bed.n_eta": ("bed_n_eta", _to_int),
+    "bed.n_radial": ("bed_n_radial", _to_int),
+    "bed.n_segments": ("bed_n_segments", _to_int),
+    "bed.samples": ("bed_samples", _to_int),
+}
+
+
 def config_from_entries(entries: dict[str, str]) -> RunConfig:
     model_raw: dict[str, str] = {}
-    grid: dict[str, str] = {}
-    bed_raw: dict[str, str] = {}
-    output: dict[str, str] = {}
-    mode = RunMode.QM_ONLY
-
+    kwargs: dict = {}
+    groups: dict[str, float] = {}
     for key, value in entries.items():
         if key == "mode":
             low = value.strip().lower()
             if low not in _MODE_ALIASES:
                 raise ConfigError(f"key 'mode': unknown mode {value!r}")
-            mode = _MODE_ALIASES[low]
+            kwargs["mode"] = _MODE_ALIASES[low]
         elif key.startswith("model."):
             model_raw[key[len("model."):]] = value
-        elif key.startswith("grid."):
-            sub = key[len("grid."):]
-            if sub not in _GRID_KEYS:
-                raise ConfigError(f"unknown key 'grid.{sub}'")
-            grid[sub] = value
-        elif key.startswith("bed."):
-            sub = key[len("bed."):]
-            if sub not in _BED_KEYS:
-                raise ConfigError(f"unknown key 'bed.{sub}'")
-            bed_raw[sub] = value
-        elif key.startswith("output."):
-            sub = key[len("output."):]
-            if sub not in _OUTPUT_KEYS:
-                raise ConfigError(f"unknown key 'output.{sub}'")
-            output[sub] = value
+        elif key in _KEYS:
+            name, parse = _KEYS[key]
+            (groups if name in _BED_GROUPS else kwargs)[name] = parse(key, value)
         else:
             raise ConfigError(f"unknown key '{key}'")
 
     if not model_raw:
         raise ConfigError("missing model section (model.kind = ...)")
-    model = build_model(model_raw)
-
-    kwargs: dict = {"model": model, "mode": mode}
-    if "n" in grid:
-        kwargs["grid_n"] = _to_int("grid.n", grid["n"])
-    if "theta_end" in grid:
-        kwargs["theta_end"] = _to_float("grid.theta_end", grid["theta_end"])
-    if "samples" in grid:
-        kwargs["samples"] = _to_int("grid.samples", grid["samples"])
-    if "decrement_cap" in grid:
-        kwargs["decrement_cap"] = _to_float("grid.decrement_cap", grid["decrement_cap"])
-
-    if "snapshots" in output:
-        parts = [p for p in output["snapshots"].replace(",", " ").split() if p]
-        kwargs["snapshots"] = tuple(_to_float("output.snapshots", p) for p in parts)
-    if "directory" in output:
-        kwargs["out_dir"] = output["directory"]
-    if "conversion_csv" in output:
-        kwargs["write_conversion"] = _to_bool("output.conversion_csv", output["conversion_csv"])
-    if "profiles_csv" in output:
-        kwargs["write_profiles"] = _to_bool("output.profiles_csv", output["profiles_csv"])
-
-    if bed_raw:
-        for needed in ("peclet", "beta", "phi", "biot_m"):
-            if needed not in bed_raw:
+    kwargs["model"] = build_model(model_raw)
+    if any(key.startswith("bed.") for key in entries):
+        for needed in _BED_REQUIRED:
+            if needed not in groups:
                 raise ConfigError(f"bed section missing 'bed.{needed}'")
-        kwargs["bed"] = BedParams(
-            peclet=_to_float("bed.peclet", bed_raw["peclet"]),
-            beta=_to_float("bed.beta", bed_raw["beta"]),
-            phi=_to_float("bed.phi", bed_raw["phi"]),
-            biot_m=_to_float("bed.biot_m", bed_raw["biot_m"]),
-            bed_length=_to_float("bed.bed_length", bed_raw.get("bed_length", "1.0")),
-        )
-        if "dtau" in bed_raw:
-            kwargs["bed_dtau"] = _to_float("bed.dtau", bed_raw["dtau"])
-        if "tau_end" in bed_raw:
-            kwargs["bed_tau_end"] = _to_float("bed.tau_end", bed_raw["tau_end"])
-        if "n_eta" in bed_raw:
-            kwargs["bed_n_eta"] = _to_int("bed.n_eta", bed_raw["n_eta"])
-        if "n_radial" in bed_raw:
-            kwargs["bed_n_radial"] = _to_int("bed.n_radial", bed_raw["n_radial"])
-        if "n_segments" in bed_raw:
-            kwargs["bed_n_segments"] = _to_int("bed.n_segments", bed_raw["n_segments"])
-        if "samples" in bed_raw:
-            kwargs["bed_samples"] = _to_int("bed.samples", bed_raw["samples"])
+        kwargs["bed"] = BedParams(**groups)
 
     cfg = RunConfig(**kwargs)
     cfg.raw = dict(entries)

@@ -82,7 +82,7 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
         state, _, report = stepper.step(state, float(nxt - prev))
         if report.stage_switched:
             theta_c = state.theta_c
-        if report.status is StepStatus.SERIES_WARNING:
+        if StepStatus.SERIES_WARNING in report.status:
             series_warn_count += 1
             if series_warn_first is None:
                 series_warn_first = state.theta

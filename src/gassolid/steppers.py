@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Flag
 
 import numpy as np
 
@@ -62,19 +62,13 @@ _PLUGGED_MODULUS = 1e4  # large enough that the local profile underflows to 0
 _B_MIN = math.exp(-LN_B_CAP)
 
 
-class StepStatus(Enum):
-    OK = "ok"
-    SERIES_WARNING = "series_warning"
-    EXHAUSTED = "exhausted"
-    PORE_PLUGGED = "pore_plugged"
+class StepStatus(Flag):
+    """What happened during a step; the substeps' statuses are or-ed together."""
 
-
-_SEVERITY = {
-    StepStatus.OK: 0,
-    StepStatus.SERIES_WARNING: 1,
-    StepStatus.EXHAUSTED: 2,
-    StepStatus.PORE_PLUGGED: 3,
-}
+    OK = 0
+    SERIES_WARNING = 1
+    EXHAUSTED = 2
+    PORE_PLUGGED = 4
 
 
 @dataclass
@@ -83,10 +77,6 @@ class StepReport:
     max_solid_decrement: float
     stage_switched: bool
     status: StepStatus
-
-
-def _worse(a: StepStatus, b: StepStatus) -> StepStatus:
-    return a if _SEVERITY[a] >= _SEVERITY[b] else b
 
 
 _NEWTON_STEPS = 12  # a step capped by the decrement cap converges in about five
@@ -219,7 +209,7 @@ class _PelletStepper:
             remaining -= dt
             max_dec = max(max_dec, dec)
             switched = switched or sw
-            status = _worse(status, st)
+            status |= st
         if profile is None:
             profile = self.current_profile(s)
         return s, profile, StepReport(s.theta, max_dec, switched, status)
@@ -231,7 +221,7 @@ class _PelletStepper:
         status = StepStatus.PORE_PLUGGED if plugged else StepStatus.OK
         prof = self._first_stage_profile(M, delta, s.theta)
         if prof.warning:
-            status = _worse(status, StepStatus.SERIES_WARNING)
+            status |= StepStatus.SERIES_WARNING
         rate = self.solid_rate(s.solid, s.exposure, prof.values)
         rmax = float(np.max(rate))
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
@@ -255,7 +245,7 @@ class _PelletStepper:
                     f"dtheta {dt:.3g}, above twice the decrement cap {self.cap:g}")
             dt *= 0.5
         if warn:
-            status = _worse(status, StepStatus.SERIES_WARNING)
+            status |= StepStatus.SERIES_WARNING
         s.solid = solid_new
         s.exposure = expo_new
         s.theta += dt
@@ -296,7 +286,7 @@ class _PelletStepper:
             s.y_m = 0.0
             s.theta += remaining
             ones = GasProfile(values=np.ones(self.grid.n))
-            return remaining, ones, 0.0, False, _worse(status, StepStatus.EXHAUSTED)
+            return remaining, ones, 0.0, False, status | StepStatus.EXHAUSTED
         m_eff = self._front_modulus(M, s)
         if s.y_m >= 1.0:
             prof0 = profile_qss(m_eff, self.grid, self.geometry, sh)
@@ -315,7 +305,7 @@ class _PelletStepper:
             s.y_m = 0.0
             s.theta += dt
             ones = GasProfile(values=np.ones(self.grid.n))
-            return dt, ones, dec, False, _worse(status, StepStatus.EXHAUSTED)
+            return dt, ones, dec, False, status | StepStatus.EXHAUSTED
         two = second_stage_profiles(y_new, m_eff, self.grid, self.geometry, sh)
         dg = two.values * dt
         solid_new, expo_new = self.advance(s.solid, s.exposure, dg)

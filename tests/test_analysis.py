@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,6 @@ from gassolid import (
     compare_runs,
     conversion,
     conversion_by_gas_a,
-    cumulative_bulk_concentration,
-    selectivity,
 )
 from gassolid.analysis import ConversionSeries, radial_average, simpson_weights
 
@@ -65,43 +61,10 @@ def test_radial_average_slab_vs_sphere():
     assert radial_average(vals, 3) == pytest.approx(3.0 / 5.0, abs=1e-9)
 
 
-def test_selectivity_values():
-    assert selectivity(1.0, 0.4) == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert selectivity(0.5, 0.0) == 0.0
-    assert selectivity(0.5, 0.5) is None  # undefined, signaled not crashed
-    with pytest.raises(SolverError):
-        selectivity(0.4, 0.5)
-    with pytest.raises(SolverError):
-        selectivity(1.2, 0.1)
-
-
 def test_conversion_by_gas_a_requires_aux(grid):
     p = build_model({"kind": "volume_first_order", "phi_v": 1.0})
     with pytest.raises(SolverError):
         conversion_by_gas_a(_state_with(grid, np.ones(grid.n)), p)
-
-
-def test_cumulative_concentration():
-    tau = np.linspace(0.0, 1.0, 2001)
-    ones = np.ones((tau.size, 3))
-    out = cumulative_bulk_concentration(tau, ones)
-    assert np.allclose(out[-1], 1.0, atol=1e-12)
-    assert np.allclose(out, tau[:, None], atol=1e-12)
-    zeros = np.zeros((tau.size, 2))
-    assert np.all(cumulative_bulk_concentration(tau, zeros) == 0.0)
-    decay = np.exp(-tau)[:, None]
-    out = cumulative_bulk_concentration(tau, decay)
-    assert out[-1, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-7)
-    assert 1.0 - math.exp(-1.0) == pytest.approx(0.6321205588285577, abs=1e-15)
-    # monotone nondecreasing in tau
-    assert np.all(np.diff(out[:, 0]) >= 0.0)
-
-
-def test_cumulative_concentration_validates_tau():
-    with pytest.raises(SolverError):
-        cumulative_bulk_concentration(np.array([0.1, 0.2]), np.zeros((2, 1)))
-    with pytest.raises(SolverError):
-        cumulative_bulk_concentration(np.array([0.0, 0.0]), np.zeros((2, 1)))
 
 
 def test_compare_runs_identical_and_offset():

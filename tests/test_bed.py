@@ -109,12 +109,20 @@ def test_bulk_profile_trivial_cases():
     assert np.allclose(bed_bulk_profile_uniform(no_consumption, 0.4, eta), 1.0, atol=1e-12)
 
 
-def test_bulk_profile_segments_match_single_closed_form():
+@settings(max_examples=100, deadline=None)
+@given(
+    log_pe=st.floats(-2.0, 2.0),
+    beta=st.one_of(st.just(0.0), st.floats(-2.0, 5.0).map(lambda e: 10.0**e)),
+    n_segments=st.sampled_from([1, 4, 16, 64]),
+    a_s=st.floats(0.0, 1.0),
+)
+def test_bulk_profile_segments_match_single_closed_form(log_pe, beta, n_segments, a_s):
+    # the segmented map, solved once for its gain, over its conditioning range
+    bed = BedParams(peclet=10.0**log_pe, beta=beta, phi=1.0, biot_m=1.0)
     eta = np.linspace(0.0, 1.0, 257)
-    for a_s in (0.0, 0.35, 0.9):
-        ref = bed_bulk_profile_uniform(FIG9, a_s, eta)
-        seg = bed_bulk_profile(FIG9, np.full(257, a_s), eta, n_segments=64)
-        assert np.max(np.abs(seg - ref)) < 1e-12
+    ref = bed_bulk_profile_uniform(bed, a_s, eta)
+    seg = bed_bulk_profile(bed, np.full(257, a_s), eta, n_segments=n_segments)
+    assert np.max(np.abs(seg - ref)) <= 1e-13
 
 
 def test_bulk_profile_matches_fd_for_varying_surface():

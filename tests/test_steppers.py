@@ -301,6 +301,28 @@ def test_step_size_robustness(grid, raw):
     assert np.max(np.abs(r1.x - r2.x)) < 0.1
 
 
+
+@pytest.mark.parametrize("kw", [
+    {"sigma": 3.0, "sigma_g_sq": 0.2, "Z_v": 3.0, "eps0": 0.3, "psi": 1.0},
+    {"sigma": 0.25, "sigma_g_sq": 0.0, "Z_v": 2.0, "eps0": 0.25, "psi": 0.05},
+])
+def test_series_warning_reported_on_plugged_steps(kw):
+    # unsteady plugging pellets truncate the eigen-series on every step; a
+    # step that also plugs must still count as a series warning
+    p = build_model({"kind": "grain_modified", **kw})
+    grid = SpatialGrid(101)
+    stepper = make_stepper(p, grid)
+    state = stepper.initial_state()
+    statuses = []
+    for _ in range(10):
+        state, _, rep = stepper.step(state, 0.1)
+        statuses.append(rep.status)
+    assert all(StepStatus.SERIES_WARNING in s for s in statuses)
+    assert any(StepStatus.PORE_PLUGGED in s for s in statuses)
+    res = run_qm(p, grid, 1.0, samples=11)
+    assert res.warnings == ["eigen-series truncated before term_tol at 10 sample step(s), "
+                            "first near theta=0.1"]
+
 def test_grain_run_reaches_exhaustion(grid):
     p = build_model({"kind": "grain_simple", "sigma": 1.0, "F_g": 1, "F_p": 1})
     stepper = make_stepper(p, grid)
