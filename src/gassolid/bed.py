@@ -80,7 +80,9 @@ class SegmentedBulkSolver:
         self.eta = np.asarray(eta, dtype=float)
         if self.eta.ndim != 1 or self.eta.size < 2:
             raise SolverError("eta must be a 1-d grid with at least 2 nodes")
-        self.n_seg = max(1, int(n_segments))
+        if n_segments < 1:
+            raise SolverError(f"need at least one bulk segment, got {n_segments}")
+        self.n_seg = int(n_segments)
         lam = bed.bed_length
         edges = np.linspace(0.0, lam, self.n_seg + 1)
         r1, r2 = characteristic_roots(bed.peclet, bed.beta)
@@ -232,6 +234,8 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float,
     """
     if dtau <= 0.0 or tau_end <= 0.0:
         raise SolverError("dtau and tau_end must be positive")
+    if samples < 2:
+        raise SolverError("need at least two samples")
     if n_radial % 2 == 0:
         raise SolverError("n_radial must be odd (Simpson quadrature)")
     eta = np.linspace(0.0, bed.bed_length, n_eta)

@@ -206,53 +206,31 @@ class ModelParams:
         return 1.0 - self.psi_ab
 
 
-# Canonical config keys and their aliases (per-model symbol names welcome).
-_KEY_ALIASES = {
-    "kind": "kind",
-    "thiele": "thiele",
-    "phi_v": "thiele",
-    "sigma": "thiele",
-    "phi_r": "thiele",
-    "sigma_n": "thiele",
-    "psi": "psi",
-    "sigma_g_sq": "sigma_g_sq",
-    "sigma_g2": "sigma_g_sq",
-    "psi_cap": "psi_cap",
-    "structural_psi": "psi_cap",
-    "beta": "beta",
-    "z_ratio": "z_ratio",
-    "z": "z_ratio",
-    "z_v": "z_ratio",
-    "porosity0": "porosity0",
-    "eps0": "porosity0",
-    "sherwood": "sherwood",
-    "sh": "sherwood",
-    "solid_order": "solid_order",
-    "n": "solid_order",
-    "psi_ab": "psi_ab",
-    "thiele_a": "thiele_a",
-    "sigma_a": "thiele_a",
-    "thiele_c": "thiele_c",
-    "sigma_c": "thiele_c",
-    "pellet_shape": "pellet_shape",
-    "f_p": "pellet_shape",
-    "grain_shape": "grain_shape",
-    "f_g": "grain_shape",
-}
+# Float fields of ModelParams a config may set, under their own names.
+_FLOAT_KEYS = ("thiele", "psi", "sigma_g_sq", "psi_cap", "beta", "z_ratio", "porosity0",
+               "solid_order", "psi_ab", "thiele_a", "thiele_c")
 
-_KIND_ALIASES = {k.value: k for k in ModelKind}
-_KIND_ALIASES.update(
-    {
-        "volumefirstorder": ModelKind.VOLUME_FIRST_ORDER,
-        "volumehalforder": ModelKind.VOLUME_HALF_ORDER,
-        "grainsimple": ModelKind.GRAIN_SIMPLE,
-        "grainproductlayer": ModelKind.GRAIN_PRODUCT_LAYER,
-        "grainmodified": ModelKind.GRAIN_MODIFIED,
-        "randompore": ModelKind.RANDOM_PORE,
-        "nucleation": ModelKind.NUCLEATION,
-        "simultaneous": ModelKind.SIMULTANEOUS,
-    }
-)
+# Config key -> canonical key: every canonical key maps to itself, and the
+# per-model symbols to the canonical key they name.
+_KEY_ALIASES = {key: key for key in
+                (*_FLOAT_KEYS, "kind", "sherwood", "pellet_shape", "grain_shape")}
+_KEY_ALIASES.update({
+    "phi_v": "thiele", "sigma": "thiele", "phi_r": "thiele", "sigma_n": "thiele",
+    "sigma_g2": "sigma_g_sq",
+    "structural_psi": "psi_cap",
+    "z": "z_ratio", "z_v": "z_ratio",
+    "eps0": "porosity0",
+    "sh": "sherwood",
+    "n": "solid_order",
+    "sigma_a": "thiele_a",
+    "sigma_c": "thiele_c",
+    "f_p": "pellet_shape",
+    "f_g": "grain_shape",
+})
+
+# Each kind's value, with and without its underscores.
+_KIND_ALIASES = {spelling: k for k in ModelKind
+                 for spelling in (k.value, k.value.replace("_", ""))}
 
 
 def _as_float(key: str, value) -> float:
@@ -303,19 +281,7 @@ def build_model(raw: Mapping[str, object]) -> ModelParams:
         else:
             sh = _as_float("sherwood", sv)
             kwargs["sherwood"] = None if math.isinf(sh) else sh
-    for fname in (
-        "thiele",
-        "psi",
-        "sigma_g_sq",
-        "psi_cap",
-        "beta",
-        "z_ratio",
-        "porosity0",
-        "solid_order",
-        "psi_ab",
-        "thiele_a",
-        "thiele_c",
-    ):
+    for fname in _FLOAT_KEYS:
         if fname in canon:
             kwargs[fname] = _as_float(fname, canon.pop(fname))
 
@@ -373,7 +339,8 @@ class PelletState:
     ``solid`` holds b for the volume / random-pore / nucleation models and
     r* for the grain models.  ``exposure`` is the per-node cumulative gas
     exposure integral of a over theta (the nucleation model's conversion
-    variable).  ``solid_aux`` carries b_A for the simultaneous model.
+    variable; the simultaneous model leaves it at 0).  ``solid_aux``
+    carries b_A for the simultaneous model.
     """
 
     theta: float

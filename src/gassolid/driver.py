@@ -79,7 +79,7 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
     if snap_set and 0.0 in snap_set:
         snapshots.append(_snapshot(state, stepper, grid))
     for prev, nxt in zip(schedule[:-1], schedule[1:]):
-        state, _, report = stepper.step(state, float(nxt - prev))
+        state, report = stepper.step(state, float(nxt - prev))
         if report.stage_switched:
             theta_c = state.theta_c
         if StepStatus.SERIES_WARNING in report.status:
@@ -109,19 +109,9 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
 
 
 def _snapshot(state: PelletState, stepper, grid: SpatialGrid) -> ProfileSnapshot:
-    prof = stepper.current_profile(state)
-    if isinstance(prof, tuple):
-        return ProfileSnapshot(
-            theta=state.theta,
-            y=grid.y.copy(),
-            gas=prof[0].values.copy(),
-            gas_c=prof[1].values.copy(),
-            solid=state.solid.copy(),
-            solid_a=None if state.solid_aux is None else state.solid_aux.copy(),
-        )
-    return ProfileSnapshot(
-        theta=state.theta,
-        y=grid.y.copy(),
-        gas=prof.values.copy(),
-        solid=state.solid.copy(),
-    )
+    gas = stepper.current_profile(state)  # a fresh array, or the two-gas pair
+    gas_c = solid_a = None
+    if isinstance(gas, tuple):
+        (gas, gas_c), solid_a = gas, state.solid_aux.copy()
+    return ProfileSnapshot(theta=state.theta, y=grid.y.copy(), gas=gas,
+                           solid=state.solid.copy(), gas_c=gas_c, solid_a=solid_a)

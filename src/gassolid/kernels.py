@@ -380,18 +380,10 @@ def solve_moving_boundary(theta: float, M: float, geometry: PelletGeometry,
     return 0.5 * (lo + hi)
 
 
-@dataclass
-class TwoZoneProfile:
-    """Second-stage gas profile: reaction zone inside y_m, diffusion shell outside."""
-
-    values: np.ndarray
-    a_m: float
-
-
 def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
                           geometry: PelletGeometry,
-                          sherwood: float | None = None) -> TwoZoneProfile:
-    """Piecewise profile with value and flux continuity at the front.
+                          sherwood: float | None = None) -> np.ndarray:
+    """Second-stage gas profile a(y), with value and flux continuity at the front.
 
     The outer shell (y > y_m) carries pure diffusion: linear in y for the
     slab, A + B/y for the sphere.  The inner zone keeps the first-stage
@@ -424,4 +416,4 @@ def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
         flux_inner = a_m * t
     if abs(flux_outer - flux_inner) > 1e-8 * max(1.0, abs(flux_outer)):
         raise SolverError("second-stage flux mismatch at the front")
-    return TwoZoneProfile(values=np.asarray(values, dtype=float), a_m=a_m)
+    return values

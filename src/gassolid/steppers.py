@@ -24,8 +24,10 @@ grain family) switch to a second stage once the surface node exhausts:
 a reaction front y_m recedes behind a fully converted shell, advanced by
 inverting the tabulated theta(y_m) relation incrementally.
 
-Every model runs on the one step loop of `_PelletStepper.step`; the
-two-gas model replaces only the first-stage substep and the profile.
+Every model runs on the one step loop of `_PelletStepper.step`, which
+returns (state, report); `current_profile(state)` gives the gas profile
+of a state, as an array (a pair of arrays (A, C) for the two-gas model).
+The two-gas model replaces only the first-stage substep and the profile.
 """
 
 from __future__ import annotations
@@ -100,8 +102,6 @@ def _invert_increasing(fn, dfn, target: np.ndarray, lo: np.ndarray, hi: np.ndarr
     positive and finite at a live node means the law is not increasing
     there, and raises.
     """
-    if np.any(fn(hi) < fn(lo) - 1e-12):
-        raise SolverError("solid-update bracket is not monotone")
     x = np.clip(x0, lo, hi)
     scale, size = np.abs(x), np.abs(target)
     done = np.zeros(x.shape, dtype=bool)
@@ -175,14 +175,13 @@ class _PelletStepper:
     def initial_state(self) -> PelletState:
         return PelletState.fresh(self.grid, self.params)
 
-    def current_profile(self, state: PelletState):
+    def current_profile(self, state: PelletState) -> np.ndarray:
+        """Gas profile a(y) of the state's frozen modulus."""
         M, delta, _ = self.modulus(state.solid, state.exposure)
         if state.stage is Stage.SECOND and state.y_m is not None and 0.0 < state.y_m < 1.0:
-            m_eff = self._front_modulus(M, state)
-            two = second_stage_profiles(state.y_m, m_eff, self.grid, self.geometry,
-                                        self.params.sherwood)
-            return GasProfile(values=two.values)
-        return self._first_stage_profile(M, delta, state.theta)
+            return second_stage_profiles(state.y_m, self._front_modulus(M, state), self.grid,
+                                         self.geometry, self.params.sherwood)
+        return self._first_stage_profile(M, delta, state.theta).values
 
     def _first_stage_profile(self, M, delta, theta: float) -> GasProfile:
         if self.params.quasi_steady:
@@ -191,7 +190,7 @@ class _PelletStepper:
         return profile_unsteady(M, theta, self.transient_scale(delta), self.grid, self.geometry)
 
     def step(self, state: PelletState, dtheta: float):
-        """Advance by dtheta (internally subdivided); returns (state, profile, report)."""
+        """Advance by dtheta (internally subdivided); returns (state, report)."""
         if dtheta < 0.0:
             raise SolverError("dtheta must be nonnegative")
         s = state.copy()
@@ -200,19 +199,16 @@ class _PelletStepper:
         switched = False
         remaining = dtheta
         floor = 1e-14 * max(1.0, dtheta)
-        profile = None
         while remaining > floor:
             if s.stage is Stage.FIRST:
-                dt, profile, dec, sw, st = self._first_stage_substep(s, remaining)
+                dt, dec, sw, st = self._first_stage_substep(s, remaining)
             else:
-                dt, profile, dec, sw, st = self._second_stage_substep(s, remaining)
+                dt, dec, sw, st = self._second_stage_substep(s, remaining)
             remaining -= dt
             max_dec = max(max_dec, dec)
             switched = switched or sw
             status |= st
-        if profile is None:
-            profile = self.current_profile(s)
-        return s, profile, StepReport(s.theta, max_dec, switched, status)
+        return s, StepReport(s.theta, max_dec, switched, status)
 
     # -- substeps ----------------------------------------------------------
 
@@ -254,7 +250,7 @@ class _PelletStepper:
             s.stage = Stage.SECOND
             s.theta_c = s.theta
             s.y_m = 1.0
-        return dt, prof, dec, switching, status
+        return dt, dec, switching, status
 
     def _front_modulus(self, M: np.ndarray, s: PelletState) -> float:
         """Volume-mean effective modulus of the unexhausted inner zone.
@@ -285,15 +281,13 @@ class _PelletStepper:
             s.solid[:] = 0.0
             s.y_m = 0.0
             s.theta += remaining
-            ones = GasProfile(values=np.ones(self.grid.n))
-            return remaining, ones, 0.0, False, status | StepStatus.EXHAUSTED
+            return remaining, 0.0, False, status | StepStatus.EXHAUSTED
         m_eff = self._front_modulus(M, s)
         if s.y_m >= 1.0:
-            prof0 = profile_qss(m_eff, self.grid, self.geometry, sh)
+            a0 = profile_qss(m_eff, self.grid, self.geometry, sh).values
         else:
-            prof0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
-        rate = np.where(s.solid > SOLID_FLOOR,
-                        self.solid_rate(s.solid, s.exposure, prof0.values), 0.0)
+            a0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
+        rate = np.where(s.solid > SOLID_FLOOR, self.solid_rate(s.solid, s.exposure, a0), 0.0)
         rmax = float(np.max(rate))
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
         theta_c = s.theta_c if s.theta_c is not None else 1.0
@@ -304,10 +298,8 @@ class _PelletStepper:
             s.solid[:] = 0.0
             s.y_m = 0.0
             s.theta += dt
-            ones = GasProfile(values=np.ones(self.grid.n))
-            return dt, ones, dec, False, status | StepStatus.EXHAUSTED
-        two = second_stage_profiles(y_new, m_eff, self.grid, self.geometry, sh)
-        dg = two.values * dt
+            return dt, dec, False, status | StepStatus.EXHAUSTED
+        dg = second_stage_profiles(y_new, m_eff, self.grid, self.geometry, sh) * dt
         solid_new, expo_new = self.advance(s.solid, s.exposure, dg)
         solid_new[self.grid.y > y_new] = 0.0
         dec = float(np.max(s.solid - solid_new))
@@ -315,7 +307,7 @@ class _PelletStepper:
         s.exposure = expo_new
         s.y_m = y_new
         s.theta += dt
-        return dt, GasProfile(values=two.values), dec, False, status
+        return dt, dec, False, status
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +544,22 @@ class _Simultaneous(_PelletStepper):
     """First-order kinetics in two gases A and C sharing the solid.
 
     ``solid`` is the total b; ``solid_aux`` on the state carries b_A, the
-    solid that would remain if only gas A had reacted.  Profiles are pairs
-    (A, C), and every substep is a first-stage one.
+    solid that would remain if only gas A had reacted; ``exposure`` is not
+    used.  The profile is the pair (A, C), and every substep is a
+    first-stage one.
     """
 
-    def _profiles(self, s: PelletState):
-        if s.solid_aux is None:
+    def current_profile(self, state: PelletState):
+        if state.solid_aux is None:
             raise SolverError("simultaneous model state requires solid_aux (b_A)")
         p = self.params
-        root = np.sqrt(2.0 * p.pellet.shape_factor * s.solid)
+        root = np.sqrt(2.0 * p.pellet.shape_factor * state.solid)
         psi_a = p.psi_ab * sphere_ratio(p.thiele_a * root, self.grid.y)
         psi_c = p.psi_cb * sphere_ratio(p.thiele_c * root, self.grid.y)
         return psi_a, psi_c
 
-    def current_profile(self, state: PelletState):
-        psi_a, psi_c = self._profiles(state)
-        return GasProfile(values=psi_a), GasProfile(values=psi_c)
-
     def _first_stage_substep(self, s: PelletState, remaining: float):
-        psi_a, psi_c = self._profiles(s)
+        psi_a, psi_c = self.current_profile(s)
         total = psi_a + psi_c
         rate = total * s.solid
         rmax = float(np.max(rate))
@@ -581,10 +570,8 @@ class _Simultaneous(_PelletStepper):
         s.solid_aux = np.maximum(s.solid_aux - psi_a * s.solid * kernel, 0.0)
         dec = float(np.max(s.solid - b_new))
         s.solid = b_new
-        s.exposure = s.exposure + total * dt
         s.theta += dt
-        profiles = (GasProfile(values=psi_a), GasProfile(values=psi_c))
-        return dt, profiles, dec, False, StepStatus.OK
+        return dt, dec, False, StepStatus.OK
 
 
 _STEPPERS = {

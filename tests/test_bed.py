@@ -258,6 +258,19 @@ def test_coupling_solve_is_the_fixed_point(log_pe, beta, n_segments, trans):
         assert np.max(np.abs(picard - y)) <= 5e-11
 
 
+@pytest.mark.parametrize("n_segments", [0, -2])
+def test_bulk_solver_rejects_no_segments(n_segments):
+    with pytest.raises(SolverError, match="at least one bulk segment"):
+        bed_module.SegmentedBulkSolver(FIG9, _ETA_257, n_segments)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_march_rejects_fewer_than_two_samples(samples):
+    with pytest.raises(SolverError, match="at least two samples"):
+        march_bed(FIG9, dtau=0.05, tau_end=0.1, n_eta=65, n_radial=21, n_segments=4,
+                  samples=samples)
+
+
 @pytest.mark.parametrize("n_segments", [1, 64])
 def test_coupling_solve_exact_for_converted_bed(n_segments):
     # trans = 1 makes the bulk map a very weak contraction at low Pe and high

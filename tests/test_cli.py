@@ -227,6 +227,25 @@ bed.samples = 3
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_segments, samples", [(0, 3), (4, 1)])
+def test_bad_bed_counts_exit_code(tmp_path, capsys, n_segments, samples):
+    text = BASE + f"""
+bed.peclet = 1.1
+bed.beta = 3.3
+bed.phi = 10
+bed.biot_m = 50
+bed.n_eta = 17
+bed.n_segments = {n_segments}
+bed.tau_end = 0.1
+bed.dtau = 0.05
+bed.samples = {samples}
+"""
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), "--quiet"]) == 3
+    assert "solver error" in capsys.readouterr().err
+    assert not (out / "bed.csv").exists()
+
+
 def test_quasi_steady_and_unsteady_sweep(tmp_path):
     cfg = _write(tmp_path, BASE.replace("grid.samples = 41", "grid.samples = 11"))
     out = tmp_path / "sweep"

@@ -12,6 +12,7 @@ from gassolid import (
     SpatialGrid,
     build_model,
 )
+from gassolid import core
 
 
 def test_minimal_volume_config():
@@ -57,6 +58,46 @@ def test_unknown_kind_and_keys():
     with pytest.raises(ConfigError, match="half_order_modulus"):
         build_model({"kind": "volume_half_order", "phi_v": 1,
                      "half_order_modulus": "table_literal"})
+
+
+# A valid model that sets each canonical key other than kind.
+_SETS_KEY = {
+    "thiele": {"kind": "volume_first_order", "thiele": 1.3},
+    "psi": {"kind": "volume_first_order", "thiele": 1.0, "psi": 0.05},
+    "sigma_g_sq": {"kind": "grain_product_layer", "thiele": 1.0, "sigma_g_sq": 0.4},
+    "psi_cap": {"kind": "random_pore", "thiele": 1.0, "psi_cap": 2.0},
+    "beta": {"kind": "random_pore", "thiele": 1.0, "beta": 0.5},
+    "z_ratio": {"kind": "random_pore", "thiele": 1.0, "z_ratio": 1.2},
+    "porosity0": {"kind": "random_pore", "thiele": 1.0, "porosity0": 0.4},
+    "sherwood": {"kind": "grain_simple", "thiele": 1.0, "sherwood": 5.0},
+    "solid_order": {"kind": "nucleation", "thiele": 1.0, "solid_order": 3},
+    "psi_ab": {"kind": "simultaneous", "psi_ab": 0.4, "thiele_a": 0.3, "thiele_c": 1.0},
+    "thiele_a": {"kind": "simultaneous", "psi_ab": 0.4, "thiele_a": 0.3, "thiele_c": 1.0},
+    "thiele_c": {"kind": "simultaneous", "psi_ab": 0.4, "thiele_a": 0.3, "thiele_c": 1.0},
+    "pellet_shape": {"kind": "volume_first_order", "thiele": 1.0, "pellet_shape": 1},
+    "grain_shape": {"kind": "grain_simple", "thiele": 1.0, "grain_shape": 2},
+}
+
+
+def _renamed(raw, old, new):
+    return {new if key == old else key: value for key, value in raw.items()}
+
+
+def _kind_spelled(spelling, kind):
+    raw = _SETS_KEY["psi_ab" if kind is ModelKind.SIMULTANEOUS else "thiele"]
+    return pytest.param({**raw, "kind": spelling}, {**raw, "kind": kind.value},
+                        id=f"kind={spelling}")
+
+
+_SPELLINGS = [
+    pytest.param(_renamed(_SETS_KEY[canon], canon, alias), _SETS_KEY[canon], id=alias)
+    for alias, canon in core._KEY_ALIASES.items() if canon != "kind"
+] + [_kind_spelled(spelling, kind) for spelling, kind in core._KIND_ALIASES.items()]
+
+
+@pytest.mark.parametrize("spelled, canonical", _SPELLINGS)
+def test_every_spelling_builds_the_canonical_model(spelled, canonical):
+    assert build_model(spelled) == build_model(canonical)
 
 
 def test_value_validation():
@@ -147,7 +188,7 @@ def test_construction_is_total_for_stepping(grid):
     for raw in zoo:
         stepper = make_stepper(build_model(raw), grid)
         state = stepper.initial_state()
-        state, _, report = stepper.step(state, 0.1)
+        state, report = stepper.step(state, 0.1)
         assert report.theta_after == pytest.approx(0.1)
 
 
