@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +215,8 @@ def run_sweep(config_path: Path, specs: list[str], out_root: Path, quiet: bool,
         raise ConfigError("empty sweep")
     jobs = [(entries, dict(combo), str(out_root), quiet) for combo in combos]
     if parallel and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
+
         with ProcessPoolExecutor() as pool:
             results = list(pool.map(_run_sweep_point, jobs))
     else:

@@ -240,6 +240,14 @@ def _as_float(key: str, value) -> float:
         raise ConfigError(f"key '{key}': expected a number, got {value!r}") from None
 
 
+def _as_shape(key: str, value) -> int:
+    """A shape factor: an integral number ("2", 3, 3.0), never truncated."""
+    number = _as_float(key, value)
+    if not number.is_integer():
+        raise ConfigError(f"key '{key}': expected an integer, got {value!r}")
+    return int(number)
+
+
 def build_model(raw: Mapping[str, object]) -> ModelParams:
     """Build validated :class:`ModelParams` from a flat key-value mapping.
 
@@ -265,8 +273,8 @@ def build_model(raw: Mapping[str, object]) -> ModelParams:
         raise ConfigError(f"unknown model kind '{kind_raw}'")
     kind = _KIND_ALIASES[kind_raw]
 
-    fp = int(_as_float("pellet_shape", canon.pop("pellet_shape", 3)))
-    fg = int(_as_float("grain_shape", canon.pop("grain_shape", 3)))
+    fp = _as_shape("pellet_shape", canon.pop("pellet_shape", 3))
+    fg = _as_shape("grain_shape", canon.pop("grain_shape", 3))
 
     kwargs: dict[str, object] = {
         "kind": kind,

@@ -22,6 +22,8 @@ bed's bulk BVP) goes through :func:`solve_banded`, a direct call of LAPACK
 ``gtsv``, the routine ``scipy.linalg.solve_banded`` calls for one band on
 each side, so the solutions are bit-identical to it; scipy's two checks
 stay (inf or NaN raises ``ValueError``, a zero pivot ``LinAlgError``).
+scipy is imported on the first solve, not with the module, so runs that
+never use the oracle (QM and bed runs) never load it.
 Each :class:`_GasGrid` builds the face conductances, the bands of the flux
 operator without a structure factor and the Simpson weights once,
 read-only; a solve copies the bands and adds the reaction term
@@ -39,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .analysis import simpson_weights
 from .core import LN_B_CAP, ModelKind, ModelParams, SolverError
@@ -47,6 +48,7 @@ from .driver import RunResult, sample_schedule
 
 _R_FLOOR = 1e-12
 _B_MIN = math.exp(-LN_B_CAP)
+_dgtsv = None  # scipy.linalg.lapack.dgtsv, bound by the first solve_banded call
 
 
 @dataclass(frozen=True)
@@ -248,9 +250,12 @@ def solve_banded(bands: np.ndarray) -> np.ndarray:
     LAPACK ``gtsv`` works in place, so ``bands`` is consumed and the
     solution returned is a view of its last row.
     """
+    global _dgtsv
     if not np.isfinite(bands).all():
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dgtsv(bands[0, :-1], bands[1], bands[2, :-1], bands[3], 1, 1, 1, 1)
+    if _dgtsv is None:
+        from scipy.linalg.lapack import dgtsv as _dgtsv
+    *_, x, info = _dgtsv(bands[0, :-1], bands[1], bands[2, :-1], bands[3], 1, 1, 1, 1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -492,42 +497,81 @@ def _advance_gas_cn(gg: _GasGrid, a_old: np.ndarray, rho: np.ndarray, delta,
 
 def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl,
                            samples: int) -> RunResult:
-    """Reference run for the two-gas model (quasi-steady, first order)."""
+    """Reference run for the two-gas model (quasi-steady, first order).
+
+    The diagnostics are those of the single-gas march, over both gases: the
+    largest flux residual of any gas solve, and the larger of the two gaps
+    between a gas's time-integrated uptake and the conversion it caused
+    (X_A for gas A, X - X_A for gas C).
+    """
     schedule = sample_schedule(theta_end, samples)
+    fp = params.pellet.shape_factor
+    psis = np.array([params.psi_ab, params.psi_cb])
 
     def march(dtheta: float) -> RunResult:
-        gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
+        gg = _GasGrid(ctl.n_space, fp)
         sw = gg.weights
         b = np.ones(gg.n)
         b_a = np.ones(gg.n)
-        two_fp = 2.0 * params.pellet.shape_factor
+        two_fp = 2.0 * fp
+        max_flux_residual = 0.0
 
         def profiles(bb):
+            """(psi * P of gas A, of gas C) under the solid bb, and (rho, P) of each."""
             rho_a = two_fp * params.thiele_a**2 * bb
             rho_c = two_fp * params.thiele_c**2 * bb
             pa, _ = _solve_gas_qss(gg, rho_a, None, None)
             pc, _ = _solve_gas_qss(gg, rho_c, None, None)
-            return params.psi_ab * pa, params.psi_cb * pc
+            return (params.psi_ab * pa, params.psi_cb * pc), ((rho_a, pa), (rho_c, pc))
+
+        def uptakes(bb, solved) -> np.ndarray:
+            """(dX_A, dX_C)/dtheta under the solid bb; records the flux residuals."""
+            nonlocal max_flux_residual
+            for rho, p in solved:
+                flux, consumption = _gas_balance(gg, p, rho, gg.cond, None)
+                max_flux_residual = max(
+                    max_flux_residual, abs(flux - consumption) / max(1.0, abs(flux))
+                )
+            # Fp * sum(vol b P) is the consumption over 2 sigma^2, defined also at sigma = 0
+            return psis * fp * np.array([np.sum(gg.vol * bb * p) for _, p in solved])
 
         xs = [0.0]
         x_as = [0.0]
+        uptake_integral = np.zeros(2)
+        pending = None  # (uptakes at substep start, dt)
         for t0, t1 in zip(schedule[:-1], schedule[1:]):
             nsub = max(1, int(math.ceil((t1 - t0) / dtheta - 1e-12)))
             dt = (t1 - t0) / nsub
             for _ in range(nsub):
-                pa, pc = profiles(b)
+                (pa, pc), solved = profiles(b)
+                uptake = uptakes(b, solved)
+                if pending is not None:
+                    uptake_integral += 0.5 * pending[1] * (pending[0] + uptake)
+                pending = (uptake, dt)
                 k1b = -(pa + pc) * b
                 k1a = -pa * b
                 b_pred = np.maximum(b + dt * k1b, _B_MIN)
-                pa2, pc2 = profiles(b_pred)
+                (pa2, pc2), _ = profiles(b_pred)
                 k2b = -(pa2 + pc2) * b_pred
                 k2a = -pa2 * b_pred
                 b = np.maximum(b + 0.5 * dt * (k1b + k2b), _B_MIN)
                 b_a = np.maximum(b_a + 0.5 * dt * (k1a + k2a), 0.0)
             xs.append(float(min(max(1.0 - np.sum(sw * b), 0.0), 1.0)))
             x_as.append(float(min(max(1.0 - np.sum(sw * b_a), 0.0), 1.0)))
-        return RunResult(kind=params.kind, theta=schedule, x=np.asarray(xs),
-                         x_a=np.asarray(x_as), label="fd")
+
+        # close the trapezoid with the uptakes of the final state
+        if pending is not None:
+            _, solved = profiles(b)
+            uptake_integral += 0.5 * pending[1] * (pending[0] + uptakes(b, solved))
+        converted = np.array([x_as[-1], xs[-1] - x_as[-1]])
+        return RunResult(
+            kind=params.kind, theta=schedule, x=np.asarray(xs), x_a=np.asarray(x_as), label="fd",
+            diagnostics={
+                "max_flux_residual": max_flux_residual,
+                "balance_residual": float(np.max(np.abs(uptake_integral - converted))),
+                "dtheta": dtheta,
+            },
+        )
 
     return _refined(march, ctl, "two-gas reference run did not converge under refinement")
 

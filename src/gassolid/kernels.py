@@ -44,6 +44,7 @@ import numpy as np
 from .core import GasProfile, PelletGeometry, SolverError, SpatialGrid
 
 _TINY_M = 1e-9  # below this the no-reaction limit a = 1 is exact to 1e-18
+_Y_NORMAL = np.finfo(float).tiny  # the smallest normal y; below it a sphere shape is at its centre
 _DEAD = 36.0  # omega * theta beyond which exp(-omega theta) < 2.4e-16: a dead mode
 
 
@@ -83,7 +84,8 @@ def sphere_ratio(M, y, y_ref=1.0):
 
     Evaluated as y_ref/y * exp(M(y-y_ref)) * expm1(-2My)/expm1(-2My_ref),
     which neither overflows for large M nor loses accuracy for small M.
-    The y -> 0 value is the analytic limit.
+    The y -> 0 value is the analytic limit; a subnormal y, where y_ref / y
+    would overflow, takes it too (it differs from the limit by O((My)^2)).
     """
     M = np.asarray(M, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -93,7 +95,7 @@ def sphere_ratio(M, y, y_ref=1.0):
     if np.any(active):
         Ma, ya = M[active], y[active]
         denom = np.expm1(-2.0 * Ma * y_ref)  # < 0
-        at_center = ya == 0.0
+        at_center = ya < _Y_NORMAL
         yc = np.where(at_center, 1.0, ya)
         inner = (y_ref / yc) * np.exp(Ma * (ya - y_ref)) * np.expm1(-2.0 * Ma * ya) / denom
         center = -2.0 * Ma * y_ref * np.exp(-Ma * y_ref) / denom
@@ -130,7 +132,8 @@ def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
     sh sinh(My) / (y [delta M cosh M + (sh - delta) sinh M]) is evaluated
     with every hyperbolic scaled by exp(-M): with q = -expm1(-2M),
     sh exp(M(y-1)) (-expm1(-2My)) / (y [delta M (2 - q) + (sh - delta) q]).
-    The y -> 0 value is the analytic limit and nodes with M <= 1e-9 give 1.
+    The y -> 0 value is the analytic limit, also taken at a subnormal y as in
+    sphere_ratio, and nodes with M <= 1e-9 give 1.
     delta = 0 reduces to sphere_ratio, y = 1 gives the film factor
     1 / (1 + (delta/sh) [M coth M - 1]), and delta = 1 with sh = Bi_m is the
     packed bed's pellet.  For small M the bracket cancels when sh << delta,
@@ -147,7 +150,7 @@ def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
         da = delta if np.ndim(delta) == 0 else np.broadcast_to(delta, shape)[active]
         q = -np.expm1(-2.0 * Ma)
         bracket = da * Ma * (2.0 - q) + (sherwood - da) * q
-        at_center = ya == 0.0
+        at_center = ya < _Y_NORMAL
         yc = np.where(at_center, 1.0, ya)
         vals = sherwood * np.exp(Ma * (ya - 1.0)) * (-np.expm1(-2.0 * Ma * ya)) / (yc * bracket)
         Mc = Ma[at_center]

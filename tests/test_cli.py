@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gassolid import ConfigError, RunMode, load_config
@@ -253,3 +258,44 @@ def test_quasi_steady_and_unsteady_sweep(tmp_path):
                  "--quiet", "--serial"]) == 0
     agg = (out / "aggregate.csv").read_text().splitlines()
     assert len(agg) == 3
+
+
+# A fresh interpreter: QM and bed runs through execute_run, then one oracle
+# solve.  Only the oracle may load scipy, and only a parallel sweep
+# concurrent.futures.
+_LAZY_IMPORTS = """
+import sys
+from pathlib import Path
+
+import gassolid
+from gassolid import cli, config
+
+runs = [
+    {"mode": "qm_only", "model.kind": "volume_first_order", "model.phi_v": "1.0",
+     "grid.n": "101", "grid.theta_end": "0.5", "grid.samples": "6"},
+    {"mode": "qm_only", "model.kind": "volume_first_order", "model.phi_v": "1.0",
+     "grid.n": "101", "grid.theta_end": "0.5", "grid.samples": "3",
+     "bed.peclet": "1.1", "bed.beta": "3.3", "bed.phi": "10", "bed.biot_m": "50",
+     "bed.tau_end": "0.2", "bed.dtau": "0.05", "bed.n_eta": "33", "bed.n_radial": "21",
+     "bed.n_segments": "4", "bed.samples": "3"},
+]
+for i, entries in enumerate(runs):
+    cli.execute_run(config.config_from_entries(entries), Path(sys.argv[1]) / str(i), quiet=True)
+loaded = [name for name in ("scipy", "concurrent.futures") if name in sys.modules]
+assert not loaded, f"QM and bed runs loaded {loaded}"
+res = gassolid.fd_solve(gassolid.build_model({"kind": "volume_first_order", "phi_v": 1.0}), 0.5,
+                        gassolid.FdControl(n_space=21, dtheta=0.05, auto_refine=False), 3)
+assert res.x[-1] > 0.0 and "scipy" in sys.modules
+print("ok")
+"""
+
+
+def test_qm_and_bed_runs_leave_scipy_unloaded(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+    assert (tmp_path / "1" / "bed.csv").exists()

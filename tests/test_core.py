@@ -47,6 +47,21 @@ def test_grain_shape_values():
         GrainGeometry(4)
 
 
+@pytest.mark.parametrize("key, value, built", [
+    ("F_p", 3, 3), ("F_p", 3.0, 3), ("F_p", "3.0", 3), ("F_p", "1", 1),
+    ("F_g", 2, 2), ("F_g", 3.0, 3), ("F_g", "2", 2),
+    ("F_p", 3.7, None), ("F_p", "1.5", None), ("F_g", 2.9, None), ("F_g", "inf", None),
+])
+def test_shape_factors_must_be_integral(key, value, built):
+    raw = {"kind": "grain_simple", "thiele": 1.0, key: value}
+    if built is None:
+        with pytest.raises(ConfigError, match="expected an integer"):
+            build_model(raw)
+    else:
+        p = build_model(raw)
+        assert (p.pellet if key == "F_p" else p.grain).shape_factor == built
+
+
 def test_unknown_kind_and_keys():
     with pytest.raises(ConfigError, match="unknown model kind"):
         build_model({"kind": "shrinking_banana", "phi_v": 1})

@@ -268,8 +268,7 @@ def test_oracle_bounded_nondecreasing_and_balanced(case):
         if x is not None:
             assert np.all((0.0 <= x) & (x <= 1.0))
             assert np.all(np.diff(x) >= 0.0)
-    if res.x_a is None:
-        assert res.diagnostics["max_flux_residual"] <= 1e-6
+    assert res.diagnostics["max_flux_residual"] <= 1e-6
 
 
 # --- tridiagonal helper and finite-volume assembly ---------------------------

@@ -115,6 +115,19 @@ def test_scaled_ratio_identities():
         assert np.allclose(s, ref, rtol=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [sphere_ratio, lambda m, y: filmed_sphere_ratio(m, y, 5.0, 0.7)],
+                         ids=["sphere", "filmed_sphere"])
+def test_sphere_shapes_at_subnormal_y(ratio):
+    # y_ref / y overflowed to inf below the smallest normal y; there the
+    # shape equals its centre value to O((My)^2)
+    y = np.geomspace(5e-324, 2.2e-308, 60)
+    assert np.all(y < np.finfo(float).tiny)
+    for m in (1e-6, 0.3, 2.0, 50.0):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = ratio(m, y)
+        np.testing.assert_allclose(got, ratio(m, 0.0), rtol=1e-15, atol=0.0)
+
+
 def test_m_coth_m_minus_1_small_and_large():
     assert m_coth_m_minus_1(0.0) == 0.0
     for x in (1e-6, 1e-4, 0.01, 0.5, 3.0, 50.0):
