@@ -28,7 +28,6 @@ from .bed import (
 from .config import RunConfig, RunMode, load_config
 from .core import (
     ConfigError,
-    GasProfile,
     GrainGeometry,
     ModelKind,
     ModelParams,
@@ -42,7 +41,7 @@ from .core import (
 from .driver import ProfileSnapshot, RunResult, run_qm
 from .fdref import FdControl, fd_solve, fd_solve_bed_bulk, initial_conversion_rate
 from .kernels import (
-    SeriesControl,
+    GasProfile,
     front_time,
     m_coth_m_minus_1,
     profile_qss,

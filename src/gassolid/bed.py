@@ -25,6 +25,8 @@ from .analysis import simpson_weights
 from .core import ConfigError, SolverError
 from .kernels import filmed_sphere_ratio
 
+_FIXED_POINT_TOL = 1e-11  # largest residual of the coupling solve against the bulk map
+
 
 @dataclass(frozen=True)
 class BedParams:
@@ -76,7 +78,7 @@ class SegmentedBulkSolver:
     segment; ``solve`` applies the resulting affine map.
     """
 
-    def __init__(self, bed: BedParams, eta: np.ndarray, n_segments: int = 64):
+    def __init__(self, bed: BedParams, eta: np.ndarray, n_segments: int):
         self.eta = np.asarray(eta, dtype=float)
         if self.eta.ndim != 1 or self.eta.size < 2:
             raise SolverError("eta must be a 1-d grid with at least 2 nodes")
@@ -160,7 +162,7 @@ class SegmentedBulkSolver:
 
 
 def bed_bulk_profile(bed: BedParams, a_surface: np.ndarray, eta: np.ndarray,
-                     n_segments: int = 64) -> np.ndarray:
+                     n_segments: int) -> np.ndarray:
     """Closed-form bulk profile Y(eta) for a given pellet-surface field."""
     eta = np.asarray(eta, dtype=float)
     s = np.asarray(a_surface, dtype=float)
@@ -197,15 +199,15 @@ class BedResult:
     params: BedParams = field(repr=False, default=None)
 
 
-def _self_consistent_bulk(solver: SegmentedBulkSolver, trans: np.ndarray,
-                          tol: float = 1e-11) -> np.ndarray:
+def _self_consistent_bulk(solver: SegmentedBulkSolver, trans: np.ndarray) -> np.ndarray:
     """Fixed point of Y = bulk_profile(trans * Y): the quasi-static bulk field.
 
     With Y = 1 - G d and the segment-mean deficit d = 1 - weights @ (trans * Y),
     d solves (I - W diag(trans) G) d = W (1 - trans) exactly.  Solving for
     the deficit rather than the means keeps Y = 1 exact where trans = 1 even
     when the map is a very weak contraction.  One ``solver.solve`` of the
-    result checks the residual of that solve against the fixed-point map.
+    result checks the residual of that solve against the fixed-point map,
+    which must stay below ``_FIXED_POINT_TOL``.
     """
     wt = solver.weights * trans
     try:
@@ -217,14 +219,13 @@ def _self_consistent_bulk(solver: SegmentedBulkSolver, trans: np.ndarray,
     if not np.all(np.isfinite(y)):
         raise SolverError("bed bulk coupling solve is not finite")
     y_out = solver.solve(trans * y)
-    if not float(np.max(np.abs(y_out - y))) < tol:
+    if not float(np.max(np.abs(y_out - y))) < _FIXED_POINT_TOL:
         raise SolverError("bed bulk coupling solve is not a fixed point")
     return y_out
 
 
-def march_bed(bed: BedParams, dtau: float, tau_end: float,
-              n_eta: int = 257, n_radial: int = 101, n_segments: int = 64,
-              samples: int = 101) -> BedResult:
+def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial: int,
+              n_segments: int, samples: int) -> BedResult:
     """March the bed with first-order pellet consumption f(X) = 1 - X.
 
     Each time step freezes the pellet modulus from the lagged conversion,

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .bed import BedParams
 from .core import ConfigError, ModelParams, _as_float, build_model
+from .steppers import DEFAULT_DECREMENT_CAP
 
 
 class RunMode(Enum):
@@ -55,7 +56,7 @@ class RunConfig:
     grid_n: int = 201
     theta_end: float = 5.0
     samples: int = 201
-    decrement_cap: float = 0.01
+    decrement_cap: float = DEFAULT_DECREMENT_CAP
     snapshots: tuple[float, ...] = ()
     out_dir: str | None = None
     write_conversion: bool = True

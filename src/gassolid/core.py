@@ -327,20 +327,6 @@ class SpatialGrid:
 
 
 @dataclass
-class GasProfile:
-    """Dimensionless gas concentration a(y) on the pellet grid.
-
-    ``_transient`` holds the eigen-series an unsteady profile was built
-    from, so that ``kernels.exposure_increment`` can integrate it in time;
-    it is None when the profile does not change over an increment.
-    """
-
-    values: np.ndarray
-    warning: str | None = None
-    _transient: object | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass
 class PelletState:
     """Radial solid state of one pellet plus stage bookkeeping.
 

@@ -15,7 +15,9 @@ structure factor, None where diffusion does not change) and ``rates``
 under a gas profile.  ``_fd_march`` forms the Heun predictor and trapezoid
 itself, so one march serves every single-gas law; the two-gas model has its
 own.  A cell whose pores closed on both faces and that no longer reacts has
-a zero row in the quasi-steady system and is given a = 0.
+a zero row in the quasi-steady system and is given a = 0.  With
+``FdControl.auto_refine`` the step is halved until the sampled conversions
+move by less than ``_REFINE_TOL``, at most ``_MAX_REFINES`` times.
 
 Every tridiagonal system here (quasi-steady gas, Crank-Nicolson gas and the
 bed's bulk BVP) goes through :func:`solve_banded`, a direct call of LAPACK
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +51,8 @@ from .driver import RunResult, sample_schedule
 _R_FLOOR = 1e-12
 _B_MIN = math.exp(-LN_B_CAP)
 _dgtsv = None  # scipy.linalg.lapack.dgtsv, bound by the first solve_banded call
+_REFINE_TOL = 1e-5  # auto_refine stops once the sampled conversions move less than this
+_MAX_REFINES = 6  # halvings of dtheta before auto_refine gives up
 
 
 @dataclass(frozen=True)
@@ -56,18 +60,12 @@ class FdControl:
     n_space: int = 401
     dtheta: float = 1e-3
     auto_refine: bool = True
-    refine_tol: float = 1e-5
-    max_refines: int = 6
 
     def __post_init__(self):
         if self.n_space < 3 or self.n_space % 2 == 0:
             raise SolverError("n_space must be odd and >= 3")
         if not self.dtheta > 0.0:
             raise SolverError("dtheta must be positive")
-        if not self.refine_tol > 0.0:
-            raise SolverError("refine_tol must be positive")
-        if self.max_refines < 1:
-            raise SolverError("max_refines must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +96,15 @@ class _FdModel:
     def consumption_norm(self) -> float:
         """Factor turning the integrated gas uptake into dX/dtheta."""
         return self.p.pellet.shape_factor / self.p.thiele**2
+
+    def uptake(self, flux: float, st: np.ndarray, a: np.ndarray, gg: _GasGrid) -> float:
+        """dX/dtheta: the surface flux times ``consumption_norm``.  Both flux
+        and consumption scale with phi^2, so at phi = 0 (no flux, no norm)
+        it is the consumption of the same state and gas at unit modulus."""
+        if self.p.thiele > 0.0:
+            return flux * self.consumption_norm()
+        unit = type(self)(replace(self.p, thiele=1.0))
+        return float(np.sum(unit.gas_terms(st)[0] * gg.vol * a)) * unit.consumption_norm()
 
 
 class _FdVolumeFirst(_FdModel):
@@ -360,7 +367,7 @@ def fd_solve(params: ModelParams, theta_end: float, ctl: FdControl = FdControl()
     lagged solid and advances the solid by the trapezoidal rule; unsteady
     mode integrates the gas equation with Crank-Nicolson.  With
     ``auto_refine`` the time step is halved until the sampled conversions
-    change by less than ``refine_tol``.
+    change by less than ``_REFINE_TOL``.
     """
     if params.kind is ModelKind.SIMULTANEOUS:
         return _fd_solve_simultaneous(params, theta_end, ctl, samples)
@@ -378,20 +385,20 @@ def _refined(march, ctl: FdControl, failure: str) -> RunResult:
 
     Each level restarts the march with half the step.  The sampled
     conversions (X, and X_a for two gases) must move by less than
-    ``refine_tol`` within ``max_refines`` levels, else ``failure``
+    ``_REFINE_TOL`` within ``_MAX_REFINES`` levels, else ``failure``
     (formatted with the last ``drift``) is raised.
     """
     result = march(ctl.dtheta)
     if not ctl.auto_refine:
         return result
     dtheta = ctl.dtheta
-    for _ in range(ctl.max_refines):
+    for _ in range(_MAX_REFINES):
         dtheta /= 2.0
         finer = march(dtheta)
         drift = max(float(np.max(np.abs(f - c)))
                     for f, c in ((finer.x, result.x), (finer.x_a, result.x_a)) if c is not None)
         result = finer
-        if drift < ctl.refine_tol:
+        if drift < _REFINE_TOL:
             return result
     raise SolverError(failure.format(drift=drift))
 
@@ -435,7 +442,7 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
             max_flux_residual = max(
                 max_flux_residual, abs(flux - consumption) / max(1.0, abs(flux))
             )
-            uptake = flux * model.consumption_norm()
+            uptake = model.uptake(flux, st, a, gg)
             if pending is not None:
                 uptake_integral += 0.5 * pending[1] * (pending[0] + uptake)
             pending = (uptake, dt)
@@ -458,7 +465,7 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
         a_end, cond = a, gg.conductance(delta)
     flux, _ = _gas_balance(gg, a_end, rho, cond, params.sherwood)
     if pending is not None:
-        uptake_integral += 0.5 * pending[1] * (pending[0] + flux * model.consumption_norm())
+        uptake_integral += 0.5 * pending[1] * (pending[0] + model.uptake(flux, st, a_end, gg))
 
     xs = np.asarray(xs)
     balance_residual = abs(uptake_integral - (xs[-1] - xs[0]))
@@ -582,10 +589,11 @@ def initial_conversion_rate(params: ModelParams, ctl: FdControl = FdControl()) -
         raise SolverError(f"no reference model for kind '{params.kind.value}'")
     model = _FD_MODELS[params.kind](params)
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
-    rho, delta = model.gas_terms(np.full(gg.n, model.start))
+    st = np.full(gg.n, model.start)
+    rho, delta = model.gas_terms(st)
     a, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
     flux, _ = _gas_balance(gg, a, rho, cond, params.sherwood)
-    return flux * model.consumption_norm()
+    return model.uptake(flux, st, a, gg)
 
 
 # ---------------------------------------------------------------------------

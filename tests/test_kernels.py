@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gassolid import (
     PelletGeometry,
-    SeriesControl,
     SolverError,
     SpatialGrid,
     front_time,
@@ -18,6 +17,7 @@ from gassolid import (
     second_stage_profiles,
     solve_moving_boundary,
 )
+from gassolid import kernels
 from gassolid.kernels import (
     _series_basis,
     _series_terms,
@@ -214,9 +214,8 @@ def test_filmed_sphere_small_modulus_pin():
 
 
 def test_unsteady_starts_empty(grid):
-    ctl = SeriesControl(max_terms=200)
     for geom in (SLAB, SPHERE):
-        prof = profile_unsteady(1.0, 0.0, 0.1, grid, geom, ctl)
+        prof = profile_unsteady(1.0, 0.0, 0.1, grid, geom)
         assert np.max(np.abs(prof.values[:-1])) <= 1e-6
         assert prof.values[-1] == pytest.approx(1.0)
 
@@ -241,10 +240,13 @@ def test_unsteady_relaxes_monotonically_to_steady(grid):
     assert err <= 1e-8
 
 
-def test_unsteady_series_warning_attached(grid):
-    ctl = SeriesControl(max_terms=3, term_tol=1e-10)
-    prof = profile_unsteady(1.0, 1e-4, 0.5, grid, SPHERE, ctl)
-    assert prof.warning is not None
+def test_unsteady_series_warning_attached():
+    # at theta = 1e-6 the 200th term is still live, with tails of 1.09
+    # (sphere) and 1.7e-3 (slab) against the 1e-10 tolerance; at 1e-3 it is dead
+    grid = SpatialGrid(201)
+    for geom in (SLAB, SPHERE):
+        assert profile_unsteady(1.0, 1e-6, 0.5, grid, geom).truncated
+        assert not profile_unsteady(1.0, 1e-3, 0.5, grid, geom).truncated
 
 
 def test_unsteady_requires_positive_scale(grid):
@@ -305,11 +307,11 @@ def test_series_basis_cached_and_read_only():
         lam_sq[0] = 0.0
 
 
-def _full_profile(M, theta, scale, grid, geom, ctl):
-    """profile_unsteady summed over all max_terms modes."""
+def _full_profile(M, theta, scale, grid, geom, n_terms):
+    """profile_unsteady summed over all n_terms modes."""
     steady = shape_ratio(geom, M, grid.y)
-    coef, omega = _full_series(M, scale, grid.y, geom, ctl.max_terms)
-    warning = None
+    coef, omega = _full_series(M, scale, grid.y, geom, n_terms)
+    truncated = False
     if np.min(omega[0]) * theta >= 36.0:
         values = steady.copy()
     elif np.min(omega[-1]) * theta >= 36.0:
@@ -318,24 +320,23 @@ def _full_profile(M, theta, scale, grid, geom, ctl):
     else:
         terms = coef * np.expm1(-omega * theta)
         values = np.clip(terms.sum(axis=0) - 0.5 * terms[-1], 0.0, 1.0)
-        if np.max(np.abs(terms[-1])) > ctl.term_tol and theta > 0.0:
-            warning = "tail"
+        truncated = bool(np.max(np.abs(terms[-1])) > 1e-10 and theta > 0.0)
     values[-1] = steady[-1]
-    return values, warning
+    return values, truncated
 
 
-def _full_exposure(M, theta0, dtheta, scale, grid, geom, ctl):
+def _full_exposure(M, theta0, dtheta, scale, grid, geom, n_terms):
     """exposure_increment over [theta0, theta0 + dtheta], summed over all
-    max_terms modes (Dirichlet surface)."""
+    n_terms modes (Dirichlet surface)."""
     steady = shape_ratio(geom, M, grid.y)
-    coef, omega = _full_series(M, scale, grid.y, geom, ctl.max_terms)
+    coef, omega = _full_series(M, scale, grid.y, geom, n_terms)
     if np.min(omega[0]) * theta0 >= 36.0:
-        return steady * dtheta, None
+        return steady * dtheta, False
     terms = coef * (-np.exp(-omega * theta0) * np.expm1(-omega * dtheta) / omega)
-    warning = "tail" if np.max(np.abs(terms[-1])) > ctl.term_tol * max(dtheta, 1e-300) else None
+    truncated = bool(np.max(np.abs(terms[-1])) > 1e-10 * max(dtheta, 1e-300))
     out = steady * dtheta + terms.sum(axis=0) - 0.5 * terms[-1]
     out[-1] = steady[-1] * dtheta
-    return out, warning
+    return out, truncated
 
 
 _N_PROP = 101
@@ -350,22 +351,23 @@ _theta = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 20.0))
 def test_live_mode_cut_matches_full_series(M, scale, theta, dtheta, sphere, n_terms):
     grid = SpatialGrid(_N_PROP)
     geom = SPHERE if sphere else SLAB
-    ctl = SeriesControl(max_terms=n_terms)
-    prof = profile_unsteady(M, theta, scale, grid, geom, ctl)
-    want, want_warn = _full_profile(M, theta, scale, grid, geom, ctl)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_MAX_TERMS", n_terms)
+        prof = profile_unsteady(M, theta, scale, grid, geom)
+        dg, truncated = exposure_increment(prof, dtheta)
+    want, want_truncated = _full_profile(M, theta, scale, grid, geom, n_terms)
     assert np.max(np.abs(prof.values - want)) <= 1e-14
-    assert (prof.warning is None) == (want_warn is None)
-    dg, warn = exposure_increment(prof, dtheta)
-    want, want_warn = _full_exposure(M, theta, dtheta, scale, grid, geom, ctl)
+    assert prof.truncated == want_truncated
+    want, want_truncated = _full_exposure(M, theta, dtheta, scale, grid, geom, n_terms)
     assert np.max(np.abs(dg - want)) <= 1e-14
-    assert (warn is None) == (want_warn is None)
+    assert truncated == want_truncated
 
 
 def test_exposure_increment_quasi_steady_is_a_dtheta(grid):
     for prof in (profile_qss(1.5, grid, SPHERE), profile_qss(1.5, grid, SPHERE, 4.0, 0.5),
                  profile_unsteady(1.5, 50.0, 0.1, grid, SPHERE)):
-        dg, warn = exposure_increment(prof, 0.15)
-        assert warn is None
+        dg, truncated = exposure_increment(prof, 0.15)
+        assert not truncated
         assert np.array_equal(dg, prof.values * 0.15)
 
 
