@@ -228,10 +228,11 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
               n_segments: int, samples: int) -> BedResult:
     """March the bed with first-order pellet consumption f(X) = 1 - X.
 
-    Each time step freezes the pellet modulus from the lagged conversion,
-    solves the pellet/bulk coupling exactly with one linear solve over the
-    segment means, then updates the radial conversion field node-wise with
-    X <- 1 - (1 - X) exp(-a dtau).
+    The state is the unreacted fraction b = 1 - X on the (n_eta, n_radial)
+    pellet grid.  Each time step freezes the pellet modulus M = Phi sqrt(b)
+    from the lagged state, solves the pellet/bulk coupling exactly with one
+    linear solve over the segment means, then updates b in place node-wise
+    with b <- b exp(-a dtau).  X is formed only at the samples.
     """
     if dtau <= 0.0 or tau_end <= 0.0:
         raise SolverError("dtau and tau_end must be positive")
@@ -245,34 +246,35 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
     sample_tau = np.linspace(0.0, tau_end, samples)
     solver = SegmentedBulkSolver(bed, eta, n_segments)
 
-    x = np.zeros((n_eta, n_radial))
-    modulus = bed.phi * np.sqrt(1.0 - x)
+    b = np.ones((n_eta, n_radial))
+    modulus = bed.phi * np.sqrt(b)
     trans = np.asarray(surface_transmission(modulus[:, -1], bed.biot_m))
     bulk = _self_consistent_bulk(solver, trans)
     c_y = np.zeros(n_eta)
 
-    out_bulk = [bulk.copy()]
+    out_bulk = [bulk]
     out_cy = [c_y.copy()]
-    out_xs = [x[:, -1].copy()]
-    out_xa = [(1.0 - (1.0 - x) @ sw).copy()]
+    out_xs = [1.0 - b[:, -1]]
+    out_xa = [1.0 - b @ sw]
 
-    tau = 0.0
     for t0, t1 in zip(sample_tau[:-1], sample_tau[1:]):
         nsub = max(1, int(math.ceil((t1 - t0) / dtau - 1e-12)))
         dt = (t1 - t0) / nsub
         for _ in range(nsub):
-            profiles = bulk[:, None] * _pellet_shape(modulus, y[None, :], bed.biot_m)
-            x = 1.0 - (1.0 - x) * np.exp(-profiles * dt)
-            tau += dt
-            modulus = bed.phi * np.sqrt(np.maximum(1.0 - x, 0.0))
+            decay = _pellet_shape(modulus, y[None, :], bed.biot_m)
+            decay *= bulk[:, None]
+            decay *= -dt
+            b *= np.exp(decay, out=decay)
+            np.sqrt(b, out=modulus)
+            modulus *= bed.phi
             trans = np.asarray(surface_transmission(modulus[:, -1], bed.biot_m))
             bulk_new = _self_consistent_bulk(solver, trans)
-            c_y = c_y + 0.5 * dt * (bulk + bulk_new)
+            c_y += 0.5 * dt * (bulk + bulk_new)
             bulk = bulk_new
-        out_bulk.append(bulk.copy())
+        out_bulk.append(bulk)
         out_cy.append(c_y.copy())
-        out_xs.append(x[:, -1].copy())
-        out_xa.append((1.0 - (1.0 - x) @ sw).copy())
+        out_xs.append(1.0 - b[:, -1])
+        out_xa.append(1.0 - b @ sw)
 
     return BedResult(
         tau=sample_tau,

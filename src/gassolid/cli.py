@@ -26,6 +26,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _csv_rows(columns) -> list[str]:
+    """One CSV row per index of the equal-length columns, each value as `_fmt` gives it.
+
+    Formatting the Python floats of ``tolist`` skips a numpy scalar per value.
+    """
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row = ",".join(["%.17g"] * len(cols))
+    return [row % values for values in zip(*cols)]
+
+
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -51,10 +61,7 @@ def _conversion_csv(qm: RunResult, fd: RunResult | None) -> list[str]:
         if fd.x_a is not None:
             cols.append("X_A_fd")
             series.append(fd.x_a if qm is None else np.interp(theta, fd.theta, fd.x_a))
-    lines = [",".join(cols)]
-    for i, t in enumerate(theta):
-        lines.append(",".join([_fmt(t)] + [_fmt(s[i]) for s in series]))
-    return lines
+    return [",".join(cols)] + _csv_rows([theta] + series)
 
 
 def _profiles_csv(qm: RunResult) -> list[str]:
@@ -63,25 +70,17 @@ def _profiles_csv(qm: RunResult) -> list[str]:
         "theta", "y", "a", "solid"]
     lines = [",".join(cols)]
     for snap in qm.snapshots:
-        for j in range(snap.y.size):
-            row = [_fmt(snap.theta), _fmt(snap.y[j]), _fmt(snap.gas[j])]
-            if two_gas:
-                row.append(_fmt(snap.gas_c[j]))
-                row.append(_fmt(snap.solid[j]))
-                row.append(_fmt(snap.solid_a[j]))
-            else:
-                row.append(_fmt(snap.solid[j]))
-            lines.append(",".join(row))
+        values = [snap.gas, snap.gas_c, snap.solid, snap.solid_a] if two_gas else [
+            snap.gas, snap.solid]
+        lines += _csv_rows([np.full(snap.y.size, snap.theta), snap.y] + values)
     return lines
 
 
 def _bed_csv(res: BedResult) -> list[str]:
     lines = ["tau,eta,Y,C_Y,X_surface,X_pellet_avg"]
     for i, t in enumerate(res.tau):
-        for j, e in enumerate(res.eta):
-            lines.append(",".join(_fmt(v) for v in (
-                t, e, res.bulk[i, j], res.cumulative[i, j],
-                res.x_surface[i, j], res.x_average[i, j])))
+        lines += _csv_rows([np.full(res.eta.size, t), res.eta, res.bulk[i], res.cumulative[i],
+                            res.x_surface[i], res.x_average[i]])
     return lines
 
 

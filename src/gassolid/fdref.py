@@ -420,6 +420,8 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     accum = params.psi * params.thiele**2
     if unsteady and params.sherwood is not None:
         raise SolverError("unsteady reference runs support Dirichlet surfaces only")
+    if unsteady and not accum > 0.0:
+        raise SolverError("psi_phi_sq must be positive in unsteady mode")
 
     a = np.zeros(gg.n)
     if unsteady:

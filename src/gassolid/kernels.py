@@ -46,6 +46,7 @@ from .core import PelletGeometry, SolverError, SpatialGrid
 
 _TINY_M = 1e-9  # below this the no-reaction limit a = 1 is exact to 1e-18
 _Y_NORMAL = np.finfo(float).tiny  # the smallest normal y; below it a sphere shape is at its centre
+_FILM_SCALE = 2.0**600  # exact factor that keeps the filmed sphere's products normal
 _DEAD = 36.0  # omega * theta beyond which exp(-omega theta) < 2.4e-16: a dead mode
 _MAX_TERMS = 200  # modes of the unsteady eigen-series
 _TERM_TOL = 1e-10  # a last term above this marks the series as truncated
@@ -88,8 +89,9 @@ def sphere_ratio(M, y, y_ref=1.0):
 
     Evaluated as y_ref/y * exp(M(y-y_ref)) * expm1(-2My)/expm1(-2My_ref),
     which neither overflows for large M nor loses accuracy for small M.
-    The y -> 0 value is the analytic limit; a subnormal y, where y_ref / y
-    would overflow, takes it too (it differs from the limit by O((My)^2)).
+    The y -> 0 value is the analytic limit.  Nodes where y or 2My is
+    subnormal take it too: there y_ref / y would overflow or expm1(-2My)
+    would lose digits, and the shape differs from the limit by O((My)^2).
     """
     M = np.asarray(M, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -99,9 +101,10 @@ def sphere_ratio(M, y, y_ref=1.0):
     if np.any(active):
         Ma, ya = M[active], y[active]
         denom = np.expm1(-2.0 * Ma * y_ref)  # < 0
-        at_center = ya < _Y_NORMAL
+        neg_2my = -2.0 * Ma * ya
+        at_center = (ya < _Y_NORMAL) | (neg_2my > -_Y_NORMAL)  # y or 2My subnormal
         yc = np.where(at_center, 1.0, ya)
-        inner = (y_ref / yc) * np.exp(Ma * (ya - y_ref)) * np.expm1(-2.0 * Ma * ya) / denom
+        inner = (y_ref / yc) * np.exp(Ma * (ya - y_ref)) * np.expm1(neg_2my) / denom
         center = -2.0 * Ma * y_ref * np.exp(-Ma * y_ref) / denom
         out[active] = np.where(at_center, center, inner)
     return out if out.ndim else float(out)
@@ -136,8 +139,16 @@ def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
     sh sinh(My) / (y [delta M cosh M + (sh - delta) sinh M]) is evaluated
     with every hyperbolic scaled by exp(-M): with q = -expm1(-2M),
     sh exp(M(y-1)) (-expm1(-2My)) / (y [delta M (2 - q) + (sh - delta) q]).
-    The y -> 0 value is the analytic limit, also taken at a subnormal y as in
-    sphere_ratio, and nodes with M <= 1e-9 give 1.
+    One pass evaluates it over the whole broadcast array, updating its
+    full-size arrays in place.  Nodes with M <= 1e-9 take the placeholder
+    modulus 1 and are set to 1 at the end; only the centre nodes, where y or
+    2My is subnormal, are patched, with the analytic limit
+    sh 2M exp(-M) / [bracket], as in sphere_ratio.  Numerator and
+    denominator carry the exact factor 2^600, so neither underflows into
+    the subnormal range; where the unscaled products are normal, the
+    quotient is the same to the last bit.
+    Rounding leaves small-M values up to about 11 ulp above 1 (the exact
+    value is at most 1), so the result is capped at 1.
     delta = 0 reduces to sphere_ratio, y = 1 gives the film factor
     1 / (1 + (delta/sh) [M coth M - 1]), and delta = 1 with sh = Bi_m is the
     packed bed's pellet.  For small M the bracket cancels when sh << delta,
@@ -145,22 +156,35 @@ def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
     """
     M = np.asarray(M, dtype=float)
     y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(M.shape, y.shape, np.shape(delta))
-    M, y = np.broadcast_to(M, shape), np.broadcast_to(y, shape)
-    out = np.ones(shape)
-    active = M > _TINY_M
-    if np.any(active):
-        Ma, ya = M[active], y[active]
-        da = delta if np.ndim(delta) == 0 else np.broadcast_to(delta, shape)[active]
-        q = -np.expm1(-2.0 * Ma)
-        bracket = da * Ma * (2.0 - q) + (sherwood - da) * q
-        at_center = ya < _Y_NORMAL
-        yc = np.where(at_center, 1.0, ya)
-        vals = sherwood * np.exp(Ma * (ya - 1.0)) * (-np.expm1(-2.0 * Ma * ya)) / (yc * bracket)
-        Mc = Ma[at_center]
-        vals[at_center] = sherwood * 2.0 * Mc * np.exp(-Mc) / bracket[at_center]
-        out[active] = vals
-    return out if out.ndim else float(out)
+    delta = np.asarray(delta, dtype=float)
+    shape = np.broadcast(M, y, delta).shape
+    # Each full-size array below is allocated once and then updated in place:
+    # at bed sizes a fresh allocation costs more than the arithmetic in it.
+    live = np.broadcast_to(M > _TINY_M, shape or (1,))
+    M = np.where(live, M, 1.0)
+    q = np.multiply(-2.0, M)
+    np.negative(np.expm1(q, out=q), out=q)  # q = -expm1(-2M)
+    tmp = np.subtract(2.0, q)  # 2 - q; the buffer then holds the 2My terms
+    bracket = delta * M
+    bracket *= tmp
+    bracket += np.multiply(q, sherwood - delta, out=q)  # delta M (2 - q) + (sh - delta) q
+    rise = np.multiply(-2.0, M, out=tmp)
+    rise *= y
+    y_small = y < _Y_NORMAL
+    at_center = (rise > -_Y_NORMAL) | y_small  # 2My or y subnormal
+    np.negative(np.expm1(rise, out=rise), out=rise)  # -expm1(-2My)
+    Mc = M[at_center]
+    centre = sherwood * 2.0 * Mc * np.exp(-Mc) / bracket[at_center]
+    out = np.multiply(M, y - 1.0, out=M)
+    np.exp(out, out=out)
+    out *= sherwood * _FILM_SCALE
+    out *= rise
+    bracket *= np.where(y_small, 1.0, y) * _FILM_SCALE
+    out /= bracket
+    out[at_center] = centre
+    np.minimum(out, 1.0, out=out)
+    np.copyto(out, 1.0, where=~live)
+    return out if shape else float(out[0])
 
 
 def profile_qss(M, grid: SpatialGrid, geometry: PelletGeometry,

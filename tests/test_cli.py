@@ -3,10 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gassolid import ConfigError, RunMode, load_config
-from gassolid.cli import main
+from gassolid import ConfigError, RunMode, SpatialGrid, build_model, load_config, run_qm
+from gassolid.bed import BedParams, BedResult, march_bed
+from gassolid.cli import _bed_csv, _conversion_csv, _fmt, _profiles_csv, main
 from gassolid.config import config_from_entries, parse_config_text
 
 BASE = """
@@ -159,6 +161,35 @@ output.snapshots = 1.0
     assert profiles[0] == "theta,y,psi_a,psi_c,solid,solid_a"
 
 
+def _fmt_row(*values):
+    return ",".join(_fmt(v) for v in values)
+
+
+def test_csv_rows_are_fmt_rows():
+    # every CSV row is the values through _fmt, comma-joined, in the old loop order
+    small = march_bed(BedParams(1.1, 3.3, 10.0, 50.0), 0.05, 0.2, n_eta=9, n_radial=11,
+                      n_segments=4, samples=3)
+    edge = np.array([[-0.0, 5e-324], [0.1, 1e16]])
+    hand = BedResult(tau=np.array([-0.0, 0.1]), eta=np.array([5e-324, 1e16]), bulk=edge,
+                     cumulative=edge[::-1], x_surface=edge[:, ::-1], x_average=-edge)
+    for res in (small, hand):
+        want = [_fmt_row(t, e, res.bulk[i, j], res.cumulative[i, j], res.x_surface[i, j],
+                         res.x_average[i, j])
+                for i, t in enumerate(res.tau) for j, e in enumerate(res.eta)]
+        assert _bed_csv(res) == ["tau,eta,Y,C_Y,X_surface,X_pellet_avg"] + want
+    tiny, tenth, big = "4.9406564584124654e-324", "0.10000000000000001", "10000000000000000"
+    assert _bed_csv(hand)[1] == f"-0,{tiny},-0,{tenth},{tiny},0"
+    assert _bed_csv(hand)[4] == f"{tenth},{big},{big},{tiny},{tenth},-{big}"
+
+    params = build_model({"kind": "simultaneous", "sigma_a": 0.3, "sigma_c": 1.0, "psi_ab": 0.4})
+    two_gas = run_qm(params, SpatialGrid(101), 1.0, 11, (0.5, 1.0))
+    want = [_fmt_row(t, x, xa) for t, x, xa in zip(two_gas.theta, two_gas.x, two_gas.x_a)]
+    assert _conversion_csv(two_gas, None) == ["theta,X_qm,X_A_qm"] + want
+    want = [_fmt_row(s.theta, s.y[j], s.gas[j], s.gas_c[j], s.solid[j], s.solid_a[j])
+            for s in two_gas.snapshots for j in range(s.y.size)]
+    assert _profiles_csv(two_gas) == ["theta,y,psi_a,psi_c,solid,solid_a"] + want
+
+
 def test_bed_section_writes_bed_csv(tmp_path):
     text = BASE + """
 bed.peclet = 1.1
@@ -206,6 +237,16 @@ def test_compare_mode_at_zero_modulus(tmp_path):
     summary = (out / "summary.txt").read_text()
     gap = float(summary.split("max_abs_dX = ")[1].split()[0])
     assert gap <= 1e-5
+
+
+def test_fd_run_at_zero_unsteady_modulus_exit_code(tmp_path, capsys):
+    text = (BASE.replace("qm_only", "fd_only").replace("phi_v = 1.0", "phi_v = 0")
+            .replace("model.psi = 0", "model.psi = 0.05"))
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "psi_phi_sq must be positive" in err
+    assert not (out / "conversion.csv").exists()
 
 
 def test_sweep(tmp_path):

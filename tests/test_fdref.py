@@ -152,6 +152,21 @@ def test_zero_duration_run_is_unconverted(grid):
         assert qm.x.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("raw", [
+    {"kind": "volume_first_order", "phi_v": 0.0, "psi": 0.05},
+    {"kind": "grain_simple", "sigma": 0.0, "F_g": 2, "psi": 0.05},
+])
+def test_unsteady_zero_modulus_rejected(grid, raw):
+    # psi phi^2 = 0 leaves the Crank-Nicolson step without gas capacity; the
+    # QM rejects the same run, so the oracle does not march it either
+    p = build_model(raw)
+    ctl = FdControl(n_space=101, dtheta=2e-3, auto_refine=False)
+    with pytest.raises(SolverError, match="psi_phi_sq must be positive in unsteady mode"):
+        fd_solve(p, 1.0, ctl, samples=11)
+    with pytest.raises(SolverError, match="psi_phi_sq must be positive in unsteady mode"):
+        run_qm(p, grid, 1.0, samples=11)
+
+
 def test_bed_bulk_input_validation():
     with pytest.raises(SolverError):
         fd_solve_bed_bulk(0.0, 1.0, 1.0, np.zeros(11))

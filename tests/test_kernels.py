@@ -118,14 +118,17 @@ def test_scaled_ratio_identities():
 @pytest.mark.parametrize("ratio", [sphere_ratio, lambda m, y: filmed_sphere_ratio(m, y, 5.0, 0.7)],
                          ids=["sphere", "filmed_sphere"])
 def test_sphere_shapes_at_subnormal_y(ratio):
-    # y_ref / y overflowed to inf below the smallest normal y; there the
-    # shape equals its centre value to O((My)^2)
-    y = np.geomspace(5e-324, 2.2e-308, 60)
-    assert np.all(y < np.finfo(float).tiny)
-    for m in (1e-6, 0.3, 2.0, 50.0):
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            got = ratio(m, y)
-        np.testing.assert_allclose(got, ratio(m, 0.0), rtol=1e-15, atol=0.0)
+    # y_ref / y overflowed to inf below the smallest normal y, and at a normal
+    # y with a subnormal 2My, expm1(-2My) lost digits (1.6e-8 at M 2e-9,
+    # y 2.3e-308); there the shape equals its centre value to O((My)^2)
+    subnormal = np.geomspace(5e-324, 2.2e-308, 60)
+    assert np.all(subnormal < np.finfo(float).tiny)
+    normal = np.geomspace(2.3e-308, 1e-290, 60)
+    for y, moduli in ((subnormal, (1e-6, 0.3, 2.0, 50.0)), (normal, (2e-9, 1e-6, 1e-3))):
+        for m in moduli:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                got = ratio(m, y)
+            np.testing.assert_allclose(got, ratio(m, 0.0), rtol=1e-15, atol=0.0)
 
 
 def test_m_coth_m_minus_1_small_and_large():
@@ -171,13 +174,11 @@ def _m_coth_m_minus_1_exact(M):
 
 @st.composite
 def _filmed_nodes(draw):
-    # y > 0 stays above 1e-12: near 1e-300 the product 2 M y is subnormal
-    # in the kernel and in sphere_ratio alike, and both lose digits.  sh stays
-    # at 0.1 or more: for small M the bracket loses log10(delta/sh) digits.
+    # sh stays at 0.1 or more: for small M the bracket loses log10(delta/sh) digits.
     n = draw(st.integers(1, 24))
     nodes = st.tuples(
         st.floats(1e-9, 1e-4) | st.floats(1e-9, 50.0),  # M, small moduli drawn apart
-        st.just(0.0) | st.floats(1e-12, 1.0),             # y, the centre included
+        st.just(0.0) | st.floats(5e-324, 1.0),            # y, the centre included
         st.just(0.0) | st.floats(0.0, 1.0),               # delta, 0 included
     )
     m, y, delta = (np.array(col) for col in zip(*draw(st.lists(nodes, min_size=n, max_size=n))))
@@ -195,6 +196,35 @@ def test_filmed_sphere_matches_product_form(case):
     # delta = 0 removes the film: the plain sphere shape
     np.testing.assert_allclose(filmed_sphere_ratio(m, y, sh, 0.0), sphere_ratio(m, y),
                                rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def _bed_layout(draw):
+    # march_bed's call: per-node M of shape (n_eta, n_radial) against y of
+    # shape (1, n_radial), with a scalar or a per-node delta
+    n_eta, n_radial = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    modulus = (st.just(0.0) | st.floats(0.0, 1e-9) | st.floats(1e-9, 50.0)
+               | st.just(1e4))  # the stepper's plugged modulus
+    m = draw(hnp.arrays(float, (n_eta, n_radial), elements=modulus))
+    y = draw(hnp.arrays(float, (1, n_radial), elements=st.just(0.0) | st.floats(0.0, 1.0)))
+    delta = draw(st.floats(0.0, 1.0)
+                 | hnp.arrays(float, (n_eta, n_radial), elements=st.floats(0.0, 1.0)))
+    return m, y, delta, draw(st.floats(0.1, 1e3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bed_layout())
+def test_filmed_sphere_one_pass_matches_scalar_calls(case):
+    # the unmasked pass gives every node the value a call on that node alone gives
+    m, y, delta, sh = case
+    got = filmed_sphere_ratio(m, y, sh, delta)
+    assert got.shape == m.shape
+    nodes = zip(m.ravel(), np.broadcast_to(y, m.shape).ravel(),
+                np.broadcast_to(delta, m.shape).ravel())
+    want = np.array([filmed_sphere_ratio(float(mi), float(yi), sh, float(di))
+                     for mi, yi, di in nodes]).reshape(m.shape)
+    assert got.tobytes() == want.tobytes()
+    assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 def test_filmed_sphere_small_modulus_pin():
