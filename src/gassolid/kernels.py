@@ -6,7 +6,7 @@ reaction-diffusion problem with a per-node effective modulus M.  This
 module evaluates the resulting closed forms:
 
 * first-stage profiles, quasi-steady and with the unsteady eigen-series,
-  and the filmed sphere that the packed bed's pellets use as well,
+  every spherical one, the packed bed's too, from the filmed sphere kernel,
 * the exposure integral of a given profile over an increment (the time
   integral of a), from the modes an unsteady profile keeps,
 * the second-stage (receding reaction front) piecewise profiles, and
@@ -84,34 +84,8 @@ def m_coth_m_minus_1(x):
     return out if out.ndim else float(out)
 
 
-def sphere_ratio(M, y, y_ref=1.0):
-    """[sinh(M y)/y] / [sinh(M y_ref)/y_ref], the spherical profile shape.
-
-    Evaluated as y_ref/y * exp(M(y-y_ref)) * expm1(-2My)/expm1(-2My_ref),
-    which neither overflows for large M nor loses accuracy for small M.
-    The y -> 0 value is the analytic limit.  Nodes where y or 2My is
-    subnormal take it too: there y_ref / y would overflow or expm1(-2My)
-    would lose digits, and the shape differs from the limit by O((My)^2).
-    """
-    M = np.asarray(M, dtype=float)
-    y = np.asarray(y, dtype=float)
-    M, y = np.broadcast_arrays(M, y)
-    out = np.ones(np.broadcast(M, y).shape)
-    active = M > _TINY_M
-    if np.any(active):
-        Ma, ya = M[active], y[active]
-        denom = np.expm1(-2.0 * Ma * y_ref)  # < 0
-        neg_2my = -2.0 * Ma * ya
-        at_center = (ya < _Y_NORMAL) | (neg_2my > -_Y_NORMAL)  # y or 2My subnormal
-        yc = np.where(at_center, 1.0, ya)
-        inner = (y_ref / yc) * np.exp(Ma * (ya - y_ref)) * np.expm1(neg_2my) / denom
-        center = -2.0 * Ma * y_ref * np.exp(-Ma * y_ref) / denom
-        out[active] = np.where(at_center, center, inner)
-    return out if out.ndim else float(out)
-
-
-def slab_ratio(M, y, y_ref=1.0):
-    """cosh(M y)/cosh(M y_ref), exponentially scaled (vectorized)."""
+def slab_ratio(M, y):
+    """cosh(M y)/cosh(M), exponentially scaled (vectorized)."""
     M = np.asarray(M, dtype=float)
     y = np.asarray(y, dtype=float)
     M, y = np.broadcast_arrays(M, y)
@@ -120,15 +94,16 @@ def slab_ratio(M, y, y_ref=1.0):
     if np.any(active):
         Ma, ya = M[active], y[active]
         out[active] = (
-            np.exp(Ma * (ya - y_ref))
+            np.exp(Ma * (ya - 1.0))
             * (1.0 + np.exp(-2.0 * Ma * ya))
-            / (1.0 + np.exp(-2.0 * Ma * y_ref))
+            / (1.0 + np.exp(-2.0 * Ma))
         )
     return out if out.ndim else float(out)
 
 
-def shape_ratio(geometry: PelletGeometry, M, y, y_ref=1.0):
-    return sphere_ratio(M, y, y_ref) if geometry.is_sphere else slab_ratio(M, y, y_ref)
+def shape_ratio(geometry: PelletGeometry, M, y):
+    """Dirichlet shape: cosh(My)/cosh(M), or on the sphere the filmed one without a film."""
+    return filmed_sphere_ratio(M, y, 1.0, 0.0) if geometry.is_sphere else slab_ratio(M, y)
 
 
 def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
@@ -143,13 +118,13 @@ def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
     full-size arrays in place.  Nodes with M <= 1e-9 take the placeholder
     modulus 1 and are set to 1 at the end; only the centre nodes, where y or
     2My is subnormal, are patched, with the analytic limit
-    sh 2M exp(-M) / [bracket], as in sphere_ratio.  Numerator and
+    sh 2M exp(-M) / [bracket].  Numerator and
     denominator carry the exact factor 2^600, so neither underflows into
     the subnormal range; where the unscaled products are normal, the
     quotient is the same to the last bit.
     Rounding leaves small-M values up to about 11 ulp above 1 (the exact
     value is at most 1), so the result is capped at 1.
-    delta = 0 reduces to sphere_ratio, y = 1 gives the film factor
+    delta = 0 is the Dirichlet sphere of shape_ratio, y = 1 gives the film factor
     1 / (1 + (delta/sh) [M coth M - 1]), and delta = 1 with sh = Bi_m is the
     packed bed's pellet.  For small M the bracket cancels when sh << delta,
     which costs about log10(delta/sh) digits.
@@ -426,7 +401,6 @@ def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
         const = a_m * (1.0 + q)
         harm = -a_m * q * y_m
         values[~in_core] = const + harm / y[~in_core]
-        values[in_core] = a_m * sphere_ratio(M, y[in_core], y_m)
         flux_outer = -harm / (y_m * y_m)
         flux_inner = a_m * q / y_m
     else:
@@ -435,9 +409,10 @@ def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
         t = M * math.tanh(M * y_m)
         a_m = 1.0 / (1.0 + (1.0 - y_m) * t)
         values[~in_core] = a_m * (1.0 + t * (y[~in_core] - y_m))
-        values[in_core] = a_m * slab_ratio(M, y[in_core], y_m)
         flux_outer = a_m * t
         flux_inner = a_m * t
+    # the front is the core's surface: shape(M, y; y_m) = shape(M y_m, y / y_m)
+    values[in_core] = a_m * shape_ratio(geometry, M * y_m, y[in_core] / y_m)
     if abs(flux_outer - flux_inner) > 1e-8 * max(1.0, abs(flux_outer)):
         raise SolverError("second-stage flux mismatch at the front")
     return values

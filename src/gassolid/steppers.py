@@ -55,8 +55,8 @@ from .kernels import (
     profile_qss,
     profile_unsteady,
     second_stage_profiles,
+    shape_ratio,
     solve_moving_boundary,
-    sphere_ratio,
 )
 
 DEFAULT_DECREMENT_CAP = 0.01
@@ -75,8 +75,6 @@ class StepStatus(Flag):
 
 @dataclass
 class StepReport:
-    theta_after: float
-    max_solid_decrement: float
     stage_switched: bool
     status: StepStatus
 
@@ -195,20 +193,18 @@ class _PelletStepper:
             raise SolverError("dtheta must be nonnegative")
         s = state.copy()
         status = StepStatus.OK
-        max_dec = 0.0
         switched = False
         remaining = dtheta
         floor = 1e-14 * max(1.0, dtheta)
         while remaining > floor:
             if s.stage is Stage.FIRST:
-                dt, dec, sw, st = self._first_stage_substep(s, remaining)
+                dt, sw, st = self._first_stage_substep(s, remaining)
             else:
-                dt, dec, sw, st = self._second_stage_substep(s, remaining)
+                dt, sw, st = self._second_stage_substep(s, remaining)
             remaining -= dt
-            max_dec = max(max_dec, dec)
             switched = switched or sw
             status |= st
-        return s, StepReport(s.theta, max_dec, switched, status)
+        return s, StepReport(switched, status)
 
     # -- substeps ----------------------------------------------------------
 
@@ -250,7 +246,7 @@ class _PelletStepper:
             s.stage = Stage.SECOND
             s.theta_c = s.theta
             s.y_m = 1.0
-        return dt, dec, switching, status
+        return dt, switching, status
 
     def _front_modulus(self, M: np.ndarray, s: PelletState) -> float:
         """Volume-mean effective modulus of the unexhausted inner zone.
@@ -281,7 +277,7 @@ class _PelletStepper:
             s.solid[:] = 0.0
             s.y_m = 0.0
             s.theta += remaining
-            return remaining, 0.0, False, status | StepStatus.EXHAUSTED
+            return remaining, False, status | StepStatus.EXHAUSTED
         m_eff = self._front_modulus(M, s)
         if s.y_m >= 1.0:
             a0 = profile_qss(m_eff, self.grid, self.geometry, sh).values
@@ -294,20 +290,18 @@ class _PelletStepper:
         target = front_time(s.y_m, m_eff, self.geometry, theta_c, sh) + dt
         y_new = solve_moving_boundary(target, m_eff, self.geometry, theta_c, sh)
         if y_new <= 0.0:
-            dec = float(np.max(s.solid))
             s.solid[:] = 0.0
             s.y_m = 0.0
             s.theta += dt
-            return dt, dec, False, status | StepStatus.EXHAUSTED
+            return dt, False, status | StepStatus.EXHAUSTED
         dg = second_stage_profiles(y_new, m_eff, self.grid, self.geometry, sh) * dt
         solid_new, expo_new = self.advance(s.solid, s.exposure, dg)
         solid_new[self.grid.y > y_new] = 0.0
-        dec = float(np.max(s.solid - solid_new))
         s.solid = solid_new
         s.exposure = expo_new
         s.y_m = y_new
         s.theta += dt
-        return dt, dec, False, status
+        return dt, False, status
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +548,8 @@ class _Simultaneous(_PelletStepper):
             raise SolverError("simultaneous model state requires solid_aux (b_A)")
         p = self.params
         root = np.sqrt(2.0 * p.pellet.shape_factor * state.solid)
-        psi_a = p.psi_ab * sphere_ratio(p.thiele_a * root, self.grid.y)
-        psi_c = p.psi_cb * sphere_ratio(p.thiele_c * root, self.grid.y)
+        psi_a = p.psi_ab * shape_ratio(self.geometry, p.thiele_a * root, self.grid.y)
+        psi_c = p.psi_cb * shape_ratio(self.geometry, p.thiele_c * root, self.grid.y)
         return psi_a, psi_c
 
     def _first_stage_substep(self, s: PelletState, remaining: float):
@@ -568,10 +562,9 @@ class _Simultaneous(_PelletStepper):
         kernel = np.where(total > 0.0, shrink / np.where(total > 0.0, total, 1.0), dt)
         b_new = np.maximum(s.solid * (1.0 - shrink), _B_MIN)
         s.solid_aux = np.maximum(s.solid_aux - psi_a * s.solid * kernel, 0.0)
-        dec = float(np.max(s.solid - b_new))
         s.solid = b_new
         s.theta += dt
-        return dt, dec, False, StepStatus.OK
+        return dt, False, StepStatus.OK
 
 
 _STEPPERS = {

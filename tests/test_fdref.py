@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gassolid import (
@@ -370,11 +370,19 @@ def test_qss_solve_matches_dense_stencil(case, sherwood):
     np.testing.assert_allclose(a, np.linalg.solve(op, rhs), rtol=1e-10)
 
 
+@st.composite
+def _cn_cases(draw):
+    n, fp, delta, rho = draw(_fv_cases())
+    return n, fp, delta, rho, draw(_unit_arrays(n, 0.0))
+
+
 @settings(max_examples=60, deadline=None)
-@given(_fv_cases(), st.floats(1e-3, 10.0), st.floats(1e-4, 1.0), st.data())
-def test_cn_step_matches_dense_stencil(case, accum, dt, data):
-    n, fp, delta, rho = case
-    a_old = data.draw(_unit_arrays(n, 0.0))
+@given(_cn_cases(), st.floats(1e-3, 10.0), st.floats(1e-4, 1.0))
+@example((15, 1, None, np.full(15, 3.3), np.full(15, 0.81)), 0.19, 0.98)
+def test_cn_step_matches_dense_stencil(case, accum, dt):
+    # Both solves round on the scale of max|a|, not of each entry: in the
+    # pinned example node 6 is 1.9e-5, off by 8.7e-15 (4.5e-10 relative).
+    n, fp, delta, rho, a_old = case
     op, _, vol = _dense_operator(n, fp, delta, rho)
     cap = accum * vol / dt
     lhs = np.diag(cap) + 0.5 * op
@@ -382,4 +390,5 @@ def test_cn_step_matches_dense_stencil(case, accum, dt, data):
     lhs[-1] = 0.0
     lhs[-1, -1] = rhs[-1] = 1.0
     a, _ = fdref._advance_gas_cn(fdref._GasGrid(n, fp), a_old, rho, delta, accum, dt)
-    np.testing.assert_allclose(a, np.linalg.solve(lhs, rhs), rtol=1e-10)
+    want = np.linalg.solve(lhs, rhs)
+    np.testing.assert_allclose(a, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))

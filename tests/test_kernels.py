@@ -26,11 +26,34 @@ from gassolid.kernels import (
     front_bracket,
     shape_ratio,
     slab_ratio,
-    sphere_ratio,
 )
 
 SLAB = PelletGeometry(1)
 SPHERE = PelletGeometry(3)
+
+
+def _exact(fn, *arrays):
+    """fn(mp, *node) at every node of the broadcast arrays, in 50-digit mpmath.
+
+    The references built with it share no expression with the kernels.
+    """
+    mp = pytest.importorskip("mpmath")
+    cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+    with mp.workdps(50):
+        out = [float(fn(mp, *map(mp.mpf, node))) for node in zip(*(c.ravel() for c in cols))]
+    return np.array(out).reshape(cols[0].shape)
+
+
+def _sphere_shape(mp, m, y, y_ref=1.0):
+    """[sinh(My)/y] / [sinh(M y_ref)/y_ref]; the centre takes the limit M."""
+    if m == 0:
+        return mp.mpf(1)
+    return (m if y == 0 else mp.sinh(m * y) / y) * y_ref / mp.sinh(m * y_ref)
+
+
+def _filmed_sphere(mp, m, y, sh, delta):
+    """The sphere shape times the film factor 1 / (1 + (delta/sh) [M coth M - 1])."""
+    return _sphere_shape(mp, m, y) / (1 + (delta / sh) * (m / mp.tanh(m) - 1 if m else 0))
 
 
 def _full_series(M, scale, y, geom, n_terms):
@@ -106,20 +129,40 @@ def test_per_node_modulus_evaluation(grid):
     assert np.allclose(vals, single, atol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(float, 201, elements=st.floats(-9.0, math.log10(50.0))))
+def test_dirichlet_sphere_profile_within_unit_interval(log_m):
+    # M log-uniform in [1e-9, 50] per node; without the kernel's cap at 1,
+    # rounding leaves small-M shapes up to 4.4e-16 above 1
+    grid = SpatialGrid(201)
+    m = 10.0**log_m
+    decayed = profile_unsteady(m, 50.0, 0.1, grid, SPHERE)  # the steady part only
+    assert decayed._transient is None
+    for values in (profile_qss(m, grid, SPHERE).values, decayed.values):
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+
 def test_scaled_ratio_identities():
+    # the second-stage core is the shape with the front as its surface:
+    # shape(M y_m, y / y_m) = shape(M, y) / shape(M, y_m) for y <= y_m
     y = np.linspace(0.0, 1.0, 11)
+    core = y[y <= 0.7]
     for m in (0.3, 2.0, 8.0):
         assert np.allclose(slab_ratio(m, y), np.cosh(m * y) / np.cosh(m), rtol=1e-13)
-        s = sphere_ratio(m, y[1:], 0.7)
-        ref = (np.sinh(m * y[1:]) / y[1:]) / (np.sinh(m * 0.7) / 0.7)
-        assert np.allclose(s, ref, rtol=1e-12)
+        s = shape_ratio(SLAB, m * 0.7, core / 0.7)
+        assert np.allclose(s, np.cosh(m * core) / np.cosh(m * 0.7), rtol=1e-13)
+        s = shape_ratio(SPHERE, m * 0.7, core / 0.7)
+        assert np.allclose(s, _exact(_sphere_shape, m, core, 0.7), rtol=1e-12)
 
 
-@pytest.mark.parametrize("ratio", [sphere_ratio, lambda m, y: filmed_sphere_ratio(m, y, 5.0, 0.7)],
-                         ids=["sphere", "filmed_sphere"])
-def test_sphere_shapes_at_subnormal_y(ratio):
-    # y_ref / y overflowed to inf below the smallest normal y, and at a normal
-    # y with a subnormal 2My, expm1(-2My) lost digits (1.6e-8 at M 2e-9,
+@pytest.mark.parametrize("ratio,exact", [
+    (lambda m, y: shape_ratio(SPHERE, m, y), lambda m, y: _exact(_sphere_shape, m, y)),
+    (lambda m, y: filmed_sphere_ratio(m, y, 5.0, 0.7),
+     lambda m, y: _exact(_filmed_sphere, m, y, 5.0, 0.7)),
+], ids=["sphere", "filmed_sphere"])
+def test_sphere_shapes_at_subnormal_y(ratio, exact):
+    # 1 / y overflows to inf below the smallest normal y, and at a normal y
+    # with a subnormal 2My, expm1(-2My) loses digits (1.6e-8 at M 2e-9,
     # y 2.3e-308); there the shape equals its centre value to O((My)^2)
     subnormal = np.geomspace(5e-324, 2.2e-308, 60)
     assert np.all(subnormal < np.finfo(float).tiny)
@@ -128,7 +171,7 @@ def test_sphere_shapes_at_subnormal_y(ratio):
         for m in moduli:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 got = ratio(m, y)
-            np.testing.assert_allclose(got, ratio(m, 0.0), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(got, exact(m, 0.0), rtol=1e-15, atol=0.0)
 
 
 def test_m_coth_m_minus_1_small_and_large():
@@ -156,20 +199,10 @@ def test_film_factor_satisfies_robin(grid):
         c = filmed_sphere_ratio(m, 1.0, sh)
         assert c * m_coth_m_minus_1(m) == pytest.approx(sh * (1.0 - c), rel=1e-12)
         filmed = profile_qss(m, grid, SPHERE, sh).values
-        assert np.allclose(filmed, c * sphere_ratio(m, grid.y), rtol=1e-13, atol=0.0)
-    assert np.array_equal(profile_qss(2.0, grid, SPHERE, None).values, sphere_ratio(2.0, grid.y))
-
-
-def _m_coth_m_minus_1_exact(M):
-    """M coth M - 1 to a few ulp: the series below 1e-2, else M / tanh(M) - 1.
-
-    Formed here, not by kernels.m_coth_m_minus_1, so that the reference does
-    not share the kernel's expression.
-    """
-    small = M < 1e-2
-    m = np.where(small, 1.0, M)
-    series = M**2 / 3.0 - M**4 / 45.0 + 2.0 * M**6 / 945.0 - M**8 / 4725.0
-    return np.where(small, series, m / np.tanh(m) - 1.0)
+        assert np.allclose(filmed, c * _exact(_sphere_shape, m, grid.y), rtol=1e-13, atol=0.0)
+    # the Dirichlet sphere is the filmed kernel without a film
+    plain = profile_qss(2.0, grid, SPHERE, None).values
+    assert np.array_equal(plain, filmed_sphere_ratio(2.0, grid.y, 1.0, 0.0))
 
 
 @st.composite
@@ -191,10 +224,10 @@ def test_filmed_sphere_matches_product_form(case):
     # sh sinh(My) / (y [delta M cosh M + (sh - delta) sinh M]) is the sphere
     # shape times the film factor 1 / (1 + (delta/sh) [M coth M - 1])
     m, y, delta, sh = case
-    ref = sphere_ratio(m, y) / (1.0 + (delta / sh) * _m_coth_m_minus_1_exact(m))
+    ref = _exact(_filmed_sphere, m, y, sh, delta)
     np.testing.assert_allclose(filmed_sphere_ratio(m, y, sh, delta), ref, rtol=1e-13, atol=0.0)
     # delta = 0 removes the film: the plain sphere shape
-    np.testing.assert_allclose(filmed_sphere_ratio(m, y, sh, 0.0), sphere_ratio(m, y),
+    np.testing.assert_allclose(filmed_sphere_ratio(m, y, sh, 0.0), _exact(_sphere_shape, m, y),
                                rtol=1e-13, atol=0.0)
 
 
@@ -520,7 +553,7 @@ def test_second_stage_front_value_matches_shape(grid):
     m, y_m = 2.0, 0.5
     two = second_stage_profiles(y_m, m, grid, SPHERE)
     inner = grid.y <= y_m
-    ref = _front_value(y_m, m, SPHERE) * shape_ratio(SPHERE, m, grid.y[inner], y_m)
+    ref = _front_value(y_m, m, SPHERE) * _exact(_sphere_shape, m, grid.y[inner], y_m)
     assert np.allclose(two[inner], ref, atol=1e-14)
 
 
