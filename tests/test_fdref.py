@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,11 +192,11 @@ PINNED_X = [
      [0.0, 0.1704245346982164, 0.32547478299910004, 0.4624105003310839,
       0.5800344664584789, 0.6784070262357187, 0.7585624650980433, 0.8222282369707882,
       0.8715536163827382, 0.9088614253118481, 0.9364402225542551]),
-    # unsteady gas, Crank-Nicolson
+    # unsteady gas, Crank-Nicolson coupled to the Heun solid step
     ({"kind": "volume_first_order", "phi_v": 1.0, "psi": 0.1}, 1.0,
-     [0.0, 0.08553712897594978, 0.16802245806537064, 0.2433972490615336,
-      0.3122241011014829, 0.37502773868270434, 0.43229733764701395, 0.4844881249135947,
-      0.5320229181410534, 0.5752936885201833, 0.6146631502929137]),
+     [0.0, 0.08469239056159417, 0.1672466808506624, 0.24268729655250476,
+      0.3115754064458992, 0.3744356464518537, 0.4317573658438085, 0.4839960407666474,
+      0.531574760393591, 0.5748857697297625, 0.6142920503823552]),
     # the rest of the solid laws: half order (slab), the grain family with a
     # product layer and with a structure change (delta is an array), nucleation
     ({"kind": "volume_half_order", "phi_v": 0.8, "F_p": 1}, 3.0,
@@ -236,6 +237,44 @@ def test_bed_bulk_profile_pinned():
     eta = np.linspace(0.0, 1.0, 21)
     y = fd_solve_bed_bulk(1.1, 3.3, 1.0, 0.5 * (1.0 - eta) ** 2)
     assert np.max(np.abs(y - np.asarray(PINNED_BED))) <= 1e-13
+
+
+# --- unsteady march: gas and solid advance together, second order ------------
+
+UNSTEADY_PIN = PINNED_X[2][0]
+
+
+def test_unsteady_flux_identity_and_global_balance():
+    # the Crank-Nicolson step's surface flux is its gas storage plus its
+    # consumption, and the consumption integrates to X: the quasi-steady bounds
+    res = fd_solve(build_model(UNSTEADY_PIN), 1.0, PIN_CONTROL, samples=11)
+    assert res.diagnostics["max_flux_residual"] <= 1e-6
+    assert res.diagnostics["balance_residual"] <= 1e-4
+
+
+def test_unsteady_march_is_second_order():
+    # a first-order step would shrink the drift by 2 per halving of dtheta
+    p = build_model(UNSTEADY_PIN)
+    xs = [fd_solve(p, 1.0, replace(PIN_CONTROL, dtheta=dt), samples=11).x
+          for dt in (2e-3, 1e-3, 5e-4)]
+    coarse, fine = (float(np.max(np.abs(b - a))) for a, b in zip(xs, xs[1:]))
+    assert coarse >= 3.5 * fine
+
+
+# X of the run below at a fixed dtheta 1.25e-4 (n_space 201, no refinement)
+GRAIN_UNSTEADY_FINE = [
+    0.0, 0.23782899047820016, 0.45373201929029217, 0.6360923343895347,
+    0.783365912607516, 0.8938180375460673, 0.965485312224512, 0.9964218873855349,
+    0.9999999530360089, *[1.0] * 12,
+]
+
+
+def test_unsteady_default_control_converges():
+    # the default control serves unsteady runs too: from its dtheta a
+    # first-order step does not converge here within _MAX_REFINES halvings
+    p = build_model({"kind": "grain_simple", "sigma": 1.5, "F_g": 2, "psi": 0.05})
+    res = fd_solve(p, 3.0, FdControl(n_space=201), samples=21)
+    assert np.max(np.abs(res.x - np.asarray(GRAIN_UNSTEADY_FINE))) < fdref._REFINE_TOL
 
 
 # --- pore plugging: closed cells hold no gas ----------------------------------
