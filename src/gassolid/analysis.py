@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,18 @@ def simpson_weights(n: int) -> np.ndarray:
     return w * (h / 3.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _radial_weights(n: int, shape_factor: int) -> np.ndarray:
+    """Simpson weights times y^(F_p-1) on the n-node grid, read-only."""
+    w = simpson_weights(n) * np.linspace(0.0, 1.0, n) ** (shape_factor - 1)
+    w.flags.writeable = False
+    return w
+
+
 def radial_average(values: np.ndarray, shape_factor: int) -> float:
     """F_p * integral of y^(F_p-1) * values over [0, 1] (Simpson)."""
-    n = values.shape[-1]
-    y = np.linspace(0.0, 1.0, n)
-    w = simpson_weights(n)
-    return float(shape_factor * np.sum(w * y ** (shape_factor - 1) * values))
+    w = _radial_weights(values.shape[-1], shape_factor)
+    return float(shape_factor * np.sum(w * values))
 
 
 def _solid_integrand(solid: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -139,20 +139,18 @@ def execute_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> dict:
                                cfg.bed_n_radial, cfg.bed_n_segments, cfg.bed_samples)
         _write_lines(out_dir / "bed.csv", _bed_csv(bed_result))
 
-    if cfg.write_conversion and (qm is not None or fd is not None):
-        _write_lines(out_dir / "conversion.csv", _conversion_csv(qm, fd))
-    if cfg.write_profiles and qm is not None and qm.snapshots:
+    _write_lines(out_dir / "conversion.csv", _conversion_csv(qm, fd))
+    if qm is not None and qm.snapshots:
         _write_lines(out_dir / "profiles.csv", _profiles_csv(qm))
     _write_lines(out_dir / "summary.txt", _summary(cfg, qm, fd, metrics, bed_result))
 
     picked = qm if qm is not None else fd
     info = {
-        "final_X": None if picked is None else float(picked.x[-1]),
+        "final_X": float(picked.x[-1]),
         "max_abs_dX": None if metrics is None else metrics.max_abs_dx,
+        "theta_at_X50": _theta_at(picked, 0.5),
+        "theta_at_X90": _theta_at(picked, 0.9),
     }
-    if picked is not None:
-        info["theta_at_X50"] = _theta_at(picked, 0.5)
-        info["theta_at_X90"] = _theta_at(picked, 0.9)
     if not quiet:
         print(f"wrote {out_dir}")
     return info
@@ -245,13 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one configuration")
     run_p.add_argument("config", type=Path)
     run_p.add_argument("--out", type=Path, default=None, help="output directory")
-    run_p.add_argument("--seed-grid", type=int, default=None, help="override grid.n")
     run_p.add_argument("--quiet", action="store_true")
 
     cmp_p = sub.add_parser("compare", help="run with the reference solver and compare")
     cmp_p.add_argument("config", type=Path)
     cmp_p.add_argument("--out", type=Path, default=None)
-    cmp_p.add_argument("--seed-grid", type=int, default=None)
     cmp_p.add_argument("--quiet", action="store_true")
 
     sweep_p = sub.add_parser("sweep", help="cartesian sweep over key=v1,v2,... specs")
@@ -269,8 +265,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("run", "compare"):
             cfg = load_config(args.config)
-            if args.seed_grid is not None:
-                cfg.grid_n = args.seed_grid
             if args.command == "compare":
                 cfg.mode = RunMode.COMPARE
             out_dir = args.out if args.out is not None else (

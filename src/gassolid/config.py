@@ -59,8 +59,6 @@ class RunConfig:
     decrement_cap: float = DEFAULT_DECREMENT_CAP
     snapshots: tuple[float, ...] = ()
     out_dir: str | None = None
-    write_conversion: bool = True
-    write_profiles: bool = True
     bed: BedParams | None = None
     bed_dtau: float = 0.01
     bed_tau_end: float = 5.0
@@ -104,15 +102,6 @@ def _to_int(key: str, value: str) -> int:
         raise ConfigError(f"key '{key}': expected an integer, got {value!r}") from None
 
 
-def _to_bool(key: str, value: str) -> bool:
-    low = value.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"key '{key}': expected a boolean, got {value!r}")
-
-
 def _to_floats(key: str, value: str) -> tuple[float, ...]:
     return tuple(_as_float(key, p) for p in value.replace(",", " ").split())
 
@@ -129,8 +118,6 @@ _KEYS = {
     "grid.decrement_cap": ("decrement_cap", _as_float),
     "output.directory": ("out_dir", lambda key, value: value),
     "output.snapshots": ("snapshots", _to_floats),
-    "output.conversion_csv": ("write_conversion", _to_bool),
-    "output.profiles_csv": ("write_profiles", _to_bool),
     **{f"bed.{group}": (group, _as_float) for group in _BED_GROUPS},
     "bed.dtau": ("bed_dtau", _as_float),
     "bed.tau_end": ("bed_tau_end", _as_float),

@@ -12,17 +12,19 @@ solid or a transform of it (sqrt(b), the grain radius, -ln b).  A model
 gives the fresh state ``start``, the bounds ``lo`` and ``hi`` every new
 state is clamped to, ``gas_terms`` (the reaction coefficient and the
 structure factor, None where diffusion does not change) and ``rates``
-under a gas profile.  ``_fd_march`` forms the Heun predictor and trapezoid
-itself, so one march serves every single-gas law; the two-gas model has its
-own.  With gas accumulation the gas and the solid advance together, second
-order in the step: the predictor takes the rates under the gas at the step
-start, one Crank-Nicolson step from that gas under the reaction and
-structure averaged over the state and the predictor gives the end-of-step
-gas, and the corrector's rates take the predictor under it.  A cell whose
-pores closed on both faces and that no longer reacts has a zero row in the
-quasi-steady system and is given a = 0.  With ``FdControl.auto_refine``
-the step (4e-3 by default) is halved until the sampled conversions move by
-less than ``_REFINE_TOL``, at most ``_MAX_REFINES`` times.
+under a gas profile.  The product-layer grain model is the modified
+grain law at Z_v = 1, where its structure factor is None.  ``_fd_march``
+forms the Heun predictor and trapezoid itself, so one march serves every
+single-gas law; the two-gas model has its own.  With gas accumulation the
+gas and the solid advance together, second order in the step: the
+predictor takes the rates under the gas at the step start, one
+Crank-Nicolson step from that gas under the reaction and structure averaged
+over the state and the predictor gives the end-of-step gas, and the
+corrector's rates take the predictor under it.  A cell whose pores closed
+on both faces and that no longer reacts has a zero row in the quasi-steady
+system and is given a = 0.  With ``FdControl.auto_refine`` the step (4e-3
+by default) is halved until the sampled conversions move by less than
+``_REFINE_TOL``, at most ``_MAX_REFINES`` times.
 
 Every tridiagonal system here (quasi-steady gas, Crank-Nicolson gas and the
 bed's bulk BVP) goes through :func:`solve_banded`, a direct call of LAPACK
@@ -153,39 +155,31 @@ class _FdGrainSimple(_FdModel):
         return self.p.pellet.shape_factor * self.p.grain.shape_factor / self.p.thiele**2
 
 
-class _FdGrainProductLayer(_FdGrainSimple):
-    def _resistance(self, r):
-        return 1.0 + 6.0 * self.p.sigma_g_sq * (r - r * r)
+class _FdGrainModified(_FdGrainSimple):
+    """Grain model with a product layer and changing grain size."""
 
-    def gas_terms(self, r):
-        return self.p.thiele**2 * r * r / self._resistance(r) * (r > _R_FLOOR), None
+    def __init__(self, params: ModelParams):
+        super().__init__(params)
+        self._swells = abs(params.z_ratio - 1.0) >= 1e-12
 
-    def rates(self, r, a):
-        return -a / self._resistance(r) * (r > _R_FLOOR)
-
-    def consumption_norm(self):
-        return 3.0 * self.p.pellet.shape_factor / self.p.thiele**2
-
-
-class _FdGrainModified(_FdGrainProductLayer):
-    def _resistance(self, r):
-        zv = self.p.z_ratio
-        outer = np.cbrt(zv + (1.0 - zv) * r**3)
-        return 1.0 + 6.0 * self.p.sigma_g_sq * (r - r * r / outer)
-
-    def _delta(self, r):
+    def _structure(self, r):
+        """(grain resistance, delta, reacting nodes); at Z_v = 1 outer radius 1, delta None."""
         p = self.p
-        bracket = 1.0 - (1.0 - p.porosity0) / p.porosity0 * (p.z_ratio - 1.0) * (1.0 - r**3)
-        return np.maximum(bracket, 0.0) ** 2
+        shell, delta, alive = r * r, None, r > _R_FLOOR
+        if self._swells:
+            shell /= np.cbrt(p.z_ratio + (1.0 - p.z_ratio) * r**3)  # over the outer radius
+            bracket = 1.0 - (1.0 - p.porosity0) / p.porosity0 * (p.z_ratio - 1.0) * (1.0 - r**3)
+            delta = np.maximum(bracket, 0.0) ** 2
+            alive &= delta > 0.0
+        return 1.0 + 6.0 * p.sigma_g_sq * (r - shell), delta, alive
 
     def gas_terms(self, r):
-        delta = self._delta(r)
-        alive = (r > _R_FLOOR) & (delta > 0.0)
-        return self.p.thiele**2 * r * r / self._resistance(r) * alive, delta
+        resistance, delta, alive = self._structure(r)
+        return self.p.thiele**2 * r * r / resistance * alive, delta
 
     def rates(self, r, a):
-        alive = (r > _R_FLOOR) & (self._delta(r) > 0.0)
-        return -a / self._resistance(r) * alive
+        resistance, _, alive = self._structure(r)
+        return -a / resistance * alive
 
 
 class _FdRandomPore(_FdModel):
@@ -242,7 +236,7 @@ _FD_MODELS = {
     ModelKind.VOLUME_FIRST_ORDER: _FdVolumeFirst,
     ModelKind.VOLUME_HALF_ORDER: _FdVolumeHalf,
     ModelKind.GRAIN_SIMPLE: _FdGrainSimple,
-    ModelKind.GRAIN_PRODUCT_LAYER: _FdGrainProductLayer,
+    ModelKind.GRAIN_PRODUCT_LAYER: _FdGrainModified,
     ModelKind.GRAIN_MODIFIED: _FdGrainModified,
     ModelKind.RANDOM_PORE: _FdRandomPore,
     ModelKind.NUCLEATION: _FdNucleation,

@@ -85,7 +85,8 @@ def m_coth_m_minus_1(x):
 
 
 def slab_ratio(M, y):
-    """cosh(M y)/cosh(M), exponentially scaled (vectorized)."""
+    """cosh(M y)/cosh(M), exponentially scaled (vectorized), capped at 1 as
+    rounding leaves small-M values an ulp above it."""
     M = np.asarray(M, dtype=float)
     y = np.asarray(y, dtype=float)
     M, y = np.broadcast_arrays(M, y)
@@ -98,6 +99,7 @@ def slab_ratio(M, y):
             * (1.0 + np.exp(-2.0 * Ma * ya))
             / (1.0 + np.exp(-2.0 * Ma))
         )
+    np.minimum(out, 1.0, out=out)
     return out if out.ndim else float(out)
 
 
@@ -387,7 +389,8 @@ def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
     The outer shell (y > y_m) carries pure diffusion: linear in y for the
     slab, A + B/y for the sphere.  The inner zone keeps the first-stage
     shape rescaled to the front value a_m, which is fixed by matching the
-    diffusive flux through the shell to the inner uptake.
+    diffusive flux through the shell to the inner uptake.  The result is
+    capped at 1, which rounding exceeds by a few ulp near the surface.
     """
     if not 0.0 < y_m < 1.0:
         raise SolverError(f"y_m must lie in (0, 1), got {y_m}")
@@ -415,4 +418,4 @@ def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
     values[in_core] = a_m * shape_ratio(geometry, M * y_m, y[in_core] / y_m)
     if abs(flux_outer - flux_inner) > 1e-8 * max(1.0, abs(flux_outer)):
         raise SolverError("second-stage flux mismatch at the front")
-    return values
+    return np.minimum(values, 1.0, out=values)

@@ -10,14 +10,15 @@ a substep that still removes more than twice the cap once halved to
 dtheta 1e-13 (or after 60 tries) raises SolverError, except at the stage
 switch.
 
-The product-layer grain, modified grain and random pore updates are
-implicit: the new solid solves g(r) = target for an increasing law g
-whose derivative is already part of the model (the grain resistance, or
-the random-pore rate resistance over u).  `_invert_increasing` solves it
-per node by Newton from the old solid, safeguarded by a bracket that
-every iterate shrinks: a step leaving the bracket is replaced by its
-midpoint, and nodes not converged after a fixed number of steps finish
-by bisection.  A law whose derivative is not positive raises.
+The grain update with a product layer (`_GrainModified`, for both kinds
+that have one) and the random pore update are implicit: the new solid
+solves g(r) = target for an increasing law g whose derivative is already
+part of the model (the grain resistance, or the random-pore rate
+resistance over u).  `_invert_increasing` solves it per node by Newton
+from the old solid, safeguarded by a bracket that every iterate shrinks:
+a step leaving the bracket is replaced by its midpoint, and nodes not
+converged after a fixed number of steps finish by bisection.  A law
+whose derivative is not positive raises.
 
 Models whose solid reaches zero in finite time (half-order volume and the
 grain family) switch to a second stage once the surface node exhausts:
@@ -359,39 +360,20 @@ class _GrainSimple(_PelletStepper):
         return float(solid[-1])
 
 
-class _GrainProductLayer(_PelletStepper):
-    """Grain model with a diffusion-limiting product shell around each core."""
-
-    two_stage = True
-
-    def _g(self, r):
-        s2 = self.params.sigma_g_sq
-        return r + 3.0 * s2 * r * r - 2.0 * s2 * r**3
-
-    def _resistance(self, r):
-        return 1.0 + 6.0 * self.params.sigma_g_sq * (r - r * r)
-
-    def modulus(self, solid, exposure):
-        M = self.params.thiele * np.sqrt(solid * solid / self._resistance(solid))
-        return M, None, False
-
-    def solid_rate(self, solid, exposure, a):
-        return a / self._resistance(solid)
-
-    def advance(self, solid, exposure, dg):
-        target = np.maximum(self._g(solid) - dg, 0.0)
-        r_new = _invert_increasing(self._g, self._resistance, target,
-                                   np.zeros_like(solid), solid, solid)
-        return np.where(dg > 0.0, r_new, solid), exposure + dg
-
-    def surface_budget(self, solid, exposure):
-        return float(self._g(np.asarray(solid[-1])))
-
-
 class _GrainModified(_PelletStepper):
-    """Grain model with evolving grain size, porosity and diffusivity."""
+    """Grain model with a product layer and changing grain size, porosity and diffusivity.
+
+    At Z_v = 1 (the product-layer grain model) the swelling terms are skipped:
+    the outer radius is 1, delta None, and g the product-layer law plus 2 s2.
+    """
 
     two_stage = True
+
+    def __init__(self, params: ModelParams, grid: SpatialGrid,
+                 decrement_cap: float = DEFAULT_DECREMENT_CAP):
+        super().__init__(params, grid, decrement_cap)
+        self._swells = abs(params.z_ratio - 1.0) >= 1e-12
+        self._g0 = self._g(0.0)  # g of a fully converted grain
 
     def _x(self, r):
         # relative growth of the grain volume: r**3 = 1 + x
@@ -402,24 +384,28 @@ class _GrainModified(_PelletStepper):
 
     def _g(self, r):
         s2 = self.params.sigma_g_sq
-        zm1 = self.params.z_ratio - 1.0
         base = r + 3.0 * s2 * r * r
-        if abs(zm1) < 1e-12:
+        if not self._swells:
             return base + 2.0 * s2 * (1.0 - r**3)
         # (1+x)^(2/3) - 1 evaluated without cancellation for small x
         grow = np.expm1(2.0 / 3.0 * np.log1p(self._x(r)))
-        return base + (3.0 * s2 / zm1) * grow
+        return base + (3.0 * s2 / (self.params.z_ratio - 1.0)) * grow
 
     def _resistance(self, r):
-        return 1.0 + 6.0 * self.params.sigma_g_sq * (r - r * r / self._outer_radius(r))
+        shell = r * r / self._outer_radius(r) if self._swells else r * r
+        return 1.0 + 6.0 * self.params.sigma_g_sq * (r - shell)
 
     def _delta(self, r):
+        if not self._swells:
+            return None
         p = self.params
         bracket = 1.0 - (1.0 - p.porosity0) / p.porosity0 * (p.z_ratio - 1.0) * (1.0 - r**3)
         return np.maximum(bracket, 0.0) ** 2
 
     def modulus(self, solid, exposure):
         delta = self._delta(solid)
+        if delta is None:
+            return self.params.thiele * solid / np.sqrt(self._resistance(solid)), None, False
         plugged = bool(np.any((delta <= 0.0) & (solid > SOLID_FLOOR)))
         denom = self._resistance(solid) * np.maximum(delta, 1e-300)
         M = self.params.thiele * solid / np.sqrt(denom)
@@ -428,20 +414,19 @@ class _GrainModified(_PelletStepper):
 
     def solid_rate(self, solid, exposure, a):
         rate = a / self._resistance(solid)
-        return np.where(self._delta(solid) > 0.0, rate, 0.0)
+        delta = self._delta(solid)
+        return rate if delta is None else np.where(delta > 0.0, rate, 0.0)
 
     def advance(self, solid, exposure, dg):
-        frozen = self._delta(solid) <= 0.0
-        g0 = self._g(np.zeros_like(solid))
-        target = np.maximum(self._g(solid) - dg, g0)
+        target = np.maximum(self._g(solid) - dg, self._g0)
         r_new = _invert_increasing(self._g, self._resistance, target,
                                    np.zeros_like(solid), solid, solid)
-        r_new = np.where(frozen | (dg <= 0.0), solid, r_new)
-        return r_new, exposure + dg
+        delta = self._delta(solid)
+        keep = dg <= 0.0 if delta is None else (delta <= 0.0) | (dg <= 0.0)
+        return np.where(keep, solid, r_new), exposure + dg
 
     def surface_budget(self, solid, exposure):
-        r_s = np.asarray(solid[-1])
-        return float(self._g(r_s) - self._g(np.asarray(0.0)))
+        return float(self._g(np.asarray(solid[-1])) - self._g0)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +556,7 @@ _STEPPERS = {
     ModelKind.VOLUME_FIRST_ORDER: _VolumeFirstOrder,
     ModelKind.VOLUME_HALF_ORDER: _VolumeHalfOrder,
     ModelKind.GRAIN_SIMPLE: _GrainSimple,
-    ModelKind.GRAIN_PRODUCT_LAYER: _GrainProductLayer,
+    ModelKind.GRAIN_PRODUCT_LAYER: _GrainModified,
     ModelKind.GRAIN_MODIFIED: _GrainModified,
     ModelKind.RANDOM_PORE: _RandomPore,
     ModelKind.NUCLEATION: _Nucleation,

@@ -134,12 +134,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(missing)]) == 2
 
 
-def test_seed_grid_override(tmp_path):
-    cfg = _write(tmp_path, BASE)
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out), "--seed-grid", "401", "--quiet"]) == 0
-    profiles = (out / "profiles.csv").read_text().splitlines()
-    assert len(profiles) == 1 + 2 * 401
+def test_removed_settings_are_rejected(tmp_path, capsys):
+    # conversion.csv and profiles.csv have no switch, and grid.n has no CLI override
+    for key in ("output.conversion_csv", "output.profiles_csv"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            config_from_entries({"model.kind": "volume_first_order", "model.phi_v": "1",
+                                 key: "0"})
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(_write(tmp_path, BASE)), "--seed-grid", "401"])
+    assert exc.value.code == 2
+    assert "--seed-grid" in capsys.readouterr().err
 
 
 def test_simultaneous_profile_schema(tmp_path):

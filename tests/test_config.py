@@ -15,8 +15,6 @@ MODEL = "model.kind = volume_first_order\nmodel.phi_v = 1.0\n"
 BED = {"bed.peclet": "1.1", "bed.beta": "3.3", "bed.phi": "10", "bed.biot_m": "50"}
 
 _POSITIVE = st.floats(1e-9, 1e9)
-_BOOLS = st.sampled_from([("1", True), ("true", True), ("Yes", True), ("on", True),
-                          ("0", False), ("false", False), ("NO", False), ("off", False)])
 
 # key -> (where load_config puts it, how to draw a (text, value) pair)
 FIELDS = {
@@ -28,8 +26,6 @@ FIELDS = {
                          .map(lambda v: (v, v))),
     "output.snapshots": ("snapshots", st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5)
                          .map(lambda vs: (", ".join(map(repr, vs)), tuple(vs)))),
-    "output.conversion_csv": ("write_conversion", _BOOLS),
-    "output.profiles_csv": ("write_profiles", _BOOLS),
     "bed.peclet": ("bed.peclet", _POSITIVE.map(lambda v: (repr(v), v))),
     "bed.beta": ("bed.beta", st.floats(0.0, 1e9).map(lambda v: (repr(v), v))),
     "bed.phi": ("bed.phi", _POSITIVE.map(lambda v: (repr(v), v))),

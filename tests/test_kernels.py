@@ -3,7 +3,7 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gassolid import (
@@ -139,6 +139,26 @@ def test_dirichlet_sphere_profile_within_unit_interval(log_m):
     decayed = profile_unsteady(m, 50.0, 0.1, grid, SPHERE)  # the steady part only
     assert decayed._transient is None
     for values in (profile_qss(m, grid, SPHERE).values, decayed.values):
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+_SURFACES = [(SPHERE, None), (SPHERE, 5.0), (SLAB, None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_m=hnp.arrays(float, 201, elements=st.floats(-9.0, math.log10(50.0))),
+       surface=st.sampled_from(_SURFACES), y_m=st.floats(0.01, 0.99),
+       log_front=st.floats(-9.0, math.log10(50.0)))
+@example(log_m=np.full(201, -8.5), surface=_SURFACES[0], y_m=0.988, log_front=1.585)
+@example(log_m=np.full(201, -8.5), surface=_SURFACES[1], y_m=0.971, log_front=-7.722)
+@example(log_m=np.full(201, -8.5), surface=_SURFACES[2], y_m=0.99, log_front=-7.752)
+def test_slab_and_second_stage_profiles_within_unit_interval(log_m, surface, y_m, log_front):
+    # M log-uniform in [1e-9, 50]; without their caps at 1, rounding leaves the
+    # slab shape 2.2e-16 and the second-stage shell 3.6e-15 above 1
+    grid = SpatialGrid(201)
+    geom, sh = surface
+    for values in (profile_qss(10.0**log_m, grid, SLAB).values,
+                   second_stage_profiles(y_m, 10.0**log_front, grid, geom, sh)):
         assert np.all((values >= 0.0) & (values <= 1.0))
 
 

@@ -13,6 +13,7 @@ from gassolid import (
     build_model,
     conversion,
     conversion_by_gas_a,
+    fdref,
     kernels,
     make_stepper,
     run_qm,
@@ -91,11 +92,12 @@ def test_product_layer_cubic_roundtrip(grid):
     p = build_model({"kind": "grain_product_layer", "sigma": 1.0, "sigma_g_sq": 0.5})
     stepper = make_stepper(p, grid)
     g = stepper._g
-    assert g(np.asarray(1.0)) == pytest.approx(1.5)  # 1 + sigma_g^2 at r* = 1
+    g0 = g(np.asarray(0.0))  # the law is defined up to this constant
+    assert g(np.asarray(1.0)) - g0 == pytest.approx(1.5)  # 1 + sigma_g^2 at r* = 1
     r = np.linspace(0.05, 1.0, 40)
     dg = np.full_like(r, 0.2)
     r_new, _ = stepper.advance(r, np.zeros_like(r), dg)
-    assert np.allclose(g(r_new), np.maximum(g(r) - 0.2, 0.0), atol=1e-10)
+    assert np.allclose(g(r_new), np.maximum(g(r) - 0.2, g0), atol=1e-10)
     assert np.all(np.diff(1.0 + 6.0 * 0.5 * (r - r * r)) != 0)  # resistance varies
 
 
@@ -201,6 +203,24 @@ def test_modified_grain_unit_volume_ratio_equals_product_layer(grid):
     rm = run_qm(pm, grid, 4.0, samples=121)
     rp = run_qm(pp, grid, 4.0, samples=121)
     assert np.max(np.abs(rm.x - rp.x)) <= 1e-4
+
+
+def test_unit_volume_ratio_has_no_structure_factor(grid):
+    # at Z_v = 1 the grains keep their size: neither solver reports a
+    # structure factor, so the FD gas solve keeps its precomputed bands
+    r = np.linspace(0.0, 1.0, 11)
+    gg = fdref._GasGrid(r.size, 3)
+    for raw in ({"kind": "grain_product_layer", "sigma": 1.5, "sigma_g_sq": 0.3},
+                {"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.3, "Z_v": 1.0}):
+        p = build_model(raw)
+        _, delta, plugged = make_stepper(p, grid).modulus(r, r)
+        assert delta is None and not plugged
+        _, fd_delta = fdref._FD_MODELS[p.kind](p).gas_terms(r)
+        assert fd_delta is None and gg.conductance(fd_delta) is gg.cond
+    swelling = build_model({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.3,
+                            "Z_v": 1.4})
+    assert make_stepper(swelling, grid).modulus(r, r)[1] is not None
+    assert fdref._FD_MODELS[swelling.kind](swelling).gas_terms(r)[1] is not None
 
 
 def test_random_pore_vanishing_structure_equals_volume(grid):
