@@ -12,13 +12,14 @@ switch.
 
 The grain update with a product layer (`_GrainModified`, for both kinds
 that have one) and the random pore update are implicit: the new solid
-solves g(r) = target for an increasing law g whose derivative is already
-part of the model (the grain resistance, or the random-pore rate
-resistance over u).  `_invert_increasing` solves it per node by Newton
-from the old solid, safeguarded by a bracket that every iterate shrinks:
-a step leaving the bracket is replaced by its midpoint, and nodes not
-converged after a fixed number of steps finish by bisection.  A law
-whose derivative is not positive raises.
+solves g(r) = target for an increasing law g.  The random-pore law is a
+quadratic in sqrt(1 + Psi w) - 1, so `_RandomPore` inverts it in closed
+form.  Only the grain law is inverted by Newton: `_invert_increasing`
+solves it per node from the old solid, with the grain resistance as the
+derivative, safeguarded by a bracket that every iterate shrinks: a step
+leaving the bracket is replaced by its midpoint, and nodes not converged
+after a fixed number of steps finish by bisection.  A law whose
+derivative is not positive raises.
 
 Models whose solid reaches zero in finite time (half-order volume and the
 grain family) switch to a second stage once the surface node exhausts:
@@ -446,13 +447,17 @@ class _RandomPore(_PelletStepper):
         bz = self.params.beta * self.params.z_ratio
         return 2.0 * w / (1.0 + u) + bz * w * w / (1.0 + u) ** 2
 
+    def _w_of_h(self, h):
+        # the inverse of _h_of_w: h = 2 v + bz v^2 with v = w / (1 + u), and
+        # u - 1 = Psi v, so v = h / (1 + r) with r = sqrt(1 + bz h), and
+        # w = v (2 + Psi v); neither Psi nor bz is a divisor
+        bz = self.params.beta * self.params.z_ratio
+        v = h / (1.0 + np.sqrt(1.0 + bz * h))
+        return v * (2.0 + self.params.psi_cap * v)
+
     def _rate_resistance(self, w, u):
         bz = self.params.beta * self.params.z_ratio
         return 1.0 + bz * w / (1.0 + u)
-
-    def _dh_dw(self, w):
-        u = np.sqrt(1.0 + self.params.psi_cap * w)
-        return self._rate_resistance(w, u) / u
 
     def _delta(self, solid):
         p = self.params
@@ -477,13 +482,7 @@ class _RandomPore(_PelletStepper):
     def advance(self, solid, exposure, dg):
         w_old, _ = self._split(solid)
         frozen = self._delta(solid) <= 0.0
-        target = self._h_of_w(w_old) + dg
-        hi = np.full_like(w_old, LN_B_CAP)
-        w_new = np.where(
-            self._h_of_w(hi) <= target,
-            hi,
-            _invert_increasing(self._h_of_w, self._dh_dw, target, w_old, hi, w_old),
-        )
+        w_new = np.minimum(self._w_of_h(self._h_of_w(w_old) + dg), LN_B_CAP)
         b_new = np.exp(-w_new)
         b_new = np.where(frozen | (dg <= 0.0), solid, b_new)
         return b_new, exposure + dg

@@ -510,6 +510,60 @@ def test_front_zero_modulus_sweeps_instantly():
     assert solve_moving_boundary(1.0 + 1e-9, 0.0, SPHERE, theta_c=1.0) == 0.0
 
 
+def _front_bisection(theta, M, geometry, theta_c, sherwood):
+    """The former front solve: plain bisection of [0, 1] down to _FRONT_TOL."""
+    if theta <= front_time(1.0, M, geometry, theta_c, sherwood):
+        return 1.0
+    if theta >= front_time(0.0, M, geometry, theta_c, sherwood):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > kernels._FRONT_TOL:
+        mid = 0.5 * (lo + hi)
+        if front_time(mid, M, geometry, theta_c, sherwood) >= theta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sphere=st.booleans(), sherwood=st.none() | st.floats(0.3, 100.0),
+       M=st.floats(1e-2, 20.0), theta_c=st.floats(0.2, 5.0),
+       frac=st.floats(0.0, 1.0, exclude_min=True))
+@example(sphere=True, sherwood=None, M=3.0, theta_c=1.0, frac=1.0)  # the centre itself
+@example(sphere=True, sherwood=8.0, M=5.0, theta_c=1.0, frac=1.0 - 1e-9)  # flat near the centre
+@example(sphere=False, sherwood=None, M=0.03, theta_c=1.0, frac=0.998)
+def test_front_solve_matches_bisection(sphere, sherwood, M, theta_c, frac):
+    geometry = SPHERE if sphere else SLAB
+    sh = sherwood if sphere else None
+    t_surface = front_time(1.0, M, geometry, theta_c, sh)
+    theta = t_surface + frac * (front_time(0.0, M, geometry, theta_c, sh) - t_surface)
+    evals = []
+
+    def counted(*args):
+        evals.append(1)
+        return front_time(*args)
+
+    kernels.front_time = counted
+    try:
+        y = solve_moving_boundary(theta, M, geometry, theta_c, sh)
+    finally:
+        kernels.front_time = front_time
+    ref = _front_bisection(theta, M, geometry, theta_c, sh)
+    assert len(evals) <= 36  # bisection's 2 ends and 34 halvings
+    assert 0.0 <= y <= 1.0
+
+    def theta_at(x):
+        return front_time(x, M, geometry, theta_c, sh)
+
+    # a residual no larger than the bisection's, up to the rounding of front_time
+    assert abs(theta_at(y) - theta) <= abs(theta_at(ref) - theta) + 4 * np.finfo(float).eps * theta
+    # where theta is not flat in y_m, the front is within the bisection's tolerance
+    a, b = max(y - 1e-6, 0.0), min(y + 1e-6, 1.0)
+    if abs(theta_at(b) - theta_at(a)) >= 1e-3 * theta * (b - a):
+        assert abs(y - ref) <= kernels._FRONT_TOL
+
+
 def test_front_bracket_center_values():
     assert front_bracket(SLAB, 2.0, 0.0) == pytest.approx(2.0)  # M^2/2
     assert front_bracket(SPHERE, 3.0, 0.0) == pytest.approx(1.5)  # M^2/6

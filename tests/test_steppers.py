@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gassolid import (
@@ -557,11 +557,7 @@ def _implicit_law(kind, s2=0.3, z=1.3, psi_cap=1.0, bz=0.5):
 
 
 def _update_problem(stepper, solid, dg):
-    """(fn, dfn, target, lo, hi, x0) as the law's advance poses them."""
-    if isinstance(stepper, steppers._RandomPore):
-        w_old = -np.log(solid)
-        return (stepper._h_of_w, stepper._dh_dw, stepper._h_of_w(w_old) + dg,
-                w_old, np.full_like(w_old, LN_B_CAP), w_old)
+    """(fn, dfn, target, lo, hi, x0) as the grain law's advance poses them."""
     g0 = stepper._g(np.zeros_like(solid))
     return (stepper._g, stepper._resistance, np.maximum(stepper._g(solid) - dg, g0),
             np.zeros_like(solid), solid, solid)
@@ -570,8 +566,8 @@ def _update_problem(stepper, solid, dg):
 def _bisection(fn, target, lo, hi):
     """The former bisection, run on until every bracket is 1e-16 or one ulp wide.
 
-    52 halvings resolve the random-pore bracket [w_old, 700] only to about
-    8e-14, so the reference keeps halving instead of stopping there.
+    52 halvings resolve the random-pore bracket [0, 700] only to about
+    1.6e-13, so the reference keeps halving instead of stopping there.
     """
     lo, hi = lo.copy(), hi.copy()
     while True:
@@ -585,9 +581,8 @@ def _bisection(fn, target, lo, hi):
 
 @st.composite
 def _implicit_updates(draw):
-    kind = draw(st.sampled_from(["grain_product_layer", "grain_modified", "random_pore"]))
-    stepper = _implicit_law(kind, s2=draw(st.floats(0.0, 1.0)), z=draw(st.floats(0.6, 2.0)),
-                            psi_cap=draw(st.floats(0.0, 5.0)), bz=draw(st.floats(0.0, 2.0)))
+    kind = draw(st.sampled_from(["grain_product_layer", "grain_modified"]))
+    stepper = _implicit_law(kind, s2=draw(st.floats(0.0, 1.0)), z=draw(st.floats(0.6, 2.0)))
     n = draw(st.integers(1, 12))
     solid = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n)))
     dg = np.array(draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
@@ -609,10 +604,8 @@ def test_newton_update_matches_bisection(case):
     assert np.all((lo <= x) & (x <= hi))
     # the Newton phase converges on its own: no node needs the bisection finish
     assert len(evals) <= steppers._NEWTON_STEPS
-    # 1e-14 absolute on grain radii (<= 1); relative on random-pore w, where
-    # ulp(w) reaches 3.6e-15 at w = 17 (solid 4e-8)
     ref = _bisection(fn, target, lo, hi)
-    assert np.all(np.abs(x - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(np.abs(x - ref) <= 1e-14)  # grain radii are at most 1
     assert np.all(np.abs(fn(x) - target) <= 8 * _EPS * np.maximum(np.abs(target), 1.0))
     # a larger exposure never leaves more solid (up to rounding of the root)
     s0 = np.full(dg.size, solid[0])
@@ -625,18 +618,36 @@ def test_newton_update_matches_bisection(case):
     ("grain_modified", {"s2": 0.4, "z": 1.6}),
     ("grain_modified", {"s2": 0.4, "z": 0.7}),
     ("grain_modified", {"s2": 0.4, "z": 1.0}),  # the Z = 1 branch of _g
-    ("random_pore", {"psi_cap": 3.0, "bz": 1.5, "z": 1.5}),
-    ("random_pore", {"psi_cap": 0.0, "bz": 0.0, "z": 1.0}),
 ])
 def test_update_derivatives_match_finite_differences(kind, law):
     stepper = _implicit_law(kind, **law)
-    if kind == "random_pore":
-        fn, dfn, x = stepper._h_of_w, stepper._dh_dw, np.linspace(1e-3, 20.0, 41)
-    else:
-        fn, dfn, x = stepper._g, stepper._resistance, np.linspace(0.02, 0.98, 41)
-    h = 1e-6 * np.maximum(x, 1.0)
-    central = (fn(x + h) - fn(x - h)) / (2.0 * h)
-    assert np.allclose(dfn(x), central, rtol=1e-8, atol=0.0)
+    x = np.linspace(0.02, 0.98, 41)
+    h = 1e-6
+    central = (stepper._g(x + h) - stepper._g(x - h)) / (2.0 * h)
+    assert np.allclose(stepper._resistance(x), central, rtol=1e-8, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(psi_cap=st.floats(0.0, 30.0), bz=st.floats(0.0, 10.0),
+       log_w=st.lists(st.floats(math.log(1e-12), math.log(LN_B_CAP)), min_size=1, max_size=12),
+       dg=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=12))
+@example(psi_cap=0.0, bz=1.5, log_w=[math.log(1e-12), 0.0, math.log(LN_B_CAP)], dg=[0.0, 0.3])
+@example(psi_cap=4.0, bz=0.0, log_w=[math.log(1e-12), 0.0, math.log(LN_B_CAP)], dg=[0.0, 0.3])
+def test_random_pore_closed_form_inverse(psi_cap, bz, log_w, dg):
+    stepper = _implicit_law("random_pore", psi_cap=psi_cap, bz=bz, z=1.3)
+    h = stepper._h_of_w(np.exp(log_w))
+    w = stepper._w_of_h(h)
+    # 1e-14 relative on w above 1, where ulp(w) reaches 1.1e-13 at the cap
+    ref = _bisection(stepper._h_of_w, h, np.zeros_like(h), np.full_like(h, LN_B_CAP))
+    assert np.all(np.abs(w - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(np.abs(stepper._h_of_w(w) - h) <= 8 * _EPS * h)
+    # a larger exposure never leaves more solid, up to the rounding of the
+    # round trip through h: a few ulp of w, which b = exp(-w) makes relative
+    dg = np.sort(dg)
+    for b in (1.0, 0.3, 1e-9):
+        s0 = np.full(dg.size, b)
+        new, _ = stepper.advance(s0, np.zeros_like(s0), dg)
+        assert np.all(np.diff(new) <= 8 * _EPS * b * max(1.0, -math.log(b)))
 
 
 def test_invert_rejects_a_non_monotone_law():
