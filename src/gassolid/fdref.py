@@ -10,21 +10,25 @@ advanced with the trapezoidal rule.
 Each solid law is an ``_FdModel`` whose state is one array per node: the
 solid or a transform of it (sqrt(b), the grain radius, -ln b).  A model
 gives the fresh state ``start``, the bounds ``lo`` and ``hi`` every new
-state is clamped to, ``gas_terms`` (the reaction coefficient and the
-structure factor, None where diffusion does not change) and ``rates``
-under a gas profile.  The product-layer grain model is the modified
+state is clamped to, and ``terms``: the reaction coefficient and the
+structure factor of the gas balance (None where diffusion does not
+change), and the factor k of the rate, since every law moves its state at
+k times the local gas.  The product-layer grain model is the modified
 grain law at Z_v = 1, where its structure factor is None.  ``_fd_march``
-forms the Heun predictor and trapezoid itself, so one march serves every
-single-gas law; the two-gas model has its own.  With gas accumulation the
-gas and the solid advance together, second order in the step: the
-predictor takes the rates under the gas at the step start, one
-Crank-Nicolson step from that gas under the reaction and structure averaged
-over the state and the predictor gives the end-of-step gas, and the
-corrector's rates take the predictor under it.  A cell whose pores closed
-on both faces and that no longer reacts has a zero row in the quasi-steady
-system and is given a = 0.  With ``FdControl.auto_refine`` the step (4e-3
-by default) is halved until the sampled conversions move by less than
-``_REFINE_TOL``, at most ``_MAX_REFINES`` times.
+calls ``terms`` once for the state and once for the Heun predictor, and
+forms the predictor and the trapezoid itself, in place in buffers it
+allocates once per march, so one march serves every single-gas law; the
+two-gas model has its own.  It calls the gas solves by their module
+names, so a tracer that rebinds them sees every call.  With gas
+accumulation the gas and the solid advance together, second order in the
+step: the predictor takes the rates under the gas at the step start, one
+Crank-Nicolson step from that gas under the reaction and structure
+averaged over the state and the predictor gives the end-of-step gas, and
+the corrector's rates take the predictor under it.  A cell whose pores
+closed on both faces and that no longer reacts has a zero row in the
+quasi-steady system and is given a = 0.  With ``FdControl.auto_refine``
+the step (4e-3 by default) is halved until the sampled conversions move
+by less than ``_REFINE_TOL``, at most ``_MAX_REFINES`` times.
 
 Every tridiagonal system here (quasi-steady gas, Crank-Nicolson gas and the
 bed's bulk BVP) goes through :func:`solve_banded`, a direct call of LAPACK
@@ -88,13 +92,16 @@ class _FdModel:
 
     def __init__(self, params: ModelParams):
         self.p = params
+        self.phi2 = params.thiele**2
+        # at phi = 0 there is no flux and no norm: ``uptake`` takes the
+        # consumption of this law at unit modulus, built once here
+        self.unit = self if params.thiele > 0.0 else type(self)(replace(params, thiele=1.0))
+        self.norm = self.unit.consumption_norm()
 
-    def gas_terms(self, st: np.ndarray):
-        """(reaction coefficient rho, structure factor delta or None) of the gas balance."""
-        raise NotImplementedError
-
-    def rates(self, st: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """d(state)/dtheta under the gas profile a."""
+    def terms(self, st: np.ndarray):
+        """(reaction coefficient rho, structure factor delta or None, k) of the
+        state: rho and delta enter the gas balance, and under a gas profile a
+        the state moves at d(state)/dtheta = k * a (k per node, or a scalar)."""
         raise NotImplementedError
 
     def unreacted_integrand(self, st: np.ndarray) -> np.ndarray:
@@ -102,26 +109,22 @@ class _FdModel:
 
     def consumption_norm(self) -> float:
         """Factor turning the integrated gas uptake into dX/dtheta."""
-        return self.p.pellet.shape_factor / self.p.thiele**2
+        return self.p.pellet.shape_factor / self.phi2
 
     def uptake(self, flux: float, st: np.ndarray, a: np.ndarray, gg: _GasGrid) -> float:
-        """dX/dtheta: the surface flux times ``consumption_norm``.  Both flux
-        and consumption scale with phi^2, so at phi = 0 (no flux, no norm)
-        it is the consumption of the same state and gas at unit modulus."""
-        if self.p.thiele > 0.0:
-            return flux * self.consumption_norm()
-        unit = type(self)(replace(self.p, thiele=1.0))
-        return float(np.sum(unit.gas_terms(st)[0] * gg.vol * a)) * unit.consumption_norm()
+        """dX/dtheta: the surface flux times ``norm``.  Both flux and
+        consumption scale with phi^2, so at phi = 0 (no flux, no norm) it is
+        the consumption of the same state and gas at unit modulus."""
+        if self.unit is self:
+            return flux * self.norm
+        return float(np.sum(self.unit.terms(st)[0] * gg.vol * a)) * self.norm
 
 
 class _FdVolumeFirst(_FdModel):
     lo = _B_MIN  # state: b
 
-    def gas_terms(self, b):
-        return self.p.thiele**2 * b, None
-
-    def rates(self, b, a):
-        return -a * b
+    def terms(self, b):
+        return self.phi2 * b, None, -b
 
     def unreacted_integrand(self, b):
         return b
@@ -129,11 +132,9 @@ class _FdVolumeFirst(_FdModel):
 
 class _FdVolumeHalf(_FdModel):
     # state: s = sqrt(b)
-    def gas_terms(self, s):
-        return self.p.thiele**2 * s * (s > _R_FLOOR), None
-
-    def rates(self, s, a):
-        return -0.5 * a * (s > _R_FLOOR)
+    def terms(self, s):
+        live = (s > _R_FLOOR).astype(float)
+        return self.phi2 * s * live, None, -0.5 * live
 
     def unreacted_integrand(self, s):
         return s**2
@@ -141,18 +142,17 @@ class _FdVolumeHalf(_FdModel):
 
 class _FdGrainSimple(_FdModel):
     # state: r, the grain core radius
-    def gas_terms(self, r):
+    def terms(self, r):
+        live = (r > _R_FLOOR).astype(float)
         fg = self.p.grain.shape_factor
-        return self.p.thiele**2 * r ** (fg - 1) * (r > _R_FLOOR), None
-
-    def rates(self, r, a):
-        return -a * (r > _R_FLOOR)
+        core = r if fg == 2 else r ** (fg - 1)  # r ** 1 is r, without numpy's generic power
+        return self.phi2 * core * live, None, -live
 
     def unreacted_integrand(self, r):
         return r**self.p.grain.shape_factor
 
     def consumption_norm(self):
-        return self.p.pellet.shape_factor * self.p.grain.shape_factor / self.p.thiele**2
+        return self.p.pellet.shape_factor * self.p.grain.shape_factor / self.phi2
 
 
 class _FdGrainModified(_FdGrainSimple):
@@ -173,39 +173,25 @@ class _FdGrainModified(_FdGrainSimple):
             alive &= delta > 0.0
         return 1.0 + 6.0 * p.sigma_g_sq * (r - shell), delta, alive
 
-    def gas_terms(self, r):
+    def terms(self, r):
         resistance, delta, alive = self._structure(r)
-        return self.p.thiele**2 * r * r / resistance * alive, delta
-
-    def rates(self, r, a):
-        resistance, _, alive = self._structure(r)
-        return -a / resistance * alive
+        alive = alive.astype(float)
+        return self.phi2 * r * r / resistance * alive, delta, -alive / resistance
 
 
 class _FdRandomPore(_FdModel):
     start = 0.0  # state: w = -ln b
     lo, hi = -np.inf, LN_B_CAP
 
-    def _pieces(self, w):
-        u = np.sqrt(1.0 + self.p.psi_cap * w)
-        resist = 1.0 + self.p.beta * self.p.z_ratio * w / (1.0 + u)
-        return u, resist
-
-    def _delta(self, w):
+    def terms(self, w):
         p = self.p
         b = np.exp(-w)
+        u = np.sqrt(1.0 + p.psi_cap * w)
+        resist = 1.0 + p.beta * p.z_ratio * w / (1.0 + u)
         bracket = 1.0 - (p.z_ratio - 1.0) * (1.0 - p.porosity0) * (1.0 - b) / p.porosity0
-        return np.maximum(bracket, 0.0) ** 2
-
-    def gas_terms(self, w):
-        delta = self._delta(w)
-        u, resist = self._pieces(w)
-        rho = self.p.thiele**2 * np.exp(-w) * u / resist
-        return rho * (delta > 0.0), delta
-
-    def rates(self, w, a):
-        u, resist = self._pieces(w)
-        return a * u / resist * (self._delta(w) > 0.0)
+        delta = np.maximum(bracket, 0.0) ** 2
+        open_ = (delta > 0.0).astype(float)
+        return self.phi2 * b * u / resist * open_, delta, u / resist * open_
 
     def unreacted_integrand(self, w):
         return np.exp(-w)
@@ -217,19 +203,16 @@ class _FdNucleation(_FdModel):
     def _b(self, u):
         return np.exp(-np.minimum(u**self.p.solid_order, LN_B_CAP))
 
-    def gas_terms(self, u):
+    def terms(self, u):
         n = self.p.solid_order
         gain = n * self._b(u) * (u ** (n - 1.0) if n != 1.0 else 1.0)
-        return 2.0 * self.p.pellet.shape_factor * self.p.thiele**2 * gain, None
-
-    def rates(self, u, a):
-        return a
+        return 2.0 * self.p.pellet.shape_factor * self.phi2 * gain, None, 1.0
 
     def unreacted_integrand(self, u):
         return self._b(u)
 
     def consumption_norm(self):
-        return 1.0 / (2.0 * self.p.thiele**2)
+        return 1.0 / (2.0 * self.phi2)
 
 
 _FD_MODELS = {
@@ -350,7 +333,7 @@ def _solve_gas_qss(gg: _GasGrid, rho: np.ndarray, delta, sherwood: float | None)
 def _gas_balance(gg: _GasGrid, a: np.ndarray, rho: np.ndarray, cond: np.ndarray,
                  sherwood: float | None):
     """(discrete surface uptake, domain-integrated reaction) - equal by construction."""
-    consumption = float(np.sum(rho * gg.vol * a))
+    consumption = float(np.dot(rho * gg.vol, a))
     if sherwood is None:
         flux = float(cond[-1] * (a[-1] - a[-2]) + rho[-1] * gg.vol[-1] * a[-1])
     else:
@@ -413,15 +396,20 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
     st = np.full(gg.n, model.start)
     sw = gg.weights
+    lo, hi = model.lo, model.hi
 
     def x_of(state) -> float:
         return float(min(max(1.0 - np.sum(sw * model.unreacted_integrand(state)), 0.0), 1.0))
 
-    def clamped(state):
-        return np.minimum(np.maximum(state, model.lo), model.hi)
+    def clamp(state):
+        # an infinite bound clamps nothing, so it is skipped
+        if lo > -np.inf:
+            np.maximum(state, lo, out=state)
+        if hi < np.inf:
+            np.minimum(state, hi, out=state)
 
     unsteady = not params.quasi_steady
-    accum = params.psi * params.thiele**2
+    accum = params.psi * model.phi2
     if unsteady and params.sherwood is not None:
         raise SolverError("unsteady reference runs support Dirichlet surfaces only")
     if unsteady and not accum > 0.0:
@@ -434,12 +422,14 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     max_flux_residual = 0.0
     uptake_integral = 0.0
     pending: tuple[float, float] | None = None  # (uptake at substep start, dt)
+    k1, k2, pred = np.empty(gg.n), np.empty(gg.n), np.empty(gg.n)  # per-step buffers
 
     for t0, t1 in zip(schedule[:-1], schedule[1:]):
         nsub = max(1, int(math.ceil((t1 - t0) / dtheta - 1e-12)))
         dt = (t1 - t0) / nsub
+        half = 0.5 * dt
         for _ in range(nsub):
-            rho, delta = model.gas_terms(st)
+            rho, delta, k = model.terms(st)
             if not unsteady:
                 a, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
                 flux, consumption = _gas_balance(gg, a, rho, cond, params.sherwood)
@@ -447,10 +437,12 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
                 if pending is not None:
                     uptake_integral += 0.5 * pending[1] * (pending[0] + uptake)
                 pending = (uptake, dt)
-            # Heun: predictor, then the trapezoid of the two rates
-            k1 = model.rates(st, a)
-            pred = clamped(st + dt * k1)
-            rho2, delta2 = model.gas_terms(pred)
+            # Heun in place: the predictor st + dt k1, then the trapezoid of k1 and k2
+            np.multiply(k, a, out=k1)
+            np.multiply(k1, dt, out=pred)
+            pred += st
+            clamp(pred)
+            rho2, delta2, k = model.terms(pred)
             if not unsteady:
                 a2, _ = _solve_gas_qss(gg, rho2, delta2, params.sherwood)
             else:
@@ -461,19 +453,23 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
                 a2, cond = _advance_gas_cn(gg, a, rho, delta, accum, dt)
                 # the step's surface flux feeds its storage and its consumption
                 flux, consumption = _gas_balance(gg, 0.5 * (a + a2), rho, cond, None)
-                flux -= accum * float(np.sum(gg.vol * (a2 - a))) / dt
-                uptake_integral += dt * consumption * model.consumption_norm()
+                flux -= accum * float(np.dot(gg.vol, a2 - a)) / dt
+                uptake_integral += dt * consumption * model.norm
                 a = a2
             max_flux_residual = max(
                 max_flux_residual, abs(flux - consumption) / max(1.0, abs(flux))
             )
-            k2 = model.rates(pred, a2)
-            st = clamped(st + (0.5 * dt * k1 + 0.5 * dt * k2))
+            np.multiply(k, a2, out=k2)
+            k1 *= half
+            k2 *= half
+            k1 += k2
+            st += k1
+            clamp(st)
         xs.append(x_of(st))
 
     if pending is not None:
         # close the trapezoid with the uptake of the final state
-        rho, delta = model.gas_terms(st)
+        rho, delta, _ = model.terms(st)
         a_end, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
         flux, _ = _gas_balance(gg, a_end, rho, cond, params.sherwood)
         uptake_integral += 0.5 * pending[1] * (pending[0] + model.uptake(flux, st, a_end, gg))
@@ -601,7 +597,7 @@ def initial_conversion_rate(params: ModelParams, ctl: FdControl = FdControl()) -
     model = _FD_MODELS[params.kind](params)
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
     st = np.full(gg.n, model.start)
-    rho, delta = model.gas_terms(st)
+    rho, delta, _ = model.terms(st)
     a, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
     flux, _ = _gas_balance(gg, a, rho, cond, params.sherwood)
     return model.uptake(flux, st, a, gg)

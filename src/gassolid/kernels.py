@@ -31,7 +31,8 @@ the cut is dead as well.  The first dead mode is kept as the last term, so
 the tail smoothing and the truncation flags see a dead last term, as with
 all _MAX_TERMS modes.  Whenever mode _MAX_TERMS is still live (theta = 0 or
 the early transient), no mode is dropped, and a last term above _TERM_TOL
-(times dtheta for the exposure integral) flags the series as truncated.
+(times dtheta for the exposure integral) flags the series as truncated, as
+does an early-transient value that the clip to [0, 1] moves by more.
 """
 
 from __future__ import annotations
@@ -279,11 +280,14 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
     else:
         # Very early transient: sum coef * expm1(-omega theta), which makes
         # the Fourier cancellation at theta = 0 exact term by term.  The
-        # tail is not fully damped here, so smooth it and report.
+        # tail is not fully damped here, so smooth it and report, also when
+        # the clip to [0, 1] moves an open node by more than the tolerance.
         terms = coef * np.expm1(-omega * theta)
         values = _smoothed_sum(terms)
+        inner = values[:-1]  # the surface node is replaced below
+        clipped = float(max(-np.min(inner), np.max(inner) - 1.0)) > _TERM_TOL
         np.clip(values, 0.0, 1.0, out=values)
-        truncated = theta > 0.0 and float(np.max(np.abs(terms[-1]))) > _TERM_TOL
+        truncated = theta > 0.0 and (clipped or float(np.max(np.abs(terms[-1]))) > _TERM_TOL)
     values[-1] = steady[-1]  # Dirichlet surface holds for all theta > 0
     return GasProfile(values=values, truncated=truncated,
                       _transient=_Transient(steady, coef, omega, theta))

@@ -18,6 +18,7 @@ from gassolid import (
 )
 from gassolid import fdref
 from gassolid.analysis import simpson_weights
+from gassolid.core import LN_B_CAP
 from test_steppers import _quasi_steady_models
 
 FAST = FdControl(n_space=201, dtheta=2e-3, auto_refine=False)
@@ -312,6 +313,66 @@ def test_oracle_bounded_nondecreasing_and_balanced(case):
             assert np.all((0.0 <= x) & (x <= 1.0))
             assert np.all(np.diff(x) >= 0.0)
     assert res.diagnostics["max_flux_residual"] <= 1e-6
+
+
+# --- solid laws: one terms call gives the gas balance and the rate -----------
+
+
+def _old_rate(p, st, a):
+    """d(state)/dtheta of each law as written before ``terms`` returned k."""
+    kind = p.kind.value
+    if kind == "volume_first_order":
+        return -a * st
+    if kind == "volume_half_order":
+        return -0.5 * a * (st > 1e-12)
+    if kind == "grain_simple":
+        return -a * (st > 1e-12)
+    if kind in ("grain_product_layer", "grain_modified"):
+        shell, alive = st * st, st > 1e-12
+        if abs(p.z_ratio - 1.0) >= 1e-12:
+            shell = shell / np.cbrt(p.z_ratio + (1.0 - p.z_ratio) * st**3)
+            bracket = 1.0 - (1.0 - p.porosity0) / p.porosity0 * (p.z_ratio - 1.0) * (1.0 - st**3)
+            alive = alive & (np.maximum(bracket, 0.0) ** 2 > 0.0)
+        return -a / (1.0 + 6.0 * p.sigma_g_sq * (st - shell)) * alive
+    if kind == "random_pore":
+        u = np.sqrt(1.0 + p.psi_cap * st)
+        bracket = 1.0 - (p.z_ratio - 1.0) * (1.0 - p.porosity0) * (1.0 - np.exp(-st)) / p.porosity0
+        return a * u / (1.0 + p.beta * p.z_ratio * st / (1.0 + u)) * (np.maximum(bracket, 0.0) ** 2 > 0.0)
+    return a  # nucleation
+
+
+@st.composite
+def _fd_law_states(draw):
+    """(params, state, gas) for a single-gas FD law: up to 8 nodes of its
+    state (b, sqrt(b), a grain radius, -ln b or (-ln b)^(1/n)) and of a in [0, 1]."""
+    params, _ = draw(_quasi_steady_models().filter(lambda c: c[0].kind in fdref._FD_MODELS))
+    n = draw(st.integers(1, 8))
+    model = fdref._FD_MODELS[params.kind]
+    lo, hi = (0.0, LN_B_CAP) if model.start == 0.0 else (model.lo, 1.0)
+    nodes = st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+    gas = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    return params, np.array(draw(nodes)), np.array(draw(gas))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fd_law_states())
+# the half-order factor 1/2, and a live node next to a dead one
+@example((build_model({"kind": "volume_half_order", "phi_v": 1.0}),
+          np.array([0.5, 0.0]), np.array([0.8, 0.8])))
+# a modified-grain node whose pores closed (r^3 <= 2/3 at Z_v 2, eps0 0.25): k = 0
+@example((build_model({"kind": "grain_modified", "sigma": 1.0, "Z_v": 2.0, "eps0": 0.25}),
+          np.array([0.5, 0.95]), np.array([0.3, 0.9])))
+def test_law_terms_give_the_old_rates(case):
+    params, state, a = case
+    rho, delta, k = fdref._FD_MODELS[params.kind](params).terms(state)
+    old = _old_rate(params, state, a)
+    assert np.all(np.abs(k * a - old) <= 4.0 * np.spacing(np.abs(old)))
+    assert np.all(rho >= 0.0)
+    if delta is not None:
+        # delta = (porosity / its initial value)^2: the pores close as a
+        # swelling solid (Z > 1) converts and open as a shrinking one converts
+        assert np.all(delta >= 0.0)
+        assert np.all(delta <= 1.0) if params.z_ratio >= 1.0 else np.all(delta >= 1.0)
 
 
 # --- tridiagonal helper and finite-volume assembly ---------------------------

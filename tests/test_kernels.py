@@ -332,6 +332,20 @@ def test_unsteady_series_warning_attached():
         assert not profile_unsteady(1.0, 1e-3, 0.5, grid, geom).truncated
 
 
+def test_unsteady_clip_is_reported():
+    # on the slab at theta 1.26e-14 (M 2, scale 1) the last term, 1.6e-11, is
+    # under the 1e-10 tolerance, but the smoothed sum dips 5.0e-10 below 0 at
+    # an open node; the clip to [0, 1] hides that, so the profile reports it
+    grid, theta = SpatialGrid(201), 1.26e-14
+    coef, omega = _series_terms(2.0, 1.0, theta, grid.y, SLAB, 200)
+    terms = coef * np.expm1(-omega * theta)
+    summed = terms.sum(axis=0) - 0.5 * terms[-1]
+    assert np.max(np.abs(terms[-1])) < 1e-10 < -np.min(summed[:-1])
+    prof = profile_unsteady(2.0, theta, 1.0, grid, SLAB)
+    assert prof.truncated
+    assert np.min(prof.values) == 0.0
+
+
 def test_unsteady_requires_positive_scale(grid):
     with pytest.raises(SolverError):
         profile_unsteady(1.0, 0.1, 0.0, grid, SPHERE)
@@ -402,8 +416,10 @@ def _full_profile(M, theta, scale, grid, geom, n_terms):
         values = steady + terms.sum(axis=0) - 0.5 * terms[-1]
     else:
         terms = coef * np.expm1(-omega * theta)
-        values = np.clip(terms.sum(axis=0) - 0.5 * terms[-1], 0.0, 1.0)
-        truncated = bool(np.max(np.abs(terms[-1])) > 1e-10 and theta > 0.0)
+        summed = terms.sum(axis=0) - 0.5 * terms[-1]
+        values = np.clip(summed, 0.0, 1.0)
+        clipped = np.max(np.abs(values - summed)[:-1]) > 1e-10  # the surface is replaced
+        truncated = bool((np.max(np.abs(terms[-1])) > 1e-10 or clipped) and theta > 0.0)
     values[-1] = steady[-1]
     return values, truncated
 

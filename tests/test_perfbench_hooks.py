@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gassolid import SpatialGrid, Stage, build_model, kernels, make_stepper, steppers
+from gassolid import (FdControl, SpatialGrid, Stage, build_model, fdref, kernels, make_stepper,
+                      steppers)
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +62,27 @@ def test_traced_solves_count_their_evaluations():
     finally:
         tracer.uninstall()
     assert 0.0 < state.y_m < 1.0
+
+
+def test_traced_fd_runs_count_every_gas_solve():
+    # _fd_march looks _solve_gas_qss, _advance_gas_cn and solve_banded up
+    # through fdref, so their counters see every solve: a quasi-steady step
+    # solves the gas twice and the run once more to close its uptake
+    # integral; an unsteady step takes one Crank-Nicolson solve
+    steps = 5
+    ctl = FdControl(n_space=21, dtheta=0.1 / steps, auto_refine=False)
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        since = tracer.mark()
+        for raw in ({"kind": "volume_first_order", "phi_v": 1.0},
+                    {"kind": "volume_first_order", "phi_v": 1.0, "psi": 0.1}):
+            fdref.fd_solve(build_model(raw), 0.1, ctl, samples=2)
+        spans, _ = tracer.aggregate(since)
+    finally:
+        tracer.uninstall()
+    calls = {name: count for name, (count, _) in spans.items()}
+    assert calls["fdref.march"] == 2
+    assert calls["fdref.gas_qss"] == 2 * steps + 1
+    assert calls["fdref.gas_cn"] == steps
+    assert calls["fdref.solve_banded"] == calls["fdref.gas_qss"] + calls["fdref.gas_cn"]

@@ -215,12 +215,12 @@ def test_unit_volume_ratio_has_no_structure_factor(grid):
         p = build_model(raw)
         _, delta, plugged = make_stepper(p, grid).modulus(r, r)
         assert delta is None and not plugged
-        _, fd_delta = fdref._FD_MODELS[p.kind](p).gas_terms(r)
+        _, fd_delta, _ = fdref._FD_MODELS[p.kind](p).terms(r)
         assert fd_delta is None and gg.conductance(fd_delta) is gg.cond
     swelling = build_model({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.3,
                             "Z_v": 1.4})
     assert make_stepper(swelling, grid).modulus(r, r)[1] is not None
-    assert fdref._FD_MODELS[swelling.kind](swelling).gas_terms(r)[1] is not None
+    assert fdref._FD_MODELS[swelling.kind](swelling).terms(r)[1] is not None
 
 
 def test_random_pore_vanishing_structure_equals_volume(grid):
