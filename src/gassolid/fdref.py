@@ -39,8 +39,9 @@ scipy is imported on the first solve, not with the module, so runs that
 never use the oracle (QM and bed runs) never load it.
 Each :class:`_GasGrid` builds the face conductances, the bands of the flux
 operator without a structure factor and the Simpson weights once,
-read-only; a solve copies the bands and adds the reaction term
-``rho * vol``, plus the capacity term for Crank-Nicolson.
+read-only.  The caller forms the reaction term ``rho * vol`` once per gas
+solve and passes it to the solve, which copies the bands and adds it (plus
+the capacity term for Crank-Nicolson), and to the balance ``_gas_balance``.
 
 The moving-boundary second stage needs no special casing here: clamping
 the solid at zero and keeping the reaction indicator reproduces the
@@ -312,10 +313,10 @@ def _dirichlet_surface(bands: np.ndarray) -> None:
     bands[1, -1] = bands[3, -1] = 1.0
 
 
-def _solve_gas_qss(gg: _GasGrid, rho: np.ndarray, delta, sherwood: float | None):
-    """Quasi-steady gas profile: conservative FV + tridiagonal solve."""
+def _solve_gas_qss(gg: _GasGrid, rv: np.ndarray, delta, sherwood: float | None):
+    """Quasi-steady gas profile: conservative FV + tridiagonal solve; ``rv`` is ``rho * vol``."""
     cond = gg.conductance(delta)
-    bands = gg.operator_bands(cond, rho * gg.vol)
+    bands = gg.operator_bands(cond, rv)
     if sherwood is None:
         _dirichlet_surface(bands)
     else:
@@ -330,12 +331,11 @@ def _solve_gas_qss(gg: _GasGrid, rho: np.ndarray, delta, sherwood: float | None)
     return solve_banded(bands), cond
 
 
-def _gas_balance(gg: _GasGrid, a: np.ndarray, rho: np.ndarray, cond: np.ndarray,
-                 sherwood: float | None):
+def _gas_balance(a: np.ndarray, rv: np.ndarray, cond: np.ndarray, sherwood: float | None):
     """(discrete surface uptake, domain-integrated reaction) - equal by construction."""
-    consumption = float(np.dot(rho * gg.vol, a))
+    consumption = float(np.dot(rv, a))
     if sherwood is None:
-        flux = float(cond[-1] * (a[-1] - a[-2]) + rho[-1] * gg.vol[-1] * a[-1])
+        flux = float(cond[-1] * (a[-1] - a[-2]) + rv[-1] * a[-1])
     else:
         flux = float(sherwood * (1.0 - a[-1]))
     return flux, consumption
@@ -431,8 +431,9 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
         for _ in range(nsub):
             rho, delta, k = model.terms(st)
             if not unsteady:
-                a, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
-                flux, consumption = _gas_balance(gg, a, rho, cond, params.sherwood)
+                rv = rho * gg.vol
+                a, cond = _solve_gas_qss(gg, rv, delta, params.sherwood)
+                flux, consumption = _gas_balance(a, rv, cond, params.sherwood)
                 uptake = model.uptake(flux, st, a, gg)
                 if pending is not None:
                     uptake_integral += 0.5 * pending[1] * (pending[0] + uptake)
@@ -444,15 +445,15 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
             clamp(pred)
             rho2, delta2, k = model.terms(pred)
             if not unsteady:
-                a2, _ = _solve_gas_qss(gg, rho2, delta2, params.sherwood)
+                a2, _ = _solve_gas_qss(gg, rho2 * gg.vol, delta2, params.sherwood)
             else:
                 # one Crank-Nicolson step from a(theta_n) under the reaction and
                 # structure averaged over the state and the predictor
-                rho = 0.5 * (rho + rho2)
+                rv = 0.5 * (rho + rho2) * gg.vol
                 delta = None if delta is None else 0.5 * (delta + delta2)
-                a2, cond = _advance_gas_cn(gg, a, rho, delta, accum, dt)
+                a2, cond = _advance_gas_cn(gg, a, rv, delta, accum, dt)
                 # the step's surface flux feeds its storage and its consumption
-                flux, consumption = _gas_balance(gg, 0.5 * (a + a2), rho, cond, None)
+                flux, consumption = _gas_balance(0.5 * (a + a2), rv, cond, None)
                 flux -= accum * float(np.dot(gg.vol, a2 - a)) / dt
                 uptake_integral += dt * consumption * model.norm
                 a = a2
@@ -470,8 +471,9 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     if pending is not None:
         # close the trapezoid with the uptake of the final state
         rho, delta, _ = model.terms(st)
-        a_end, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
-        flux, _ = _gas_balance(gg, a_end, rho, cond, params.sherwood)
+        rv = rho * gg.vol
+        a_end, cond = _solve_gas_qss(gg, rv, delta, params.sherwood)
+        flux, _ = _gas_balance(a_end, rv, cond, params.sherwood)
         uptake_integral += 0.5 * pending[1] * (pending[0] + model.uptake(flux, st, a_end, gg))
 
     xs = np.asarray(xs)
@@ -489,12 +491,11 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     )
 
 
-def _advance_gas_cn(gg: _GasGrid, a_old: np.ndarray, rho: np.ndarray, delta,
+def _advance_gas_cn(gg: _GasGrid, a_old: np.ndarray, rv: np.ndarray, delta,
                     accum: float, dt: float):
-    """One Crank-Nicolson step of the unsteady gas equation (Dirichlet surface)."""
+    """One Crank-Nicolson gas step (Dirichlet surface); ``rv`` is ``rho * vol``."""
     cond = gg.conductance(delta)
     cap = accum * gg.vol / dt
-    rv = rho * gg.vol
     # explicit part: the operator div(cond grad a) - rho a applied to a_old
     explicit = np.empty(gg.n)
     flux = cond * (a_old[1:] - a_old[:-1])
@@ -531,18 +532,18 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
         max_flux_residual = 0.0
 
         def profiles(bb):
-            """(psi * P of gas A, of gas C) under the solid bb, and (rho, P) of each."""
-            rho_a = two_fp * params.thiele_a**2 * bb
-            rho_c = two_fp * params.thiele_c**2 * bb
-            pa, _ = _solve_gas_qss(gg, rho_a, None, None)
-            pc, _ = _solve_gas_qss(gg, rho_c, None, None)
-            return (params.psi_ab * pa, params.psi_cb * pc), ((rho_a, pa), (rho_c, pc))
+            """(psi * P of gas A, of gas C) under the solid bb, and (rho * vol, P) of each."""
+            rv_a = two_fp * params.thiele_a**2 * bb * gg.vol
+            rv_c = two_fp * params.thiele_c**2 * bb * gg.vol
+            pa, _ = _solve_gas_qss(gg, rv_a, None, None)
+            pc, _ = _solve_gas_qss(gg, rv_c, None, None)
+            return (params.psi_ab * pa, params.psi_cb * pc), ((rv_a, pa), (rv_c, pc))
 
         def uptakes(bb, solved) -> np.ndarray:
             """(dX_A, dX_C)/dtheta under the solid bb; records the flux residuals."""
             nonlocal max_flux_residual
-            for rho, p in solved:
-                flux, consumption = _gas_balance(gg, p, rho, gg.cond, None)
+            for rv, p in solved:
+                flux, consumption = _gas_balance(p, rv, gg.cond, None)
                 max_flux_residual = max(
                     max_flux_residual, abs(flux - consumption) / max(1.0, abs(flux))
                 )
@@ -598,8 +599,9 @@ def initial_conversion_rate(params: ModelParams, ctl: FdControl = FdControl()) -
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
     st = np.full(gg.n, model.start)
     rho, delta, _ = model.terms(st)
-    a, cond = _solve_gas_qss(gg, rho, delta, params.sherwood)
-    flux, _ = _gas_balance(gg, a, rho, cond, params.sherwood)
+    rv = rho * gg.vol
+    a, cond = _solve_gas_qss(gg, rv, delta, params.sherwood)
+    flux, _ = _gas_balance(a, rv, cond, params.sherwood)
     return model.uptake(flux, st, a, gg)
 
 

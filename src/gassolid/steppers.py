@@ -29,6 +29,11 @@ inverting the tabulated theta(y_m) relation incrementally.
 Every model runs on the one step loop of `_PelletStepper.step`, which
 returns (state, report); `current_profile(state)` gives the gas profile
 of a state, as an array (a pair of arrays (A, C) for the two-gas model).
+A single-gas law is one `terms(solid, exposure)` call per lagged state, as
+in `fdref`: the frozen modulus M, the structure factor delta or None,
+whether a live node's pores closed, and k, the solid being used up at k * a
+(0 at closed nodes), which sizes the substep.  Each substep and profile
+calls it once; `advance` applies the integrated update.
 The two-gas model replaces only the first-stage substep and the profile.
 """
 
@@ -146,14 +151,15 @@ class _PelletStepper:
             raise SolverError("decrement cap must be positive")
         self.cap = decrement_cap
 
-    # -- model hooks -------------------------------------------------------
+    # -- model hooks: `terms` of the lagged state, then `advance` ---------
 
-    def modulus(self, solid, exposure):
-        """(per-node M, per-node delta or None, plugged?) from the lagged state."""
-        raise NotImplementedError
+    def terms(self, solid, exposure):
+        """(per-node M, per-node delta or None, plugged?, k) of the lagged state.
 
-    def solid_rate(self, solid, exposure, a):
-        """|d solid / d theta| per node, for step-size control."""
+        M and delta freeze the gas profile; under a gas a the solid is used
+        up at |d solid / d theta| = k * a (k per node or a scalar, 0 at
+        closed nodes), which sizes the substep.
+        """
         raise NotImplementedError
 
     def advance(self, solid, exposure, dg):
@@ -177,7 +183,7 @@ class _PelletStepper:
 
     def current_profile(self, state: PelletState) -> np.ndarray:
         """Gas profile a(y) of the state's frozen modulus."""
-        M, delta, _ = self.modulus(state.solid, state.exposure)
+        M, delta, _, _ = self.terms(state.solid, state.exposure)
         if state.stage is Stage.SECOND and state.y_m is not None and 0.0 < state.y_m < 1.0:
             return second_stage_profiles(state.y_m, self._front_modulus(M, state), self.grid,
                                          self.geometry, self.params.sherwood)
@@ -211,13 +217,12 @@ class _PelletStepper:
     # -- substeps ----------------------------------------------------------
 
     def _first_stage_substep(self, s: PelletState, remaining: float):
-        M, delta, plugged = self.modulus(s.solid, s.exposure)
+        M, delta, plugged, k = self.terms(s.solid, s.exposure)
         status = StepStatus.PORE_PLUGGED if plugged else StepStatus.OK
         prof = self._first_stage_profile(M, delta, s.theta)
         if prof.truncated:
             status |= StepStatus.SERIES_WARNING
-        rate = self.solid_rate(s.solid, s.exposure, prof.values)
-        rmax = float(np.max(rate))
+        rmax = float(np.max(k * prof.values))
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
         switching = False
         if self.two_stage:
@@ -270,7 +275,7 @@ class _PelletStepper:
         return float(np.sqrt(np.sum(w * M[alive] ** 2) / wsum))
 
     def _second_stage_substep(self, s: PelletState, remaining: float):
-        M, delta, plugged = self.modulus(s.solid, s.exposure)
+        M, _, plugged, k = self.terms(s.solid, s.exposure)
         status = StepStatus.PORE_PLUGGED if plugged else StepStatus.OK
         sh = self.params.sherwood
         if s.y_m is None:
@@ -285,8 +290,7 @@ class _PelletStepper:
             a0 = profile_qss(m_eff, self.grid, self.geometry, sh).values
         else:
             a0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
-        rate = np.where(s.solid > SOLID_FLOOR, self.solid_rate(s.solid, s.exposure, a0), 0.0)
-        rmax = float(np.max(rate))
+        rmax = float(np.max(np.where(s.solid > SOLID_FLOOR, k * a0, 0.0)))
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
         theta_c = s.theta_c if s.theta_c is not None else 1.0
         target = front_time(s.y_m, m_eff, self.geometry, theta_c, sh) + dt
@@ -312,11 +316,8 @@ class _PelletStepper:
 
 
 class _VolumeFirstOrder(_PelletStepper):
-    def modulus(self, solid, exposure):
-        return self.params.thiele * np.sqrt(solid), None, False
-
-    def solid_rate(self, solid, exposure, a):
-        return a * solid
+    def terms(self, solid, exposure):
+        return self.params.thiele * np.sqrt(solid), None, False, solid
 
     def advance(self, solid, exposure, dg):
         return np.maximum(solid * np.exp(-dg), _B_MIN), exposure + dg
@@ -325,11 +326,9 @@ class _VolumeFirstOrder(_PelletStepper):
 class _VolumeHalfOrder(_PelletStepper):
     two_stage = True
 
-    def modulus(self, solid, exposure):
-        return self.params.thiele * solid**0.25, None, False
-
-    def solid_rate(self, solid, exposure, a):
-        return a * np.sqrt(solid)
+    def terms(self, solid, exposure):
+        root = np.sqrt(solid)
+        return self.params.thiele * np.sqrt(root), None, False, root
 
     def advance(self, solid, exposure, dg):
         root = np.maximum(np.sqrt(solid) - 0.5 * dg, 0.0)
@@ -347,12 +346,9 @@ class _VolumeHalfOrder(_PelletStepper):
 class _GrainSimple(_PelletStepper):
     two_stage = True
 
-    def modulus(self, solid, exposure):
+    def terms(self, solid, exposure):
         expo = 0.5 * (self.params.grain.shape_factor - 1)
-        return self.params.thiele * solid**expo, None, False
-
-    def solid_rate(self, solid, exposure, a):
-        return np.asarray(a, dtype=float)
+        return self.params.thiele * solid**expo, None, False, 1.0
 
     def advance(self, solid, exposure, dg):
         return np.maximum(solid - dg, 0.0), exposure + dg
@@ -403,20 +399,16 @@ class _GrainModified(_PelletStepper):
         bracket = 1.0 - (1.0 - p.porosity0) / p.porosity0 * (p.z_ratio - 1.0) * (1.0 - r**3)
         return np.maximum(bracket, 0.0) ** 2
 
-    def modulus(self, solid, exposure):
+    def terms(self, solid, exposure):
+        resistance = self._resistance(solid)
         delta = self._delta(solid)
         if delta is None:
-            return self.params.thiele * solid / np.sqrt(self._resistance(solid)), None, False
-        plugged = bool(np.any((delta <= 0.0) & (solid > SOLID_FLOOR)))
-        denom = self._resistance(solid) * np.maximum(delta, 1e-300)
-        M = self.params.thiele * solid / np.sqrt(denom)
-        M = np.where(delta > 0.0, M, _PLUGGED_MODULUS)
-        return M, delta, plugged
-
-    def solid_rate(self, solid, exposure, a):
-        rate = a / self._resistance(solid)
-        delta = self._delta(solid)
-        return rate if delta is None else np.where(delta > 0.0, rate, 0.0)
+            return self.params.thiele * solid / np.sqrt(resistance), None, False, 1.0 / resistance
+        open_ = delta > 0.0
+        plugged = bool(np.any(~open_ & (solid > SOLID_FLOOR)))
+        M = self.params.thiele * solid / np.sqrt(resistance * np.maximum(delta, 1e-300))
+        return (np.where(open_, M, _PLUGGED_MODULUS), delta, plugged,
+                np.where(open_, 1.0 / resistance, 0.0))
 
     def advance(self, solid, exposure, dg):
         target = np.maximum(self._g(solid) - dg, self._g0)
@@ -455,29 +447,20 @@ class _RandomPore(_PelletStepper):
         v = h / (1.0 + np.sqrt(1.0 + bz * h))
         return v * (2.0 + self.params.psi_cap * v)
 
-    def _rate_resistance(self, w, u):
-        bz = self.params.beta * self.params.z_ratio
-        return 1.0 + bz * w / (1.0 + u)
-
     def _delta(self, solid):
         p = self.params
         bracket = 1.0 - (p.z_ratio - 1.0) * (1.0 - p.porosity0) * (1.0 - solid) / p.porosity0
         return np.maximum(bracket, 0.0) ** 2
 
-    def modulus(self, solid, exposure):
+    def terms(self, solid, exposure):
+        p = self.params
         w, u = self._split(solid)
         delta = self._delta(solid)
-        plugged = bool(np.any((delta <= 0.0) & (solid > SOLID_FLOOR)))
-        M_sq = self.params.thiele**2 * solid * u / (
-            self._rate_resistance(w, u) * np.maximum(delta, 1e-300)
-        )
-        M = np.where(delta > 0.0, np.sqrt(M_sq), _PLUGGED_MODULUS)
-        return M, delta, plugged
-
-    def solid_rate(self, solid, exposure, a):
-        w, u = self._split(solid)
-        rate = a * solid * u / self._rate_resistance(w, u)
-        return np.where(self._delta(solid) > 0.0, rate, 0.0)
+        open_ = delta > 0.0
+        plugged = bool(np.any(~open_ & (solid > SOLID_FLOOR)))
+        k = solid * u / (1.0 + p.beta * p.z_ratio * w / (1.0 + u))  # b u over the resistance
+        M = np.where(open_, np.sqrt(p.thiele**2 * k / np.maximum(delta, 1e-300)), _PLUGGED_MODULUS)
+        return M, delta, plugged, np.where(open_, k, 0.0)
 
     def advance(self, solid, exposure, dg):
         w_old, _ = self._split(solid)
@@ -494,18 +477,12 @@ class _RandomPore(_PelletStepper):
 
 
 class _Nucleation(_PelletStepper):
-    def modulus(self, solid, exposure):
+    def terms(self, solid, exposure):
         p = self.params
         n = p.solid_order
         # 2 F_p / |f'(b)| with f(b) = (-ln b)^(1/n) and b = exp(-g^n)
         gain = n * solid * exposure ** (n - 1.0) if n != 1.0 else solid
-        M = p.thiele * np.sqrt(2.0 * p.pellet.shape_factor * gain)
-        return M, None, False
-
-    def solid_rate(self, solid, exposure, a):
-        n = self.params.solid_order
-        gain = n * solid * exposure ** (n - 1.0) if n != 1.0 else solid
-        return a * gain
+        return p.thiele * np.sqrt(2.0 * p.pellet.shape_factor * gain), None, False, gain
 
     def advance(self, solid, exposure, dg):
         g = exposure + dg

@@ -466,7 +466,8 @@ def test_qss_solve_matches_dense_stencil(case, sherwood):
         op[-1, -2] = -cond[-1]
         op[-1, -1] = cond[-1] + rho[-1] * vol[-1] + sherwood
         rhs[-1] = sherwood
-    a, _ = fdref._solve_gas_qss(fdref._GasGrid(n, fp), rho, delta, sherwood)
+    gg = fdref._GasGrid(n, fp)
+    a, _ = fdref._solve_gas_qss(gg, rho * gg.vol, delta, sherwood)
     np.testing.assert_allclose(a, np.linalg.solve(op, rhs), rtol=1e-10)
 
 
@@ -489,6 +490,7 @@ def test_cn_step_matches_dense_stencil(case, accum, dt):
     rhs = cap * a_old - 0.5 * (op @ a_old)
     lhs[-1] = 0.0
     lhs[-1, -1] = rhs[-1] = 1.0
-    a, _ = fdref._advance_gas_cn(fdref._GasGrid(n, fp), a_old, rho, delta, accum, dt)
+    gg = fdref._GasGrid(n, fp)
+    a, _ = fdref._advance_gas_cn(gg, a_old, rho * gg.vol, delta, accum, dt)
     want = np.linalg.solve(lhs, rhs)
     np.testing.assert_allclose(a, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))

@@ -213,14 +213,86 @@ def test_unit_volume_ratio_has_no_structure_factor(grid):
     for raw in ({"kind": "grain_product_layer", "sigma": 1.5, "sigma_g_sq": 0.3},
                 {"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.3, "Z_v": 1.0}):
         p = build_model(raw)
-        _, delta, plugged = make_stepper(p, grid).modulus(r, r)
+        _, delta, plugged, _ = make_stepper(p, grid).terms(r, r)
         assert delta is None and not plugged
         _, fd_delta, _ = fdref._FD_MODELS[p.kind](p).terms(r)
         assert fd_delta is None and gg.conductance(fd_delta) is gg.cond
     swelling = build_model({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.3,
                             "Z_v": 1.4})
-    assert make_stepper(swelling, grid).modulus(r, r)[1] is not None
+    assert make_stepper(swelling, grid).terms(r, r)[1] is not None
     assert fdref._FD_MODELS[swelling.kind](swelling).terms(r)[1] is not None
+
+
+@st.composite
+def _law_states(draw):
+    """A single-gas QM law with a lagged state away from exhaustion.
+
+    Returns (stepper, solid, exposure, FD state): the FD law carries the same
+    solid as s = sqrt(b) (half order), w = -ln b (random pore), u = g
+    (nucleation, where b = exp(-g^n)), else as the solid itself.  Modified
+    grain is drawn at Z_v < 1, Z_v = 1 and Z_v > 1; Z > 1 and Z_v > 1 close
+    pores at some states.
+    """
+    kind = draw(st.sampled_from(["volume_first_order", "volume_half_order", "grain_simple",
+                                 "grain_product_layer", "grain_modified", "random_pore",
+                                 "nucleation"]))
+    raw = {"kind": kind, "thiele": draw(st.floats(0.1, 5.0))}
+    if kind.startswith("volume"):
+        raw["F_p"] = draw(st.sampled_from([1, 3]))
+    elif kind == "grain_simple":
+        raw.update(F_p=draw(st.sampled_from([1, 3])), F_g=draw(st.sampled_from([1, 2, 3])))
+    elif kind.startswith("grain"):
+        raw["sigma_g_sq"] = draw(st.floats(0.0, 0.5))
+        if kind == "grain_modified":
+            raw.update(Z_v=draw(st.floats(0.3, 0.95) | st.just(1.0) | st.floats(1.05, 3.0)),
+                       eps0=draw(st.floats(0.1, 0.9)))
+    elif kind == "random_pore":
+        raw.update(psi_cap=draw(st.floats(0.0, 4.0)), beta=draw(st.floats(0.0, 2.0)),
+                   z=draw(st.floats(0.3, 3.0)), eps0=draw(st.floats(0.1, 0.9)))
+    else:
+        raw["n"] = draw(st.sampled_from([1, 3]))
+    p = build_model(raw)
+    nodes = st.lists(st.floats(0.2, 1.0), min_size=7, max_size=7).map(np.array)
+    solid = draw(nodes)
+    exposure = draw(nodes) * 1.5
+    fd_state = {"volume_half_order": np.sqrt(solid), "random_pore": -np.log(solid),
+                "nucleation": exposure}.get(kind, solid)
+    if kind == "nucleation":
+        solid = np.exp(-np.minimum(exposure**p.solid_order, LN_B_CAP))
+    return make_stepper(p, SpatialGrid(101)), solid, exposure, fd_state
+
+
+@settings(max_examples=150, deadline=None)
+@given(_law_states())
+def test_qm_and_fd_laws_agree_on_reaction_coefficient(case):
+    # two implementations of one law: M^2 delta of the QM is the FD reaction
+    # coefficient rho of the same solid, wherever the pores are open
+    stepper, solid, exposure, fd_state = case
+    M, delta, _, _ = stepper.terms(solid, exposure)
+    rho, fd_delta, _ = fdref._FD_MODELS[stepper.params.kind](stepper.params).terms(fd_state)
+    if delta is None:
+        assert fd_delta is None
+        delta, open_ = 1.0, np.ones(solid.shape, dtype=bool)
+    else:
+        open_ = (delta > 0.0) & (fd_delta > 0.0)
+    np.testing.assert_allclose((M**2 * delta)[open_], rho[open_], rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_law_states())
+def test_rate_factor_k_matches_the_update(case):
+    # k, which sizes the substep, is the rate of the law's own update: the
+    # one-sided difference of advance at dg 1e-7 (truncation below 1e-6 in
+    # these boxes); at closed nodes k is 0 and advance keeps the solid
+    stepper, solid, exposure, _ = case
+    _, delta, _, k = stepper.terms(solid, exposure)
+    h = 1e-7
+    new, _ = stepper.advance(solid, exposure, np.full(solid.shape, h))
+    k = np.broadcast_to(k, solid.shape)
+    open_ = np.ones(solid.shape, dtype=bool) if delta is None else delta > 0.0
+    np.testing.assert_allclose(((solid - new) / h)[open_], k[open_], rtol=1e-6, atol=0.0)
+    assert np.all(k[~open_] == 0.0)
+    assert np.array_equal(new[~open_], solid[~open_])
 
 
 def test_random_pore_vanishing_structure_equals_volume(grid):
@@ -406,7 +478,7 @@ def test_modulus_bounded_by_base_thiele(grid, raw):
     state = stepper.initial_state()
     for _ in range(8):
         state, _ = stepper.step(state, 0.2)
-        m, _, _ = stepper.modulus(state.solid, state.exposure)
+        m, _, _, _ = stepper.terms(state.solid, state.exposure)
         assert np.all(m <= p.thiele + 1e-12)
 
 
@@ -448,7 +520,8 @@ def test_halving_reports_exhausted_tries(grid):
     # dtheta near 1.7e-12, so the try limit ends the loop, not the 1e-13 floor
     stepper = _fixed_removal(make_stepper(build_model({"kind": "volume_first_order",
                                                        "phi_v": 1.0}), grid))
-    stepper.solid_rate = lambda solid, exposure, a: np.zeros_like(solid)
+    terms = stepper.terms
+    stepper.terms = lambda solid, exposure: terms(solid, exposure)[:3] + (0.0,)
     with pytest.raises(SolverError, match="decrement cap"):
         stepper.step(stepper.initial_state(), 1e6)
 
