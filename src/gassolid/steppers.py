@@ -13,13 +13,13 @@ switch.
 The grain update with a product layer (`_GrainModified`, for both kinds
 that have one) and the random pore update are implicit: the new solid
 solves g(r) = target for an increasing law g.  The random-pore law is a
-quadratic in sqrt(1 + Psi w) - 1, so `_RandomPore` inverts it in closed
-form.  Only the grain law is inverted by Newton: `_invert_increasing`
-solves it per node from the old solid, with the grain resistance as the
-derivative, safeguarded by a bracket that every iterate shrinks: a step
-leaving the bracket is replaced by its midpoint, and nodes not converged
-after a fixed number of steps finish by bisection.  A law whose
-derivative is not positive raises.
+quadratic in sqrt(1 + Psi w) - 1, and the product-layer law (Z_v = 1) a
+cubic in r, so both are inverted in closed form.  Only the swelling grain
+law is inverted by Newton: `_invert_increasing` solves it per node from
+the old solid, with the grain resistance as the derivative, safeguarded
+by a bracket that every iterate shrinks: a step leaving the bracket is
+replaced by its midpoint, and nodes not converged after a fixed number of
+steps finish by bisection.  A law whose derivative is not positive raises.
 
 Models whose solid reaches zero in finite time (half-order volume and the
 grain family) switch to a second stage once the surface node exhausts:
@@ -89,6 +89,7 @@ class StepReport:
 _NEWTON_STEPS = 12  # a step capped by the decrement cap converges in about five
 _BISECT_STEPS = 52
 _STOP_ULPS = 4.0 * np.finfo(float).eps
+_TRIG_S2_MIN = 1e-6  # below it one polish takes the linear root to within 3 s2^3
 
 
 def _invert_increasing(fn, dfn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -113,7 +114,7 @@ def _invert_increasing(fn, dfn, target: np.ndarray, lo: np.ndarray, hi: np.ndarr
     for _ in range(_NEWTON_STEPS):
         f = fn(x) - target
         d = dfn(x)
-        if not np.all(done | ((d > 0.0) & (d < np.inf))):
+        if not (done | ((d > 0.0) & (d < np.inf))).all():
             raise SolverError("solid-update law is not monotone")
         below = f < 0.0
         lo = np.where(below, x, lo)
@@ -222,7 +223,7 @@ class _PelletStepper:
         prof = self._first_stage_profile(M, delta, s.theta)
         if prof.truncated:
             status |= StepStatus.SERIES_WARNING
-        rmax = float(np.max(k * prof.values))
+        rmax = float((k * prof.values).max())
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
         switching = False
         if self.two_stage:
@@ -235,7 +236,7 @@ class _PelletStepper:
         for attempt in range(60):
             dg, truncated = exposure_increment(prof, dt)
             solid_new, expo_new = self.advance(s.solid, s.exposure, dg)
-            dec = float(np.max(s.solid - solid_new))
+            dec = float((s.solid - solid_new).max())
             if switching or dec <= 2.0 * self.cap:
                 break
             if dt <= 1e-13 or attempt == 59:
@@ -266,13 +267,13 @@ class _PelletStepper:
         alive = (y <= (s.y_m if s.y_m is not None else 1.0) + 0.5 * self.grid.h) & (
             s.solid > SOLID_FLOOR
         )
-        if not np.any(alive):
+        if not alive.any():
             return 0.0
         w = y[alive] ** (self.geometry.shape_factor - 1)
-        wsum = float(np.sum(w))
+        wsum = float(w.sum())
         if wsum <= 0.0:  # only the center node is alive
-            return float(np.sqrt(np.mean(M[alive] ** 2)))
-        return float(np.sqrt(np.sum(w * M[alive] ** 2) / wsum))
+            return math.sqrt((M[alive] ** 2).mean())
+        return math.sqrt((w * M[alive] ** 2).sum() / wsum)
 
     def _second_stage_substep(self, s: PelletState, remaining: float):
         M, _, plugged, k = self.terms(s.solid, s.exposure)
@@ -280,7 +281,7 @@ class _PelletStepper:
         sh = self.params.sherwood
         if s.y_m is None:
             raise SolverError("second stage requires a front position")
-        if s.y_m <= 0.0 or not np.any(s.solid > SOLID_FLOOR):
+        if s.y_m <= 0.0 or not (s.solid > SOLID_FLOOR).any():
             s.solid[:] = 0.0
             s.y_m = 0.0
             s.theta += remaining
@@ -290,7 +291,7 @@ class _PelletStepper:
             a0 = profile_qss(m_eff, self.grid, self.geometry, sh).values
         else:
             a0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
-        rmax = float(np.max(np.where(s.solid > SOLID_FLOOR, k * a0, 0.0)))
+        rmax = float(np.where(s.solid > SOLID_FLOOR, k * a0, 0.0).max())
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
         theta_c = s.theta_c if s.theta_c is not None else 1.0
         target = front_time(s.y_m, m_eff, self.geometry, theta_c, sh) + dt
@@ -361,7 +362,8 @@ class _GrainModified(_PelletStepper):
     """Grain model with a product layer and changing grain size, porosity and diffusivity.
 
     At Z_v = 1 (the product-layer grain model) the swelling terms are skipped:
-    the outer radius is 1, delta None, and g the product-layer law plus 2 s2.
+    the outer radius is 1, delta None, and g the product-layer law plus 2 s2,
+    a cubic whose root `advance` takes in closed form, not by Newton.
     """
 
     two_stage = True
@@ -405,15 +407,32 @@ class _GrainModified(_PelletStepper):
         if delta is None:
             return self.params.thiele * solid / np.sqrt(resistance), None, False, 1.0 / resistance
         open_ = delta > 0.0
-        plugged = bool(np.any(~open_ & (solid > SOLID_FLOOR)))
+        plugged = bool((~open_ & (solid > SOLID_FLOOR)).any())
         M = self.params.thiele * solid / np.sqrt(resistance * np.maximum(delta, 1e-300))
         return (np.where(open_, M, _PLUGGED_MODULUS), delta, plugged,
                 np.where(open_, 1.0 / resistance, 0.0))
 
+    def _layer_root(self, target, solid):
+        # g(r) = target is t^3 + P t + Q = 0 at r = t + 1/2: its middle trig root,
+        # or the linear root where s2 is too small for it, polished by one Newton step
+        s2 = self.params.sigma_g_sq
+        if s2 < _TRIG_S2_MIN:
+            r = target - 2.0 * s2
+        else:
+            p = -(1.5 * s2 + 1.0) / (2.0 * s2)
+            q = (target - 2.0 * s2) / (2.0 * s2) - 0.25 - 0.25 / s2
+            m = 2.0 * math.sqrt(-p / 3.0)
+            angle = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
+            r = 0.5 + m * np.cos(angle - 2.0 * math.pi / 3.0)
+        return np.clip(r - (self._g(r) - target) / self._resistance(r), 0.0, solid)
+
     def advance(self, solid, exposure, dg):
         target = np.maximum(self._g(solid) - dg, self._g0)
-        r_new = _invert_increasing(self._g, self._resistance, target,
-                                   np.zeros_like(solid), solid, solid)
+        if self._swells:
+            r_new = _invert_increasing(self._g, self._resistance, target,
+                                       np.zeros_like(solid), solid, solid)
+        else:
+            r_new = self._layer_root(target, solid)
         delta = self._delta(solid)
         keep = dg <= 0.0 if delta is None else (delta <= 0.0) | (dg <= 0.0)
         return np.where(keep, solid, r_new), exposure + dg
@@ -457,7 +476,7 @@ class _RandomPore(_PelletStepper):
         w, u = self._split(solid)
         delta = self._delta(solid)
         open_ = delta > 0.0
-        plugged = bool(np.any(~open_ & (solid > SOLID_FLOOR)))
+        plugged = bool((~open_ & (solid > SOLID_FLOOR)).any())
         k = solid * u / (1.0 + p.beta * p.z_ratio * w / (1.0 + u))  # b u over the resistance
         M = np.where(open_, np.sqrt(p.thiele**2 * k / np.maximum(delta, 1e-300)), _PLUGGED_MODULUS)
         return M, delta, plugged, np.where(open_, k, 0.0)
@@ -517,7 +536,7 @@ class _Simultaneous(_PelletStepper):
         psi_a, psi_c = self.current_profile(s)
         total = psi_a + psi_c
         rate = total * s.solid
-        rmax = float(np.max(rate))
+        rmax = float(rate.max())
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
         shrink = -np.expm1(-total * dt)  # 1 - exp(-(psiA+psiC) dt)
         kernel = np.where(total > 0.0, shrink / np.where(total > 0.0, total, 1.0), dt)

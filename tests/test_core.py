@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gassolid import (
     ConfigError,
     GrainGeometry,
     ModelKind,
+    ModelParams,
     PelletGeometry,
     PelletState,
     SpatialGrid,
@@ -176,6 +179,59 @@ def test_tabulated_geometry_restrictions():
         build_model({"kind": "nucleation", "sigma_n": 1, "n": 2})
     with pytest.raises(ConfigError):
         build_model({"kind": "random_pore", "phi_r": 1, "psi_cap": 1, "F_p": 1})
+
+
+# Per field: its default (or neutral) value first, then values that some
+# kind accepts and values that every kind rejects.
+_FIELD_VALUES = {
+    "thiele": [1.5, 0.0, -1.0],
+    "psi": [0.0, 0.05, -0.1],
+    "sigma_g_sq": [0.0, 0.3, -0.1],
+    "psi_cap": [0.0, 2.0, -1.0],
+    "beta": [0.0, 0.5, -1.0],
+    "z_ratio": [1.0, 1.4, 0.7, 0.0],
+    "porosity0": [0.5, 0.3, 0.0, 1.0],
+    "solid_order": [1.0, 0.5, 3.0, 2.0],
+    "psi_ab": [1.0, 0.5, 0.0, 1.5],
+    "thiele_a": [0.0, 1.0, -1.0],
+    "thiele_c": [0.0, 2.0, -1.0],
+    "sherwood": [None, 5.0, 0.0, -1.0],
+}
+
+
+def _fields(**moved):
+    return {name: moved.get(name, values[0]) for name, values in _FIELD_VALUES.items()}
+
+
+@st.composite
+def _model_inputs(draw):
+    """Every ModelParams field set, up to two off their default, as (kind, fields, F_p, F_g)."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    moved = draw(st.sets(st.sampled_from(list(_FIELD_VALUES)), max_size=2))
+    fields = _fields(**{name: draw(st.sampled_from(_FIELD_VALUES[name][1:])) for name in moved})
+    return kind, fields, draw(st.sampled_from([3, 1, 2])), draw(st.sampled_from([3, 2, 1, 4]))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ConfigError:
+        return ConfigError
+
+
+@settings(max_examples=500, deadline=None)
+@given(_model_inputs(), st.booleans())
+@example((ModelKind.VOLUME_HALF_ORDER, _fields(solid_order=0.5), 1, 2), True)  # rarely drawn
+def test_build_model_and_constructor_validate_alike(inputs, as_text):
+    # a config file gives every value as text; "inf" spells sherwood None
+    kind, fields, fp, fg = inputs
+    raw = {"kind": kind.value, "F_p": fp, "F_g": fg}
+    for name, value in fields.items():
+        value = "inf" if value is None else value
+        raw[name] = str(value) if as_text else value
+    direct = _outcome(lambda: ModelParams(kind=kind, pellet=PelletGeometry(fp),
+                                          grain=GrainGeometry(fg), **fields))
+    assert _outcome(lambda: build_model(raw)) == direct
 
 
 def test_params_are_immutable():

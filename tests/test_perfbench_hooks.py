@@ -39,14 +39,21 @@ def test_every_perfbench_hook_resolves():
 
 
 def test_traced_solves_count_their_evaluations():
-    # the front solve looks front_time up through kernels and the grain
-    # advance looks _invert_increasing up through steppers, so both counters
-    # see every evaluation; a local binding would leave them reading 0
+    # the front solve looks front_time up through kernels and the swelling
+    # grain advance looks _invert_increasing up through steppers, so both
+    # counters see every evaluation; a local binding would leave them reading 0.
+    # The product layer (Z_v = 1) takes its cubic's root in closed form, so
+    # its advance makes no invert evaluation
     stepper = make_stepper(build_model({"kind": "grain_product_layer", "sigma": 3.0,
                                         "sigma_g_sq": 0.5}), SpatialGrid(101))
+    swelling = make_stepper(build_model({"kind": "grain_modified", "sigma": 1.5,
+                                         "sigma_g_sq": 0.2, "Z_v": 1.4, "eps0": 0.5}),
+                            SpatialGrid(101))
     state = stepper.initial_state()
     while state.stage is not Stage.SECOND:
         state, _ = stepper.step(state, 0.05)
+    solid = np.linspace(0.2, 1.0, 101)
+    update = (solid, np.zeros_like(solid), np.full_like(solid, 0.01))
     tracer = _load_spans().Tracer()
     try:
         tracer.install()
@@ -55,10 +62,10 @@ def test_traced_solves_count_their_evaluations():
         fronts = tracer.counts["kernels.front_time"]
         kernels.solve_moving_boundary(1.5, 2.0, stepper.geometry)  # inside the bracket
         assert tracer.counts["kernels.front_time"] - fronts > 2  # beyond the two ends
-        evals = tracer.counts.get("steppers.invert.evals", 0)
-        solid = np.linspace(0.2, 1.0, 101)
-        stepper.advance(solid, np.zeros_like(solid), np.full_like(solid, 0.01))
-        assert tracer.counts.get("steppers.invert.evals", 0) > evals
+        stepper.advance(*update)
+        assert tracer.counts.get("steppers.invert.evals", 0) == 0
+        swelling.advance(*update)
+        assert tracer.counts.get("steppers.invert.evals", 0) > 0
     finally:
         tracer.uninstall()
     assert 0.0 < state.y_m < 1.0

@@ -526,9 +526,10 @@ def test_halving_reports_exhausted_tries(grid):
         stepper.step(stepper.initial_state(), 1e6)
 
 
-# --- solid update: safeguarded Newton --------------------------------------------
+# --- solid update: safeguarded Newton and closed forms ---------------------------
 # X series recorded at n 101 and 21 samples with the former 52-step bisection;
-# the Newton update must reproduce them within the 1e-10 refactor bound.
+# the Newton update and the closed-form roots must reproduce them within the
+# 1e-10 refactor bound.
 
 PINNED_QM = [
     ({"kind": "grain_product_layer", "sigma": 1.5, "sigma_g_sq": 0.5}, 2.0,
@@ -684,6 +685,36 @@ def test_newton_update_matches_bisection(case):
     s0 = np.full(dg.size, solid[0])
     new, _ = stepper.advance(s0, np.zeros_like(s0), np.sort(dg))
     assert np.all(np.diff(new) <= 8 * _EPS * s0[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(s2=st.floats(math.log(1e-12), math.log(50.0)).map(math.exp),
+       solid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       share=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=12))
+@example(s2=0.0, solid=[0.0, 1e-9, 0.4, 1.0], share=[0.0, 0.3, 1.0, 1.5])
+@example(s2=1e-12, solid=[1e-9, 0.4, 1.0], share=[0.0, 1e-9, 0.5])
+@example(s2=1e-6, solid=[1e-9, 0.4, 1.0], share=[0.0, 1e-9, 0.5])  # the trig branch's edge
+@example(s2=50.0, solid=[1e-9, 0.4, 1.0], share=[0.0, 1e-9, 0.5])
+def test_product_layer_closed_form_root(s2, solid, share):
+    # the cubic's root against a bisection of g, for dg from 0 to past
+    # exhaustion (share > 1 floors the target at g0 and the core at 0)
+    stepper = _implicit_law("grain_product_layer", s2=s2)
+    g, g0 = stepper._g, stepper._g0
+    solid = np.array(solid)
+    dg = np.resize(share, solid.size) * (g(solid) - g0)
+    r, _ = stepper.advance(solid, np.zeros_like(solid), dg)
+    target = np.maximum(g(solid) - dg, g0)
+    assert np.all((0.0 <= r) & (r <= solid))
+    ref = _bisection(g, target, np.zeros_like(solid), solid)
+    scale = np.maximum(ref, target / stepper._resistance(ref))
+    assert np.all(np.abs(r - ref) <= np.maximum(8 * _EPS * scale, 1e-16))  # the bisection's stop
+    assert np.all(np.abs(g(r) - target) <= 8 * _EPS * np.maximum(np.abs(g(r)), target))
+    # a larger exposure never leaves more solid, up to the rounding of the
+    # root: neighbouring targets may round up to about half an ulp of scale apart
+    for b in (solid[0], 1.0):
+        s0 = np.full(len(share), b)
+        new, _ = stepper.advance(s0, np.zeros_like(s0), np.sort(share) * (g(s0) - g0))
+        assert np.all(np.diff(new) <= 8 * _EPS * max(b, g(b) / stepper._resistance(b)))
 
 
 @pytest.mark.parametrize("kind, law", [
