@@ -91,9 +91,11 @@ class SegmentedBulkSolver:
 
         # trapezoidal segment-mean weights: means = weights @ a_surface
         self.weights = np.zeros((self.n_seg, self.eta.size))
+        seg_nodes = []
         for j in range(self.n_seg):
             mask = (self.eta >= edges[j] - 1e-12) & (self.eta <= edges[j + 1] + 1e-12)
             idx = np.nonzero(mask)[0]
+            seg_nodes.append(idx)
             if idx.size == 0:
                 raise SolverError("axial grid too coarse for the requested segment count")
             if idx.size == 1:
@@ -153,6 +155,21 @@ class SegmentedBulkSolver:
         self.gain = (coef[2 * seg_idx] * e1_nodes[:, None]
                      + coef[2 * seg_idx + 1] * e2_nodes[:, None]
                      + np.eye(self.n_seg)[seg_idx])
+        # each segment's nodes and weights, padded with weight 0 to the longest,
+        # and the gain rows there: ``coupling`` reads only a segment's own nodes
+        k = max(idx.size for idx in seg_nodes)
+        self.nodes = np.array([np.pad(idx, (0, k - idx.size), mode="edge") for idx in seg_nodes])
+        self.node_weights = np.array([np.pad(self.weights[j, idx], (0, k - idx.size))
+                                      for j, idx in enumerate(seg_nodes)])
+        self.node_gain = self.gain[self.nodes]
+        self.eye = np.eye(self.n_seg)
+
+    def coupling(self, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """I - W diag(trans) G and W (1 - trans), each row read from its segment's nodes."""
+        wt = trans[self.nodes]
+        rhs = (self.node_weights * (1.0 - wt)).sum(axis=1)
+        wt *= self.node_weights
+        return self.eye - np.matmul(wt[:, None, :], self.node_gain)[:, 0], rhs
 
     def solve(self, a_surface: np.ndarray) -> np.ndarray:
         s = np.asarray(a_surface, dtype=float)
@@ -209,10 +226,8 @@ def _self_consistent_bulk(solver: SegmentedBulkSolver, trans: np.ndarray) -> np.
     result checks the residual of that solve against the fixed-point map,
     which must stay below ``_FIXED_POINT_TOL``.
     """
-    wt = solver.weights * trans
     try:
-        deficit = np.linalg.solve(np.eye(solver.n_seg) - wt @ solver.gain,
-                                  solver.weights @ (1.0 - trans))
+        deficit = np.linalg.solve(*solver.coupling(trans))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"bed bulk coupling system is singular: {exc}") from None
     y = 1.0 - solver.gain @ deficit
@@ -247,6 +262,7 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
     solver = SegmentedBulkSolver(bed, eta, n_segments)
 
     b = np.ones((n_eta, n_radial))
+    work = np.empty((4, n_eta, n_radial))  # the shape kernel's buffers, for the whole march
     modulus = bed.phi * np.sqrt(b)
     trans = np.asarray(surface_transmission(modulus[:, -1], bed.biot_m))
     bulk = _self_consistent_bulk(solver, trans)
@@ -261,7 +277,7 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
         nsub = max(1, int(math.ceil((t1 - t0) / dtau - 1e-12)))
         dt = (t1 - t0) / nsub
         for _ in range(nsub):
-            decay = _pellet_shape(modulus, y[None, :], bed.biot_m)
+            decay = _pellet_shape(modulus, y[None, :], bed.biot_m, work=work)
             decay *= bulk[:, None]
             decay *= -dt
             b *= np.exp(decay, out=decay)

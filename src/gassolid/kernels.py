@@ -110,24 +110,29 @@ def shape_ratio(geometry: PelletGeometry, M, y):
     return filmed_sphere_ratio(M, y, 1.0, 0.0) if geometry.is_sphere else slab_ratio(M, y)
 
 
-def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
+def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0, work=None):
     """a / a_bulk of the spherical profile behind a surface film (vectorized).
 
     The Robin surface condition is delta * da/dy = sh (1 - a), with per-node
     modulus M and structure factor delta (scalar or per node).  The profile
     sh sinh(My) / (y [delta M cosh M + (sh - delta) sinh M]) is evaluated
-    with every hyperbolic scaled by exp(-M): with q = -expm1(-2M),
-    sh exp(M(y-1)) (-expm1(-2My)) / (y [delta M (2 - q) + (sh - delta) q]).
-    One pass evaluates it over the whole broadcast array, updating its
-    full-size arrays in place.  Nodes with M <= 1e-9 take the placeholder
-    modulus 1 and are set to 1 at the end; only the centre nodes, where y or
-    2My is subnormal, are patched, with the analytic limit
-    sh 2M exp(-M) / [bracket].  Numerator and
+    with every hyperbolic scaled by exp(-M): with e = expm1(-2M),
+    sh exp(M(y-1)) (-expm1(-2My)) / (y [delta M (2 + e) + (delta - sh) e]).
+    One pass evaluates it over the whole broadcast array.  Nodes with
+    M <= 1e-9 take the placeholder modulus 1 and are set to 1 at the end;
+    only the centre nodes, where y or 2My is subnormal, are patched, with the
+    analytic limit sh 2M exp(-M) / [bracket].  Numerator and
     denominator carry the exact factor 2^600, so neither underflows into
     the subnormal range; where the unscaled products are normal, the
     quotient is the same to the last bit.
     Rounding leaves small-M values up to about 11 ulp above 1 (the exact
     value is at most 1), so the result is capped at 1.
+    ``work`` is four float64 buffers of the broadcast shape (a (4, *shape)
+    array will do): every full-size float intermediate is written into them,
+    and the result is returned in ``work[0]``, so a caller that passes the
+    same buffers on every call allocates no full-size float array.  Without
+    ``work`` the call allocates them itself.  The value does not depend on
+    what the buffers held before.
     delta = 0 is the Dirichlet sphere of shape_ratio, y = 1 gives the film factor
     1 / (1 + (delta/sh) [M coth M - 1]), and delta = 1 with sh = Bi_m is the
     packed bed's pellet.  For small M the bracket cancels when sh << delta,
@@ -137,32 +142,35 @@ def filmed_sphere_ratio(M, y, sherwood: float, delta=1.0):
     y = np.asarray(y, dtype=float)
     delta = np.asarray(delta, dtype=float)
     shape = np.broadcast(M, y, delta).shape
-    # Each full-size array below is allocated once and then updated in place:
-    # at bed sizes a fresh allocation costs more than the arithmetic in it.
-    live = np.broadcast_to(M > _TINY_M, shape or (1,))
-    M = np.where(live, M, 1.0)
-    q = np.multiply(-2.0, M)
-    np.negative(np.expm1(q, out=q), out=q)  # q = -expm1(-2M)
-    tmp = np.subtract(2.0, q)  # 2 - q; the buffer then holds the 2My terms
-    bracket = delta * M
-    bracket *= tmp
-    bracket += np.multiply(q, sherwood - delta, out=q)  # delta M (2 - q) + (sh - delta) q
-    rise = np.multiply(-2.0, M, out=tmp)
-    rise *= y
+    if work is None:  # separate arrays: a returned view would keep all four alive
+        work = [np.empty(shape or (1,)) for _ in range(4)]
+    out, e, tmp, bracket = work
+    live = M > _TINY_M
+    dead = None if live.all() else ~live
+    np.copyto(out, M)
+    if dead is not None:
+        np.copyto(out, 1.0, where=dead)
+    M = out  # from here on out holds the (placeholder-substituted) modulus
+    np.expm1(np.multiply(-2.0, M, out=e), out=e)  # e = expm1(-2M)
+    np.multiply(delta, M, out=bracket)
+    bracket *= np.add(2.0, e, out=tmp)
+    bracket += np.multiply(e, delta - sherwood, out=e)  # delta M (2 + e) + (delta - sh) e
+    rise = np.multiply(M, -2.0 * y, out=tmp)  # -2My
     y_small = y < _Y_NORMAL
     at_center = (rise > -_Y_NORMAL) | y_small  # 2My or y subnormal
-    np.negative(np.expm1(rise, out=rise), out=rise)  # -expm1(-2My)
+    np.expm1(rise, out=rise)  # expm1(-2My), the negated numerator factor
     Mc = M[at_center]
     centre = sherwood * 2.0 * Mc * np.exp(-Mc) / bracket[at_center]
-    out = np.multiply(M, y - 1.0, out=M)
+    np.multiply(M, y - 1.0, out=out)
     np.exp(out, out=out)
-    out *= sherwood * _FILM_SCALE
+    out *= -(sherwood * _FILM_SCALE)
     out *= rise
     bracket *= np.where(y_small, 1.0, y) * _FILM_SCALE
     out /= bracket
     out[at_center] = centre
     np.minimum(out, 1.0, out=out)
-    np.copyto(out, 1.0, where=~live)
+    if dead is not None:
+        np.copyto(out, 1.0, where=dead)
     return out if shape else float(out[0])
 
 

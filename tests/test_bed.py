@@ -240,16 +240,34 @@ def _picard_bulk(solver, trans, tol=1e-12, max_iter=300):
 _ETA_257 = np.linspace(0.0, 1.0, 257)
 
 
+@st.composite
+def _coupling_case(draw):
+    # _ETA_257 splits evenly into 1, 4, 16 or 64 segments; a drawn grid gives
+    # the segments different node counts, so their padded rows differ
+    if draw(st.booleans()):
+        eta, n_segments = _ETA_257, draw(st.sampled_from([1, 4, 16, 64]))
+    else:
+        n_eta = draw(st.integers(3, 300))
+        eta, n_segments = np.linspace(0.0, 1.0, n_eta), draw(st.integers(1, n_eta - 1))
+    trans = draw(hnp.arrays(float, eta.size, elements=st.floats(0.0, 1.0)))
+    return eta, n_segments, trans
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     log_pe=st.floats(-2.0, 2.0),
     beta=st.one_of(st.just(0.0), st.floats(-2.0, 5.0).map(lambda e: 10.0**e)),
-    n_segments=st.sampled_from([1, 4, 16, 64]),
-    trans=hnp.arrays(float, 257, elements=st.floats(0.0, 1.0)),
+    case=_coupling_case(),
 )
-def test_coupling_solve_is_the_fixed_point(log_pe, beta, n_segments, trans):
+def test_coupling_solve_is_the_fixed_point(log_pe, beta, case):
+    eta, n_segments, trans = case
     bed = BedParams(peclet=10.0**log_pe, beta=beta, phi=1.0, biot_m=1.0)
-    solver = bed_module.SegmentedBulkSolver(bed, _ETA_257, n_segments)
+    solver = bed_module.SegmentedBulkSolver(bed, eta, n_segments)
+    # the per-segment gather forms the dense I - W diag(trans) G and W (1 - trans)
+    matrix, rhs = solver.coupling(trans)
+    dense = np.eye(n_segments) - (solver.weights * trans) @ solver.gain
+    assert np.max(np.abs(matrix - dense)) <= 1e-14
+    assert np.max(np.abs(rhs - solver.weights @ (1.0 - trans))) <= 1e-14
     y = bed_module._self_consistent_bulk(solver, trans)
     assert np.max(np.abs(solver.solve(trans * y) - y)) <= 1e-13
     assert np.all((y >= -1e-12) & (y <= 1.0 + 1e-12))

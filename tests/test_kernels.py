@@ -252,14 +252,15 @@ def test_filmed_sphere_matches_product_form(case):
 
 
 @st.composite
-def _bed_layout(draw):
+def _bed_layout(draw, shape=None):
     # march_bed's call: per-node M of shape (n_eta, n_radial) against y of
     # shape (1, n_radial), with a scalar or a per-node delta
-    n_eta, n_radial = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    n_eta, n_radial = shape or (draw(st.integers(1, 6)), draw(st.integers(1, 8)))
     modulus = (st.just(0.0) | st.floats(0.0, 1e-9) | st.floats(1e-9, 50.0)
                | st.just(1e4))  # the stepper's plugged modulus
     m = draw(hnp.arrays(float, (n_eta, n_radial), elements=modulus))
-    y = draw(hnp.arrays(float, (1, n_radial), elements=st.just(0.0) | st.floats(0.0, 1.0)))
+    y = draw(hnp.arrays(float, (1, n_radial),
+                        elements=st.sampled_from([0.0, 5e-324]) | st.floats(0.0, 1.0)))
     delta = draw(st.floats(0.0, 1.0)
                  | hnp.arrays(float, (n_eta, n_radial), elements=st.floats(0.0, 1.0)))
     return m, y, delta, draw(st.floats(0.1, 1e3))
@@ -278,6 +279,21 @@ def test_filmed_sphere_one_pass_matches_scalar_calls(case):
                      for mi, yi, di in nodes]).reshape(m.shape)
     assert got.tobytes() == want.tobytes()
     assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_filmed_sphere_reused_workspace_matches_fresh_call(data):
+    # one workspace serves two calls in a row on different inputs (dead nodes,
+    # y = 0, subnormal y, per-node delta): no value left in a buffer by a
+    # previous call or by the caller reaches a result
+    shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 8)))
+    work = np.full((4, *shape), data.draw(st.sampled_from([0.0, 1.0, math.nan])))
+    for _ in range(2):
+        m, y, delta, sh = data.draw(_bed_layout(shape))
+        got = filmed_sphere_ratio(m, y, sh, delta, work=work)
+        assert np.shares_memory(got, work[0])
+        assert got.tobytes() == filmed_sphere_ratio(m, y, sh, delta).tobytes()
 
 
 def test_filmed_sphere_small_modulus_pin():
