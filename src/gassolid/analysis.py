@@ -22,17 +22,17 @@ def simpson_weights(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _radial_weights(n: int, shape_factor: int) -> np.ndarray:
-    """Simpson weights times y^(F_p-1) on the n-node grid, read-only."""
-    w = simpson_weights(n) * np.linspace(0.0, 1.0, n) ** (shape_factor - 1)
+def radial_weights(n: int, shape_factor: int) -> np.ndarray:
+    """F_p * Simpson weights * y^(F_p-1) on the n-node grid, read-only: the
+    weights of the pellet average F_p * integral of y^(F_p-1) f over [0, 1]."""
+    w = simpson_weights(n) * shape_factor * np.linspace(0.0, 1.0, n) ** (shape_factor - 1)
     w.flags.writeable = False
     return w
 
 
 def radial_average(values: np.ndarray, shape_factor: int) -> float:
     """F_p * integral of y^(F_p-1) * values over [0, 1] (Simpson)."""
-    w = _radial_weights(values.shape[-1], shape_factor)
-    return float(shape_factor * np.sum(w * values))
+    return float(np.sum(radial_weights(values.shape[-1], shape_factor) * values))
 
 
 def _solid_integrand(solid: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import simpson_weights
+from .analysis import radial_weights
 from .core import ConfigError, SolverError
+from .driver import sample_schedule, split_interval
 from .kernels import filmed_sphere_ratio
 
 _FIXED_POINT_TOL = 1e-11  # largest residual of the coupling solve against the bulk map
@@ -89,24 +90,23 @@ class SegmentedBulkSolver:
         edges = np.linspace(0.0, lam, self.n_seg + 1)
         r1, r2 = characteristic_roots(bed.peclet, bed.beta)
 
-        # trapezoidal segment-mean weights: means = weights @ a_surface
-        self.weights = np.zeros((self.n_seg, self.eta.size))
+        # each segment's nodes, padded to the longest by repeating its last node,
+        # and their trapezoid mean weights, read by every segment mean; the
+        # repeats span no length, so they weigh 0
         seg_nodes = []
-        for j in range(self.n_seg):
-            mask = (self.eta >= edges[j] - 1e-12) & (self.eta <= edges[j + 1] + 1e-12)
-            idx = np.nonzero(mask)[0]
-            seg_nodes.append(idx)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            idx = np.nonzero((self.eta >= lo - 1e-12) & (self.eta <= hi + 1e-12))[0]
             if idx.size == 0:
                 raise SolverError("axial grid too coarse for the requested segment count")
-            if idx.size == 1:
-                self.weights[j, idx[0]] = 1.0
-            else:
-                sub = self.eta[idx]
-                w = np.zeros(idx.size)
-                d = np.diff(sub)
-                w[:-1] += 0.5 * d
-                w[1:] += 0.5 * d
-                self.weights[j, idx] = w / (sub[-1] - sub[0])
+            seg_nodes.append(idx)
+        k = max(idx.size for idx in seg_nodes)
+        self.nodes = np.array([np.pad(idx, (0, k - idx.size), mode="edge") for idx in seg_nodes])
+        x = self.eta[self.nodes]
+        half = 0.5 * np.diff(x, axis=1)
+        w = np.pad(half, ((0, 0), (0, 1))) + np.pad(half, ((0, 0), (1, 0)))
+        span = x[:, -1] - x[:, 0]
+        w[span == 0.0, 0] = 1.0  # a one-node segment's mean is its node value
+        self.node_weights = w / np.where(span > 0.0, span, 1.0)[:, None]
 
         n_unknown = 2 * self.n_seg
         mat = np.zeros((n_unknown, n_unknown))
@@ -155,37 +155,31 @@ class SegmentedBulkSolver:
         self.gain = (coef[2 * seg_idx] * e1_nodes[:, None]
                      + coef[2 * seg_idx + 1] * e2_nodes[:, None]
                      + np.eye(self.n_seg)[seg_idx])
-        # each segment's nodes and weights, padded with weight 0 to the longest,
-        # and the gain rows there: ``coupling`` reads only a segment's own nodes
-        k = max(idx.size for idx in seg_nodes)
-        self.nodes = np.array([np.pad(idx, (0, k - idx.size), mode="edge") for idx in seg_nodes])
-        self.node_weights = np.array([np.pad(self.weights[j, idx], (0, k - idx.size))
-                                      for j, idx in enumerate(seg_nodes)])
+        # the gain rows at each segment's nodes: ``coupling`` reads only those
         self.node_gain = self.gain[self.nodes]
         self.eye = np.eye(self.n_seg)
+
+    def _means(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoidal mean of ``values`` (one per eta node) over each segment."""
+        return (self.node_weights * values[self.nodes]).sum(axis=1)
 
     def coupling(self, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """I - W diag(trans) G and W (1 - trans), each row read from its segment's nodes."""
         wt = trans[self.nodes]
-        rhs = (self.node_weights * (1.0 - wt)).sum(axis=1)
         wt *= self.node_weights
-        return self.eye - np.matmul(wt[:, None, :], self.node_gain)[:, 0], rhs
+        return self.eye - np.matmul(wt[:, None, :], self.node_gain)[:, 0], self._means(1.0 - trans)
 
     def solve(self, a_surface: np.ndarray) -> np.ndarray:
         s = np.asarray(a_surface, dtype=float)
         if s.shape != self.eta.shape:
             raise SolverError("a_surface must match the eta grid")
-        return 1.0 - self.gain @ (1.0 - self.weights @ s)
+        return 1.0 - self.gain @ (1.0 - self._means(s))
 
 
 def bed_bulk_profile(bed: BedParams, a_surface: np.ndarray, eta: np.ndarray,
                      n_segments: int) -> np.ndarray:
     """Closed-form bulk profile Y(eta) for a given pellet-surface field."""
-    eta = np.asarray(eta, dtype=float)
-    s = np.asarray(a_surface, dtype=float)
-    if eta.shape != s.shape or eta.ndim != 1:
-        raise SolverError("a_surface and eta must be matching 1-d arrays")
-    return SegmentedBulkSolver(bed, eta, n_segments).solve(s)
+    return SegmentedBulkSolver(bed, eta, n_segments).solve(a_surface)
 
 
 def bed_bulk_profile_uniform(bed: BedParams, a_surface: float, eta: np.ndarray) -> np.ndarray:
@@ -219,7 +213,7 @@ class BedResult:
 def _self_consistent_bulk(solver: SegmentedBulkSolver, trans: np.ndarray) -> np.ndarray:
     """Fixed point of Y = bulk_profile(trans * Y): the quasi-static bulk field.
 
-    With Y = 1 - G d and the segment-mean deficit d = 1 - weights @ (trans * Y),
+    With Y = 1 - G d and the segment-mean deficit d = 1 - W (trans * Y),
     d solves (I - W diag(trans) G) d = W (1 - trans) exactly.  Solving for
     the deficit rather than the means keeps Y = 1 exact where trans = 1 even
     when the map is a very weak contraction.  One ``solver.solve`` of the
@@ -251,14 +245,12 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
     """
     if dtau <= 0.0 or tau_end <= 0.0:
         raise SolverError("dtau and tau_end must be positive")
-    if samples < 2:
-        raise SolverError("need at least two samples")
     if n_radial % 2 == 0:
         raise SolverError("n_radial must be odd (Simpson quadrature)")
+    sample_tau = sample_schedule(tau_end, samples)
     eta = np.linspace(0.0, bed.bed_length, n_eta)
     y = np.linspace(0.0, 1.0, n_radial)
-    sw = simpson_weights(n_radial) * 3.0 * y**2  # spherical pellets
-    sample_tau = np.linspace(0.0, tau_end, samples)
+    sw = radial_weights(n_radial, 3)  # spherical pellets
     solver = SegmentedBulkSolver(bed, eta, n_segments)
 
     b = np.ones((n_eta, n_radial))
@@ -274,8 +266,7 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
     out_xa = [1.0 - b @ sw]
 
     for t0, t1 in zip(sample_tau[:-1], sample_tau[1:]):
-        nsub = max(1, int(math.ceil((t1 - t0) / dtau - 1e-12)))
-        dt = (t1 - t0) / nsub
+        nsub, dt = split_interval(t0, t1, dtau)
         for _ in range(nsub):
             decay = _pellet_shape(modulus, y[None, :], bed.biot_m, work=work)
             decay *= bulk[:, None]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,13 @@ def sample_schedule(theta_end: float, samples: int,
         pts = [t for t in extra if 0.0 <= t <= theta_end]
         base = np.unique(np.concatenate([base, np.asarray(pts, dtype=float)]))
     return base
+
+
+def split_interval(t0: float, t1: float, step: float) -> tuple[int, float]:
+    """(n, (t1 - t0) / n): the fewest equal substeps of [t0, t1] no longer than
+    ``step``, where a span within 1e-12 steps of a whole number takes that number."""
+    n = max(1, int(math.ceil((t1 - t0) / step - 1e-12)))
+    return n, (t1 - t0) / n
 
 
 def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,

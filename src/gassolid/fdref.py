@@ -37,11 +37,12 @@ each side, so the solutions are bit-identical to it; scipy's two checks
 stay (inf or NaN raises ``ValueError``, a zero pivot ``LinAlgError``).
 scipy is imported on the first solve, not with the module, so runs that
 never use the oracle (QM and bed runs) never load it.
-Each :class:`_GasGrid` builds the face conductances, the bands of the flux
-operator without a structure factor and the Simpson weights once,
-read-only.  The caller forms the reaction term ``rho * vol`` once per gas
-solve and passes it to the solve, which copies the bands and adds it (plus
-the capacity term for Crank-Nicolson), and to the balance ``_gas_balance``.
+Each :class:`_GasGrid` builds the face conductances and the bands of the
+flux operator without a structure factor once, read-only; conversions use
+``analysis.radial_weights``.  The caller forms the reaction term
+``rho * vol`` once per gas solve and passes it to the solve, which copies
+the bands and adds it (plus the capacity term for Crank-Nicolson), and to
+the balance ``_gas_balance``.
 
 The moving-boundary second stage needs no special casing here: clamping
 the solid at zero and keeping the reaction indicator reproduces the
@@ -50,15 +51,14 @@ receding-front behavior on its own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import simpson_weights
+from .analysis import radial_weights
 from .core import LN_B_CAP, ModelKind, ModelParams, SolverError
-from .driver import RunResult, sample_schedule
+from .driver import RunResult, sample_schedule, split_interval
 
 _R_FLOOR = 1e-12
 _B_MIN = math.exp(-LN_B_CAP)
@@ -270,13 +270,12 @@ class _GasGrid:
 
     def __init__(self, n: int, shape_factor: int):
         self.n = n
-        self.fp = shape_factor
-        self.y = np.linspace(0.0, 1.0, n)
+        y = np.linspace(0.0, 1.0, n)
         self.h = 1.0 / (n - 1)
-        faces = self.y[:-1] + 0.5 * self.h
+        faces = y[:-1] + 0.5 * self.h
         self.face_w = faces ** (shape_factor - 1)
-        left = np.maximum(self.y - 0.5 * self.h, 0.0)
-        right = np.minimum(self.y + 0.5 * self.h, 1.0)
+        left = np.maximum(y - 0.5 * self.h, 0.0)
+        right = np.minimum(y + 0.5 * self.h, 1.0)
         if shape_factor == 1:
             self.vol = right - left
         else:
@@ -286,13 +285,6 @@ class _GasGrid:
         self.bands = _stencil(self.cond)
         self.cond.flags.writeable = False
         self.bands.flags.writeable = False
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Simpson weights of the conversion quadrature F_p * int y^(F_p-1) f dy."""
-        w = simpson_weights(self.n) * self.fp * self.y ** (self.fp - 1)
-        w.flags.writeable = False
-        return w
 
     def conductance(self, delta):
         if delta is None:
@@ -395,7 +387,7 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     model = _FD_MODELS[params.kind](params)
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
     st = np.full(gg.n, model.start)
-    sw = gg.weights
+    sw = radial_weights(gg.n, params.pellet.shape_factor)
     lo, hi = model.lo, model.hi
 
     def x_of(state) -> float:
@@ -425,8 +417,7 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     k1, k2, pred = np.empty(gg.n), np.empty(gg.n), np.empty(gg.n)  # per-step buffers
 
     for t0, t1 in zip(schedule[:-1], schedule[1:]):
-        nsub = max(1, int(math.ceil((t1 - t0) / dtheta - 1e-12)))
-        dt = (t1 - t0) / nsub
+        nsub, dt = split_interval(t0, t1, dtheta)
         half = 0.5 * dt
         for _ in range(nsub):
             rho, delta, k = model.terms(st)
@@ -525,7 +516,7 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
 
     def march(dtheta: float) -> RunResult:
         gg = _GasGrid(ctl.n_space, fp)
-        sw = gg.weights
+        sw = radial_weights(gg.n, fp)
         b = np.ones(gg.n)
         b_a = np.ones(gg.n)
         two_fp = 2.0 * fp
@@ -555,8 +546,7 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
         uptake_integral = np.zeros(2)
         pending = None  # (uptakes at substep start, dt)
         for t0, t1 in zip(schedule[:-1], schedule[1:]):
-            nsub = max(1, int(math.ceil((t1 - t0) / dtheta - 1e-12)))
-            dt = (t1 - t0) / nsub
+            nsub, dt = split_interval(t0, t1, dtheta)
             for _ in range(nsub):
                 (pa, pc), solved = profiles(b)
                 uptake = uptakes(b, solved)

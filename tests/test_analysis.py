@@ -10,7 +10,8 @@ from gassolid import (
     conversion,
     conversion_by_gas_a,
 )
-from gassolid.analysis import ConversionSeries, radial_average, simpson_weights
+from gassolid.analysis import (ConversionSeries, radial_average, radial_weights,
+                               simpson_weights)
 
 
 def _state_with(grid, values):
@@ -46,10 +47,12 @@ def test_conversion_monotone_in_solid(grid):
 
 
 def test_simpson_exact_for_cubics():
-    w = simpson_weights(201)
+    # the radial weights carry F_p y^(F_p-1): y^k is a cubic integrand for k <= 4 - F_p
     y = np.linspace(0.0, 1.0, 201)
-    for k in range(4):
-        assert np.sum(w * y**k) == pytest.approx(1.0 / (k + 1), abs=1e-15)
+    for w, fp in ((simpson_weights(201), 1), (radial_weights(201, 1), 1),
+                  (radial_weights(201, 3), 3)):
+        for k in range(5 - fp):
+            assert np.sum(w * y**k) == pytest.approx(fp / (k + fp), abs=1e-15)
     with pytest.raises(SolverError):
         simpson_weights(200)
 

@@ -147,6 +147,9 @@ def test_bulk_profile_danckwerts_inlet():
 def test_bulk_profile_validates_shapes():
     with pytest.raises(SolverError):
         bed_bulk_profile(FIG9, np.zeros(10), np.linspace(0, 1, 11), 64)
+    # with a segment count the grid supports, the solve's own shape check fires
+    with pytest.raises(SolverError, match="must match the eta grid"):
+        bed_bulk_profile(FIG9, np.zeros(10), np.linspace(0, 1, 11), 4)
 
 
 # --- bed march ------------------------------------------------------------------
@@ -253,6 +256,22 @@ def _coupling_case(draw):
     return eta, n_segments, trans
 
 
+def _dense_mean_weights(eta, n_segments):
+    """W with W @ f the trapezoidal mean of f over each equal segment of [0, 1],
+    built from eta and the segment edges alone."""
+    edges = np.linspace(0.0, 1.0, n_segments + 1)
+    w = np.zeros((n_segments, eta.size))
+    unit = np.eye(eta.size)
+    for j in range(n_segments):
+        idx = np.nonzero((eta >= edges[j] - 1e-12) & (eta <= edges[j + 1] + 1e-12))[0]
+        if idx.size == 1:
+            w[j, idx] = 1.0
+        else:
+            span = eta[idx[-1]] - eta[idx[0]]
+            w[j] = np.trapezoid(unit[idx], eta[idx], axis=0) / span
+    return w
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     log_pe=st.floats(-2.0, 2.0),
@@ -263,11 +282,15 @@ def test_coupling_solve_is_the_fixed_point(log_pe, beta, case):
     eta, n_segments, trans = case
     bed = BedParams(peclet=10.0**log_pe, beta=beta, phi=1.0, biot_m=1.0)
     solver = bed_module.SegmentedBulkSolver(bed, eta, n_segments)
-    # the per-segment gather forms the dense I - W diag(trans) G and W (1 - trans)
+    # the per-segment gather forms the dense I - W diag(trans) G and W (1 - trans),
+    # and the bulk map 1 - G (1 - W a)
+    w = _dense_mean_weights(eta, n_segments)
     matrix, rhs = solver.coupling(trans)
-    dense = np.eye(n_segments) - (solver.weights * trans) @ solver.gain
+    dense = np.eye(n_segments) - (w * trans) @ solver.gain
     assert np.max(np.abs(matrix - dense)) <= 1e-14
-    assert np.max(np.abs(rhs - solver.weights @ (1.0 - trans))) <= 1e-14
+    assert np.max(np.abs(rhs - w @ (1.0 - trans))) <= 1e-14
+    bulk = 1.0 - solver.gain @ (1.0 - w @ trans)
+    assert np.max(np.abs(solver.solve(trans) - bulk)) <= 1e-14
     y = bed_module._self_consistent_bulk(solver, trans)
     assert np.max(np.abs(solver.solve(trans * y) - y)) <= 1e-13
     assert np.all((y >= -1e-12) & (y <= 1.0 + 1e-12))

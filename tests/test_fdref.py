@@ -17,7 +17,7 @@ from gassolid import (
     run_qm,
 )
 from gassolid import fdref
-from gassolid.analysis import simpson_weights
+from gassolid.analysis import radial_weights, simpson_weights
 from gassolid.core import LN_B_CAP
 from test_steppers import _quasi_steady_models
 
@@ -416,11 +416,12 @@ def test_grid_conductance_is_read_only():
     gg = fdref._GasGrid(11, 3)
     cond = gg.conductance(None)
     assert cond is gg.conductance(None)
-    for cached in (cond, gg.bands, gg.weights):
+    for cached in (cond, gg.bands, radial_weights(11, 1), radial_weights(11, 3)):
         with pytest.raises(ValueError):
             cached[0] = 1.0
     y = np.linspace(0.0, 1.0, 11)
-    assert np.array_equal(gg.weights, simpson_weights(11) * 3 * y**2)
+    assert np.array_equal(radial_weights(11, 1), simpson_weights(11))
+    assert np.array_equal(radial_weights(11, 3), simpson_weights(11) * 3 * y**2)
 
 
 def _dense_operator(n: int, fp: int, delta, rho: np.ndarray):

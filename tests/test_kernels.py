@@ -167,8 +167,14 @@ def test_scaled_ratio_identities():
     # shape(M y_m, y / y_m) = shape(M, y) / shape(M, y_m) for y <= y_m
     y = np.linspace(0.0, 1.0, 11)
     core = y[y <= 0.7]
+    # one unmasked slab pass: exactly 1 at M = 0, no inf/inf at the plugged modulus 1e4
+    for m in (0.0, 0.3, 2.0, 8.0, 1e4):
+        with np.errstate(invalid="raise", divide="raise"):
+            slab = slab_ratio(m, y)
+        assert np.allclose(slab, _exact(lambda mp, m, y: mp.cosh(m * y) / mp.cosh(m), m, y),
+                           rtol=1e-13, atol=0.0)
+    assert np.all(slab_ratio(0.0, y) == 1.0)
     for m in (0.3, 2.0, 8.0):
-        assert np.allclose(slab_ratio(m, y), np.cosh(m * y) / np.cosh(m), rtol=1e-13)
         s = shape_ratio(SLAB, m * 0.7, core / 0.7)
         assert np.allclose(s, np.cosh(m * core) / np.cosh(m * 0.7), rtol=1e-13)
         s = shape_ratio(SPHERE, m * 0.7, core / 0.7)
@@ -505,7 +511,9 @@ def test_front_time_at_surface_is_theta_c():
     for geom in (SLAB, SPHERE):
         for m in (0.5, 2.0, 10.0):
             assert front_time(1.0, m, geom, theta_c=1.7) == pytest.approx(1.7, abs=1e-14)
-    assert front_time(1.0, 2.0, SPHERE, theta_c=1.3, sherwood=5.0) == pytest.approx(1.3, abs=1e-14)
+    # with a film the terms that vanish at the surface must cancel before theta_c is added
+    for theta_c, sh in ((1.3, 5.0), (580.2352027203673, 1e-3)):
+        assert front_time(1.0, 2.0, SPHERE, theta_c=theta_c, sherwood=sh) == theta_c
 
 
 def test_front_time_monotone_decreasing_in_y_m():
