@@ -35,7 +35,6 @@ from .core import (
     PelletState,
     SolverError,
     SpatialGrid,
-    Stage,
     build_model,
 )
 from .driver import ProfileSnapshot, RunResult, run_qm
@@ -49,10 +48,6 @@ from .kernels import (
     second_stage_profiles,
     solve_moving_boundary,
 )
-from .steppers import (
-    StepReport,
-    StepStatus,
-    make_stepper,
-)
+from .steppers import StepStatus, make_stepper
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,11 +38,6 @@ class ModelKind(Enum):
     SIMULTANEOUS = "simultaneous"
 
 
-class Stage(Enum):
-    FIRST = 1
-    SECOND = 2
-
-
 @dataclass(frozen=True)
 class PelletGeometry:
     """Pellet shape factor: 1 = infinite slab, 3 = sphere."""
@@ -333,14 +328,15 @@ class PelletState:
     ``solid`` holds b for the volume / random-pore / nucleation models and
     r* for the grain models.  ``exposure`` is the per-node cumulative gas
     exposure integral of a over theta (the nucleation model's conversion
-    variable; the simultaneous model leaves it at 0).  ``solid_aux``
-    carries b_A for the simultaneous model.
+    variable; the simultaneous model leaves it at 0).  ``y_m`` is the
+    second stage's reaction front: None during the first stage, and set
+    (with ``theta_c``, the time the surface node exhausted) at the switch.
+    ``solid_aux`` carries b_A for the simultaneous model.
     """
 
     theta: float
     solid: np.ndarray
     exposure: np.ndarray
-    stage: Stage = Stage.FIRST
     y_m: float | None = None
     theta_c: float | None = None
     solid_aux: np.ndarray | None = None
@@ -356,7 +352,6 @@ class PelletState:
             theta=self.theta,
             solid=self.solid.copy(),
             exposure=self.exposure.copy(),
-            stage=self.stage,
             y_m=self.y_m,
             theta_c=self.theta_c,
             solid_aux=None if self.solid_aux is None else self.solid_aux.copy(),

@@ -69,6 +69,13 @@ def split_interval(t0: float, t1: float, step: float) -> tuple[int, float]:
     return n, (t1 - t0) / n
 
 
+# Step statuses a run reports, each as one warning naming its sample steps.
+_STATUS_WARNINGS = (
+    (StepStatus.SERIES_WARNING, "eigen-series truncated before term_tol"),
+    (StepStatus.PORE_PLUGGED, "pores closed around unreacted solid"),
+)
+
+
 def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
            samples: int = 201, snapshot_thetas: tuple[float, ...] = (),
            decrement_cap: float = DEFAULT_DECREMENT_CAP) -> RunResult:
@@ -76,40 +83,37 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
     stepper = make_stepper(params, grid, decrement_cap)
     schedule = sample_schedule(theta_end, samples, snapshot_thetas)
     snap_set = {round(float(t), 12) for t in snapshot_thetas}
+    warnings: list[str] = []
+    sampled = set(schedule.tolist())  # holds every snapshot time in [0, theta_end] exactly
+    dropped = [repr(float(t)) for t in snapshot_thetas if float(t) not in sampled]
+    if dropped:
+        warnings.append(f"snapshot theta(s) outside [0, {theta_end:.6g}] dropped: "
+                        f"{', '.join(dropped)}")
     state = stepper.initial_state()
     xs = [conversion(state, params)]
     x_as = [conversion_by_gas_a(state, params)] if params.kind is ModelKind.SIMULTANEOUS else None
     snapshots: list[ProfileSnapshot] = []
-    warnings: list[str] = []
-    series_warn_count = 0
-    series_warn_first = None
-    theta_c = None
+    steps = []  # (theta, status) at the end of each sample step
     if snap_set and 0.0 in snap_set:
         snapshots.append(_snapshot(state, stepper, grid))
     for prev, nxt in zip(schedule[:-1], schedule[1:]):
-        state, report = stepper.step(state, float(nxt - prev))
-        if report.stage_switched:
-            theta_c = state.theta_c
-        if StepStatus.SERIES_WARNING in report.status:
-            series_warn_count += 1
-            if series_warn_first is None:
-                series_warn_first = state.theta
+        state, status = stepper.step(state, float(nxt - prev))
+        steps.append((state.theta, status))
         xs.append(conversion(state, params))
         if x_as is not None:
             x_as.append(conversion_by_gas_a(state, params))
         if round(float(nxt), 12) in snap_set:
             snapshots.append(_snapshot(state, stepper, grid))
-    if series_warn_count:
-        warnings.append(
-            f"eigen-series truncated before term_tol at {series_warn_count} sample step(s), "
-            f"first near theta={series_warn_first:.6g}"
-        )
+    for flag, what in _STATUS_WARNINGS:
+        hits = [theta for theta, status in steps if flag in status]
+        if hits:
+            warnings.append(f"{what} at {len(hits)} sample step(s), first near theta={hits[0]:.6g}")
     return RunResult(
         kind=params.kind,
         theta=schedule,
         x=np.asarray(xs),
         x_a=None if x_as is None else np.asarray(x_as),
-        theta_c=theta_c,
+        theta_c=state.theta_c,
         snapshots=snapshots,
         warnings=warnings,
         label="qm",

@@ -24,23 +24,25 @@ steps finish by bisection.  A law whose derivative is not positive raises.
 Models whose solid reaches zero in finite time (half-order volume and the
 grain family) switch to a second stage once the surface node exhausts:
 a reaction front y_m recedes behind a fully converted shell, advanced by
-inverting the tabulated theta(y_m) relation incrementally.
+inverting the tabulated theta(y_m) relation incrementally.  The front is
+the stage: a state's y_m is None in the first stage, and the switch sets
+it together with theta_c, the switch time the front relation reads.
 
 Every model runs on the one step loop of `_PelletStepper.step`, which
-returns (state, report); `current_profile(state)` gives the gas profile
+returns (state, status); `current_profile(state)` gives the gas profile
 of a state, as an array (a pair of arrays (A, C) for the two-gas model).
 A single-gas law is one `terms(solid, exposure)` call per lagged state, as
 in `fdref`: the frozen modulus M, the structure factor delta or None,
 whether a live node's pores closed, and k, the solid being used up at k * a
 (0 at closed nodes), which sizes the substep.  Each substep and profile
-calls it once; `advance` applies the integrated update.
+calls it once; `advance(solid, exposure, dg)` returns the new solid, and
+the substep adds dg to the exposure.
 The two-gas model replaces only the first-stage substep and the profile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Flag
 
 import numpy as np
@@ -53,7 +55,6 @@ from .core import (
     PelletState,
     SolverError,
     SpatialGrid,
-    Stage,
 )
 from .kernels import (
     GasProfile,
@@ -78,12 +79,6 @@ class StepStatus(Flag):
     SERIES_WARNING = 1
     EXHAUSTED = 2
     PORE_PLUGGED = 4
-
-
-@dataclass
-class StepReport:
-    stage_switched: bool
-    status: StepStatus
 
 
 _NEWTON_STEPS = 12  # a step capped by the decrement cap converges in about five
@@ -164,10 +159,10 @@ class _PelletStepper:
         raise NotImplementedError
 
     def advance(self, solid, exposure, dg):
-        """New (solid, exposure) after gas exposure increment dg per node."""
+        """New solid after gas exposure increment dg per node."""
         raise NotImplementedError
 
-    def surface_budget(self, solid, exposure) -> float:
+    def surface_budget(self, solid) -> float:
         """Remaining surface exposure until the surface node exhausts."""
         raise NotImplementedError
 
@@ -185,7 +180,7 @@ class _PelletStepper:
     def current_profile(self, state: PelletState) -> np.ndarray:
         """Gas profile a(y) of the state's frozen modulus."""
         M, delta, _, _ = self.terms(state.solid, state.exposure)
-        if state.stage is Stage.SECOND and state.y_m is not None and 0.0 < state.y_m < 1.0:
+        if state.y_m is not None and 0.0 < state.y_m < 1.0:
             return second_stage_profiles(state.y_m, self._front_modulus(M, state), self.grid,
                                          self.geometry, self.params.sherwood)
         return self._first_stage_profile(M, delta, state.theta).values
@@ -197,23 +192,21 @@ class _PelletStepper:
         return profile_unsteady(M, theta, self.transient_scale(delta), self.grid, self.geometry)
 
     def step(self, state: PelletState, dtheta: float):
-        """Advance by dtheta (internally subdivided); returns (state, report)."""
+        """Advance by dtheta (internally subdivided); returns (state, status)."""
         if dtheta < 0.0:
             raise SolverError("dtheta must be nonnegative")
         s = state.copy()
         status = StepStatus.OK
-        switched = False
         remaining = dtheta
         floor = 1e-14 * max(1.0, dtheta)
         while remaining > floor:
-            if s.stage is Stage.FIRST:
-                dt, sw, st = self._first_stage_substep(s, remaining)
+            if s.y_m is None:
+                dt, st = self._first_stage_substep(s, remaining)
             else:
-                dt, sw, st = self._second_stage_substep(s, remaining)
+                dt, st = self._second_stage_substep(s, remaining)
             remaining -= dt
-            switched = switched or sw
             status |= st
-        return s, StepReport(switched, status)
+        return s, status
 
     # -- substeps ----------------------------------------------------------
 
@@ -229,13 +222,13 @@ class _PelletStepper:
         if self.two_stage:
             a_surf = float(prof.values[-1])  # constant over the increment
             if a_surf > 0.0:
-                dt_star = self.surface_budget(s.solid, s.exposure) / a_surf
+                dt_star = self.surface_budget(s.solid) / a_surf
                 if dt_star <= dt:
                     dt = max(dt_star, 0.0)
                     switching = True
         for attempt in range(60):
             dg, truncated = exposure_increment(prof, dt)
-            solid_new, expo_new = self.advance(s.solid, s.exposure, dg)
+            solid_new = self.advance(s.solid, s.exposure, dg)
             dec = float((s.solid - solid_new).max())
             if switching or dec <= 2.0 * self.cap:
                 break
@@ -247,14 +240,13 @@ class _PelletStepper:
         if truncated:
             status |= StepStatus.SERIES_WARNING
         s.solid = solid_new
-        s.exposure = expo_new
+        s.exposure += dg
         s.theta += dt
         if switching:
             s.solid[-1] = 0.0
-            s.stage = Stage.SECOND
             s.theta_c = s.theta
             s.y_m = 1.0
-        return dt, switching, status
+        return dt, status
 
     def _front_modulus(self, M: np.ndarray, s: PelletState) -> float:
         """Volume-mean effective modulus of the unexhausted inner zone.
@@ -264,9 +256,7 @@ class _PelletStepper:
         single value used in the tabulated forms.
         """
         y = self.grid.y
-        alive = (y <= (s.y_m if s.y_m is not None else 1.0) + 0.5 * self.grid.h) & (
-            s.solid > SOLID_FLOOR
-        )
+        alive = (y <= s.y_m + 0.5 * self.grid.h) & (s.solid > SOLID_FLOOR)
         if not alive.any():
             return 0.0
         w = y[alive] ** (self.geometry.shape_factor - 1)
@@ -276,16 +266,16 @@ class _PelletStepper:
         return math.sqrt((w * M[alive] ** 2).sum() / wsum)
 
     def _second_stage_substep(self, s: PelletState, remaining: float):
+        if s.theta_c is None:
+            raise SolverError("a second-stage state (y_m set) requires theta_c")
         M, _, plugged, k = self.terms(s.solid, s.exposure)
         status = StepStatus.PORE_PLUGGED if plugged else StepStatus.OK
         sh = self.params.sherwood
-        if s.y_m is None:
-            raise SolverError("second stage requires a front position")
         if s.y_m <= 0.0 or not (s.solid > SOLID_FLOOR).any():
             s.solid[:] = 0.0
             s.y_m = 0.0
             s.theta += remaining
-            return remaining, False, status | StepStatus.EXHAUSTED
+            return remaining, status | StepStatus.EXHAUSTED
         m_eff = self._front_modulus(M, s)
         if s.y_m >= 1.0:
             a0 = profile_qss(m_eff, self.grid, self.geometry, sh).values
@@ -293,22 +283,20 @@ class _PelletStepper:
             a0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
         rmax = float(np.where(s.solid > SOLID_FLOOR, k * a0, 0.0).max())
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
-        theta_c = s.theta_c if s.theta_c is not None else 1.0
-        target = front_time(s.y_m, m_eff, self.geometry, theta_c, sh) + dt
-        y_new = solve_moving_boundary(target, m_eff, self.geometry, theta_c, sh)
+        target = front_time(s.y_m, m_eff, self.geometry, s.theta_c, sh) + dt
+        y_new = solve_moving_boundary(target, m_eff, self.geometry, s.theta_c, sh)
         if y_new <= 0.0:
             s.solid[:] = 0.0
             s.y_m = 0.0
             s.theta += dt
-            return dt, False, status | StepStatus.EXHAUSTED
+            return dt, status | StepStatus.EXHAUSTED
         dg = second_stage_profiles(y_new, m_eff, self.grid, self.geometry, sh) * dt
-        solid_new, expo_new = self.advance(s.solid, s.exposure, dg)
-        solid_new[self.grid.y > y_new] = 0.0
-        s.solid = solid_new
-        s.exposure = expo_new
+        s.solid = self.advance(s.solid, s.exposure, dg)
+        s.solid[self.grid.y > y_new] = 0.0
+        s.exposure += dg
         s.y_m = y_new
         s.theta += dt
-        return dt, False, status
+        return dt, status
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +309,7 @@ class _VolumeFirstOrder(_PelletStepper):
         return self.params.thiele * np.sqrt(solid), None, False, solid
 
     def advance(self, solid, exposure, dg):
-        return np.maximum(solid * np.exp(-dg), _B_MIN), exposure + dg
+        return np.maximum(solid * np.exp(-dg), _B_MIN)
 
 
 class _VolumeHalfOrder(_PelletStepper):
@@ -333,9 +321,9 @@ class _VolumeHalfOrder(_PelletStepper):
 
     def advance(self, solid, exposure, dg):
         root = np.maximum(np.sqrt(solid) - 0.5 * dg, 0.0)
-        return root * root, exposure + dg
+        return root * root
 
-    def surface_budget(self, solid, exposure):
+    def surface_budget(self, solid):
         return 2.0 * math.sqrt(float(solid[-1]))
 
 
@@ -352,9 +340,9 @@ class _GrainSimple(_PelletStepper):
         return self.params.thiele * solid**expo, None, False, 1.0
 
     def advance(self, solid, exposure, dg):
-        return np.maximum(solid - dg, 0.0), exposure + dg
+        return np.maximum(solid - dg, 0.0)
 
-    def surface_budget(self, solid, exposure):
+    def surface_budget(self, solid):
         return float(solid[-1])
 
 
@@ -435,9 +423,9 @@ class _GrainModified(_PelletStepper):
             r_new = self._layer_root(target, solid)
         delta = self._delta(solid)
         keep = dg <= 0.0 if delta is None else (delta <= 0.0) | (dg <= 0.0)
-        return np.where(keep, solid, r_new), exposure + dg
+        return np.where(keep, solid, r_new)
 
-    def surface_budget(self, solid, exposure):
+    def surface_budget(self, solid):
         return float(self._g(np.asarray(solid[-1])) - self._g0)
 
 
@@ -486,8 +474,7 @@ class _RandomPore(_PelletStepper):
         frozen = self._delta(solid) <= 0.0
         w_new = np.minimum(self._w_of_h(self._h_of_w(w_old) + dg), LN_B_CAP)
         b_new = np.exp(-w_new)
-        b_new = np.where(frozen | (dg <= 0.0), solid, b_new)
-        return b_new, exposure + dg
+        return np.where(frozen | (dg <= 0.0), solid, b_new)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +493,7 @@ class _Nucleation(_PelletStepper):
     def advance(self, solid, exposure, dg):
         g = exposure + dg
         b = np.exp(-np.minimum(g**self.params.solid_order, LN_B_CAP))
-        return np.maximum(b, _B_MIN), g
+        return np.maximum(b, _B_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +531,7 @@ class _Simultaneous(_PelletStepper):
         s.solid_aux = np.maximum(s.solid_aux - psi_a * s.solid * kernel, 0.0)
         s.solid = b_new
         s.theta += dt
-        return dt, False, StepStatus.OK
+        return dt, StepStatus.OK
 
 
 _STEPPERS = {

@@ -11,8 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gassolid import (FdControl, SpatialGrid, Stage, build_model, fdref, kernels, make_stepper,
-                      steppers)
+from gassolid import FdControl, SpatialGrid, build_model, fdref, kernels, make_stepper, steppers
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -50,7 +49,7 @@ def test_traced_solves_count_their_evaluations():
                                          "sigma_g_sq": 0.2, "Z_v": 1.4, "eps0": 0.5}),
                             SpatialGrid(101))
     state = stepper.initial_state()
-    while state.stage is not Stage.SECOND:
+    while state.y_m is None:
         state, _ = stepper.step(state, 0.05)
     solid = np.linspace(0.2, 1.0, 101)
     update = (solid, np.zeros_like(solid), np.full_like(solid, 0.01))

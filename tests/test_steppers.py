@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gassolid import (
     SolverError,
     SpatialGrid,
-    Stage,
     StepStatus,
     build_model,
     conversion,
@@ -37,10 +36,10 @@ def test_zero_increment_is_identity(grid):
     p = build_model({"kind": "grain_simple", "sigma": 2.0, "F_g": 3})
     stepper = make_stepper(p, grid)
     s0 = stepper.initial_state()
-    s1, rep = stepper.step(s0, 0.0)
+    s1, status = stepper.step(s0, 0.0)
     assert np.array_equal(s1.solid, s0.solid)
     assert s1.theta == 0.0
-    assert not rep.stage_switched
+    assert status is StepStatus.OK and s1.y_m is None
     assert stepper.current_profile(s1).shape == (grid.n,)
 
 
@@ -96,7 +95,7 @@ def test_product_layer_cubic_roundtrip(grid):
     assert g(np.asarray(1.0)) - g0 == pytest.approx(1.5)  # 1 + sigma_g^2 at r* = 1
     r = np.linspace(0.05, 1.0, 40)
     dg = np.full_like(r, 0.2)
-    r_new, _ = stepper.advance(r, np.zeros_like(r), dg)
+    r_new = stepper.advance(r, np.zeros_like(r), dg)
     assert np.allclose(g(r_new), np.maximum(g(r) - 0.2, g0), atol=1e-10)
     assert np.all(np.diff(1.0 + 6.0 * 0.5 * (r - r * r)) != 0)  # resistance varies
 
@@ -130,8 +129,8 @@ def test_modified_grain_pore_plugging(grid):
     state = stepper.initial_state()
     saw_plug = False
     for _ in range(40):
-        state, rep = stepper.step(state, 0.1)
-        saw_plug = saw_plug or rep.status is StepStatus.PORE_PLUGGED
+        state, status = stepper.step(state, 0.1)
+        saw_plug = saw_plug or status is StepStatus.PORE_PLUGGED
     assert saw_plug
     x = conversion(state, p)
     assert x < 0.999  # plugged nodes freeze short of complete conversion
@@ -287,7 +286,7 @@ def test_rate_factor_k_matches_the_update(case):
     stepper, solid, exposure, _ = case
     _, delta, _, k = stepper.terms(solid, exposure)
     h = 1e-7
-    new, _ = stepper.advance(solid, exposure, np.full(solid.shape, h))
+    new = stepper.advance(solid, exposure, np.full(solid.shape, h))
     k = np.broadcast_to(k, solid.shape)
     open_ = np.ones(solid.shape, dtype=bool) if delta is None else delta > 0.0
     np.testing.assert_allclose(((solid - new) / h)[open_], k[open_], rtol=1e-6, atol=0.0)
@@ -368,7 +367,9 @@ def test_solid_monotone_and_surface_first(grid, raw):
     prev_x = 0.0
     prev_ym = 1.0
     for _ in range(12):
-        state, rep = stepper.step(state, 0.25)
+        state, _ = stepper.step(state, 0.25)
+        # the front and the switch time are set together, at the switch
+        assert (state.y_m is None) == (state.theta_c is None)
         prof = stepper.current_profile(state)
         assert np.all(state.solid <= prev_solid + 1e-12)
         assert np.all(state.solid >= -1e-15)
@@ -378,7 +379,7 @@ def test_solid_monotone_and_surface_first(grid, raw):
         # surface is richest in gas, so it converts first
         assert state.solid[-1] <= np.min(state.solid) + 1e-9
         assert np.all(prof <= 1.0 + 1e-9)
-        if state.stage is Stage.SECOND:
+        if state.y_m is not None:
             assert state.theta >= state.theta_c - 1e-12
             assert state.y_m <= prev_ym + 1e-12
             prev_ym = state.y_m
@@ -386,6 +387,8 @@ def test_solid_monotone_and_surface_first(grid, raw):
             assert np.all(state.solid[beyond] <= 1e-9)
         prev_solid = state.solid.copy()
         prev_x = x
+    # the run reads its theta_c off the final state of the same 13-point schedule
+    assert run_qm(p, grid, 3.0, samples=13).theta_c == state.theta_c
 
 
 @pytest.mark.parametrize("raw", [ZOO[0], ZOO[2], ZOO[4], ZOO[6]],
@@ -399,26 +402,38 @@ def test_step_size_robustness(grid, raw):
 
 
 
-@pytest.mark.parametrize("kw", [
-    {"sigma": 3.0, "sigma_g_sq": 0.2, "Z_v": 3.0, "eps0": 0.3, "psi": 1.0},
-    {"sigma": 0.25, "sigma_g_sq": 0.0, "Z_v": 2.0, "eps0": 0.25, "psi": 0.05},
-])
-def test_series_warning_reported_on_plugged_steps(kw):
+@pytest.mark.parametrize("kw, plugged", [
+    ({"sigma": 3.0, "sigma_g_sq": 0.2, "Z_v": 3.0, "eps0": 0.3, "psi": 1.0},
+     "at 10 sample step(s), first near theta=0.1"),
+    ({"sigma": 0.25, "sigma_g_sq": 0.0, "Z_v": 2.0, "eps0": 0.25, "psi": 0.05},
+     "at 9 sample step(s), first near theta=0.2"),
+], ids=("kw0", "kw1"))
+def test_series_warning_reported_on_plugged_steps(kw, plugged):
     # unsteady plugging pellets truncate the eigen-series on every step; a
-    # step that also plugs must still count as a series warning
+    # step that also plugs must still count as a series warning, and the
+    # plugging is reported on its own line
     p = build_model({"kind": "grain_modified", **kw})
     grid = SpatialGrid(101)
     stepper = make_stepper(p, grid)
     state = stepper.initial_state()
     statuses = []
     for _ in range(10):
-        state, rep = stepper.step(state, 0.1)
-        statuses.append(rep.status)
+        state, status = stepper.step(state, 0.1)
+        statuses.append(status)
     assert all(StepStatus.SERIES_WARNING in s for s in statuses)
     assert any(StepStatus.PORE_PLUGGED in s for s in statuses)
     res = run_qm(p, grid, 1.0, samples=11)
     assert res.warnings == ["eigen-series truncated before term_tol at 10 sample step(s), "
-                            "first near theta=0.1"]
+                            "first near theta=0.1",
+                            f"pores closed around unreacted solid {plugged}"]
+
+
+def test_dropped_snapshot_reported(grid):
+    # a snapshot time past theta_end is not sampled; the run names it
+    p = build_model({"kind": "volume_first_order", "phi_v": 1.0})
+    res = run_qm(p, grid, 1.0, samples=11, snapshot_thetas=(0.5, 2.0))
+    assert [snap.theta for snap in res.snapshots] == [0.5]
+    assert res.warnings == ["snapshot theta(s) outside [0, 1] dropped: 2.0"]
 
 def test_grain_run_reaches_exhaustion(grid):
     p = build_model({"kind": "grain_simple", "sigma": 1.0, "F_g": 1, "F_p": 1})
@@ -426,8 +441,7 @@ def test_grain_run_reaches_exhaustion(grid):
     state = stepper.initial_state()
     status = None
     while state.theta < 4.0:
-        state, rep = stepper.step(state, 0.25)
-        status = rep.status
+        state, status = stepper.step(state, 0.25)
         if status is StepStatus.EXHAUSTED:
             break
     assert status is StepStatus.EXHAUSTED
@@ -442,7 +456,7 @@ def test_decrement_cap_respected(grid):
     remaining, substeps = 1.0, 0
     while remaining > 1e-14:
         before = state.solid.copy()
-        dt, _, _ = stepper._first_stage_substep(state, remaining)
+        dt, _ = stepper._first_stage_substep(state, remaining)
         assert np.max(before - state.solid) <= 0.021  # soft cap, within 2x
         remaining -= dt
         substeps += 1
@@ -489,6 +503,15 @@ def test_negative_dtheta_rejected(grid):
         stepper.step(stepper.initial_state(), -0.1)
 
 
+def test_second_stage_without_theta_c_rejected(grid):
+    # a front with no switch time has no theta(y_m) relation to advance on
+    stepper = make_stepper(build_model({"kind": "grain_simple", "sigma": 1.0}), grid)
+    state = stepper.initial_state()
+    state.y_m = 0.5
+    with pytest.raises(SolverError, match="theta_c"):
+        stepper.step(state, 0.1)
+
+
 # --- substep halving -------------------------------------------------------------
 
 
@@ -502,7 +525,7 @@ def _fixed_removal(stepper, calls=60):
 
     def advance(solid, exposure, dg):
         seen.append(1)
-        return solid - (0.5 if len(seen) <= calls else 0.0), exposure + dg
+        return solid - (0.5 if len(seen) <= calls else 0.0)
 
     stepper.advance = advance
     return stepper
@@ -683,7 +706,7 @@ def test_newton_update_matches_bisection(case):
     assert np.all(np.abs(fn(x) - target) <= 8 * _EPS * np.maximum(np.abs(target), 1.0))
     # a larger exposure never leaves more solid (up to rounding of the root)
     s0 = np.full(dg.size, solid[0])
-    new, _ = stepper.advance(s0, np.zeros_like(s0), np.sort(dg))
+    new = stepper.advance(s0, np.zeros_like(s0), np.sort(dg))
     assert np.all(np.diff(new) <= 8 * _EPS * s0[0])
 
 
@@ -702,7 +725,7 @@ def test_product_layer_closed_form_root(s2, solid, share):
     g, g0 = stepper._g, stepper._g0
     solid = np.array(solid)
     dg = np.resize(share, solid.size) * (g(solid) - g0)
-    r, _ = stepper.advance(solid, np.zeros_like(solid), dg)
+    r = stepper.advance(solid, np.zeros_like(solid), dg)
     target = np.maximum(g(solid) - dg, g0)
     assert np.all((0.0 <= r) & (r <= solid))
     ref = _bisection(g, target, np.zeros_like(solid), solid)
@@ -713,7 +736,7 @@ def test_product_layer_closed_form_root(s2, solid, share):
     # root: neighbouring targets may round up to about half an ulp of scale apart
     for b in (solid[0], 1.0):
         s0 = np.full(len(share), b)
-        new, _ = stepper.advance(s0, np.zeros_like(s0), np.sort(share) * (g(s0) - g0))
+        new = stepper.advance(s0, np.zeros_like(s0), np.sort(share) * (g(s0) - g0))
         assert np.all(np.diff(new) <= 8 * _EPS * max(b, g(b) / stepper._resistance(b)))
 
 
@@ -750,7 +773,7 @@ def test_random_pore_closed_form_inverse(psi_cap, bz, log_w, dg):
     dg = np.sort(dg)
     for b in (1.0, 0.3, 1e-9):
         s0 = np.full(dg.size, b)
-        new, _ = stepper.advance(s0, np.zeros_like(s0), dg)
+        new = stepper.advance(s0, np.zeros_like(s0), dg)
         assert np.all(np.diff(new) <= 8 * _EPS * b * max(1.0, -math.log(b)))
 
 
