@@ -2,9 +2,11 @@
 
 The bulk gas satisfies Y'' - Pe Y' = beta (Y - a|_surface) with a
 Danckwerts inlet and a zero-gradient outlet.  Pellets at each bed height
-carry a radial conversion field X(y); the pellet gas profile is the
-kernels' filmed sphere with film resistance Bi_m and a per-node modulus
-M = Phi sqrt(1 - X) frozen from the previous step.  Because the pellet
+carry a radial conversion field X(y), marched as sqrt(1 - X); the pellet
+gas profile is the kernels' filmed sphere with film resistance Bi_m and a
+per-node modulus M = Phi sqrt(1 - X) frozen from the previous step, and
+one evaluation per step gives both the pellets' decay and, from its
+surface column, the transmission the bulk sees.  Because the pellet
 surface concentration varies along the bed, the closed-form bulk solution
 is applied piecewise: the bed is partitioned into segments with constant
 surface concentration and the two-exponential solution is joined with
@@ -237,11 +239,17 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
               n_segments: int, samples: int) -> BedResult:
     """March the bed with first-order pellet consumption f(X) = 1 - X.
 
-    The state is the unreacted fraction b = 1 - X on the (n_eta, n_radial)
-    pellet grid.  Each time step freezes the pellet modulus M = Phi sqrt(b)
-    from the lagged state, solves the pellet/bulk coupling exactly with one
-    linear solve over the segment means, then updates b in place node-wise
-    with b <- b exp(-a dtau).  X is formed only at the samples.
+    The state is sqrt(b), the root of the unreacted fraction b = 1 - X, on
+    the (n_eta, n_radial) pellet grid, so the pellet modulus M = Phi sqrt(b)
+    is one product.  Each time step freezes M from the lagged state, takes
+    the filmed pellet shape a/Y under it, and updates sqrt(b) in place
+    node-wise with sqrt(b) <- sqrt(b) exp(-a dtau / 2), the factor
+    -Y dtau / 2 folded per bed height.  That shape's surface column is the
+    transmission of the updated state, so the pellet/bulk coupling, solved
+    exactly with one linear solve over the segment means, needs no second
+    kernel call; the shape then serves the next step's decay.  Only the
+    fresh bed's transmission is a separate ``surface_transmission`` call.
+    b and X are formed only at the samples.
     """
     if dtau <= 0.0 or tau_end <= 0.0:
         raise SolverError("dtau and tau_end must be positive")
@@ -253,31 +261,29 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
     sw = radial_weights(n_radial, 3)  # spherical pellets
     solver = SegmentedBulkSolver(bed, eta, n_segments)
 
-    b = np.ones((n_eta, n_radial))
+    root_b = np.ones((n_eta, n_radial))  # exactly 1, so X(0) is exactly 0
     work = np.empty((4, n_eta, n_radial))  # the shape kernel's buffers, for the whole march
-    modulus = bed.phi * np.sqrt(b)
-    trans = np.asarray(surface_transmission(modulus[:, -1], bed.biot_m))
-    bulk = _self_consistent_bulk(solver, trans)
+    modulus = bed.phi * root_b
+    bulk = _self_consistent_bulk(solver, surface_transmission(modulus[:, -1], bed.biot_m))
+    shape = _pellet_shape(modulus, y[None, :], bed.biot_m, work=work)
     c_y = np.zeros(n_eta)
 
     out_bulk = [bulk]
     out_cy = [c_y.copy()]
-    out_xs = [1.0 - b[:, -1]]
-    out_xa = [1.0 - b @ sw]
+    out_xs = [1.0 - root_b[:, -1]]  # b = sqrt(b) = 1
+    out_xa = [1.0 - root_b @ sw]
 
     for t0, t1 in zip(sample_tau[:-1], sample_tau[1:]):
         nsub, dt = split_interval(t0, t1, dtau)
         for _ in range(nsub):
-            decay = _pellet_shape(modulus, y[None, :], bed.biot_m, work=work)
-            decay *= bulk[:, None]
-            decay *= -dt
-            b *= np.exp(decay, out=decay)
-            np.sqrt(b, out=modulus)
-            modulus *= bed.phi
-            trans = np.asarray(surface_transmission(modulus[:, -1], bed.biot_m))
-            bulk_new = _self_consistent_bulk(solver, trans)
+            shape *= (-0.5 * dt) * bulk[:, None]
+            root_b *= np.exp(shape, out=shape)
+            np.multiply(root_b, bed.phi, out=modulus)
+            shape = _pellet_shape(modulus, y[None, :], bed.biot_m, work=work)
+            bulk_new = _self_consistent_bulk(solver, shape[:, -1])
             c_y += 0.5 * dt * (bulk + bulk_new)
             bulk = bulk_new
+        b = root_b * root_b
         out_bulk.append(bulk)
         out_cy.append(c_y.copy())
         out_xs.append(1.0 - b[:, -1])

@@ -64,24 +64,35 @@ def _conversion_csv(qm: RunResult, fd: RunResult | None) -> list[str]:
     return [",".join(cols)] + _csv_rows([theta] + series)
 
 
+def _block_rows(blocks) -> list[str]:
+    """CSV rows of (t, grid, columns) blocks, one per grid node: t, the node and
+    its column values, each as `_fmt` gives it.  t is formatted once per block
+    and a grid once while consecutive blocks share it, so a row formats only
+    its own columns."""
+    lines = []
+    grid = grid_text = None
+    for t, nodes, columns in blocks:
+        if grid is None or not np.array_equal(nodes, grid):
+            grid = nodes
+            grid_text = ["%.17g," % v for v in np.asarray(nodes, dtype=float).tolist()]
+        lead = "%.17g," % float(t)
+        lines += [lead + node + row for node, row in zip(grid_text, _csv_rows(columns))]
+    return lines
+
+
 def _profiles_csv(qm: RunResult) -> list[str]:
     two_gas = any(s.gas_c is not None for s in qm.snapshots)
     cols = ["theta", "y", "psi_a", "psi_c", "solid", "solid_a"] if two_gas else [
         "theta", "y", "a", "solid"]
-    lines = [",".join(cols)]
-    for snap in qm.snapshots:
-        values = [snap.gas, snap.gas_c, snap.solid, snap.solid_a] if two_gas else [
-            snap.gas, snap.solid]
-        lines += _csv_rows([np.full(snap.y.size, snap.theta), snap.y] + values)
-    return lines
+    return [",".join(cols)] + _block_rows(
+        (snap.theta, snap.y, [snap.gas, snap.gas_c, snap.solid, snap.solid_a] if two_gas
+         else [snap.gas, snap.solid]) for snap in qm.snapshots)
 
 
 def _bed_csv(res: BedResult) -> list[str]:
-    lines = ["tau,eta,Y,C_Y,X_surface,X_pellet_avg"]
-    for i, t in enumerate(res.tau):
-        lines += _csv_rows([np.full(res.eta.size, t), res.eta, res.bulk[i], res.cumulative[i],
-                            res.x_surface[i], res.x_average[i]])
-    return lines
+    return ["tau,eta,Y,C_Y,X_surface,X_pellet_avg"] + _block_rows(
+        (t, res.eta, [res.bulk[i], res.cumulative[i], res.x_surface[i], res.x_average[i]])
+        for i, t in enumerate(res.tau))
 
 
 def _summary(cfg: RunConfig, qm: RunResult | None, fd: RunResult | None,

@@ -69,11 +69,18 @@ def split_interval(t0: float, t1: float, step: float) -> tuple[int, float]:
     return n, (t1 - t0) / n
 
 
+PORES_CLOSED = "pores closed around unreacted solid"
+
 # Step statuses a run reports, each as one warning naming its sample steps.
 _STATUS_WARNINGS = (
     (StepStatus.SERIES_WARNING, "eigen-series truncated before term_tol"),
-    (StepStatus.PORE_PLUGGED, "pores closed around unreacted solid"),
+    (StepStatus.PORE_PLUGGED, PORES_CLOSED),
 )
+
+
+def sample_warning(what: str, hits: list[float]) -> str:
+    """The warning that ``what`` happened in the sample steps ending at ``hits``."""
+    return f"{what} at {len(hits)} sample step(s), first near theta={hits[0]:.6g}"
 
 
 def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
@@ -107,7 +114,7 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
     for flag, what in _STATUS_WARNINGS:
         hits = [theta for theta, status in steps if flag in status]
         if hits:
-            warnings.append(f"{what} at {len(hits)} sample step(s), first near theta={hits[0]:.6g}")
+            warnings.append(sample_warning(what, hits))
     return RunResult(
         kind=params.kind,
         theta=schedule,

@@ -26,9 +26,12 @@ Crank-Nicolson step from that gas under the reaction and structure
 averaged over the state and the predictor gives the end-of-step gas, and
 the corrector's rates take the predictor under it.  A cell whose pores
 closed on both faces and that no longer reacts has a zero row in the
-quasi-steady system and is given a = 0.  With ``FdControl.auto_refine``
-the step (4e-3 by default) is halved until the sampled conversions move
-by less than ``_REFINE_TOL``, at most ``_MAX_REFINES`` times.
+quasi-steady system and is given a = 0.  At each sample end a law with a
+structure factor looks for cells whose pores closed (delta = 0) around
+unreacted solid, and the run reports them in ``run_qm``'s words.  With
+``FdControl.auto_refine`` the step (4e-3 by default) is halved until the
+sampled conversions move by less than ``_REFINE_TOL``, at most
+``_MAX_REFINES`` times.
 
 Every tridiagonal system here (quasi-steady gas, Crank-Nicolson gas and the
 bed's bulk BVP) goes through :func:`solve_banded`, a direct call of LAPACK
@@ -57,8 +60,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import radial_weights
-from .core import LN_B_CAP, ModelKind, ModelParams, SolverError
-from .driver import RunResult, sample_schedule, split_interval
+from .core import LN_B_CAP, SOLID_FLOOR, ModelKind, ModelParams, SolverError
+from .driver import PORES_CLOSED, RunResult, sample_schedule, sample_warning, split_interval
 
 _R_FLOOR = 1e-12
 _B_MIN = math.exp(-LN_B_CAP)
@@ -411,6 +414,8 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     if unsteady:
         a[-1] = 1.0
     xs = [x_of(st)]
+    structured = model.terms(st)[1] is not None  # only a structure factor closes pores
+    plugged = []  # the sample ends at which pores closed around unreacted solid
     max_flux_residual = 0.0
     uptake_integral = 0.0
     pending: tuple[float, float] | None = None  # (uptake at substep start, dt)
@@ -458,6 +463,9 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
             st += k1
             clamp(st)
         xs.append(x_of(st))
+        if structured and np.any((model.terms(st)[1] == 0.0)
+                                 & (model.unreacted_integrand(st) > SOLID_FLOOR)):
+            plugged.append(t1)
 
     if pending is not None:
         # close the trapezoid with the uptake of the final state
@@ -473,6 +481,7 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
         kind=params.kind,
         theta=schedule.copy(),
         x=xs,
+        warnings=[sample_warning(PORES_CLOSED, plugged)] if plugged else [],
         label="fd",
         diagnostics={
             "max_flux_residual": max_flux_residual,

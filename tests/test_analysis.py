@@ -57,6 +57,17 @@ def test_simpson_exact_for_cubics():
         simpson_weights(200)
 
 
+def test_simpson_three_nodes_exact_for_cubics():
+    # the smallest Simpson rule, h/3 (1, 4, 1), integrates 1, y, y^2 and y^3 exactly
+    y = np.array([0.0, 0.5, 1.0])
+    w = simpson_weights(3)
+    assert w == pytest.approx([1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0], abs=1e-16)
+    for k in range(4):
+        assert np.sum(w * y**k) == pytest.approx(1.0 / (k + 1), abs=1e-15)
+    with pytest.raises(SolverError):
+        simpson_weights(1)
+
+
 def test_radial_average_slab_vs_sphere():
     vals = np.linspace(0.0, 1.0, 201) ** 2
     assert radial_average(vals, 1) == pytest.approx(1.0 / 3.0, abs=1e-12)

@@ -216,6 +216,41 @@ def test_march_exhaustion_limit():
     assert np.all(tail > 0.0)
 
 
+def test_march_cumulative_is_trapezoid_of_sampled_bulk():
+    # with one step per sample interval, C_Y is the running trapezoid of the
+    # sampled Y at every height, up to the rounding of the sums
+    res = march_bed(FIG9, dtau=0.05, tau_end=0.5, n_eta=33, n_radial=21,
+                    n_segments=8, samples=11)
+    steps = 0.5 * np.diff(res.tau)[:, None] * (res.bulk[1:] + res.bulk[:-1])
+    want = np.vstack([np.zeros(res.eta.size), np.cumsum(steps, axis=0)])
+    assert np.max(np.abs(res.cumulative - want)) <= 1e-15
+    assert np.max(res.cumulative[-1]) > 0.3  # a pin on nonzero values
+
+
+def test_march_evaluates_one_shape_per_step(monkeypatch):
+    # each step's shape gives that step's transmission from its surface
+    # column, bit for bit the separate call, and the next step's decay; only
+    # the fresh bed's transmission is its own call
+    calls = {"shape": 0, "transmission": 0}
+
+    def shape(M, y, sherwood, work=None):
+        calls["shape"] += 1
+        out = filmed_sphere_ratio(M, y, sherwood, work=work)
+        assert np.array_equal(out[:, -1], surface_transmission(M[:, -1], sherwood))
+        return out
+
+    def transmission(M, biot_m):
+        calls["transmission"] += 1
+        return surface_transmission(M, biot_m)
+
+    monkeypatch.setattr(bed_module, "_pellet_shape", shape)
+    monkeypatch.setattr(bed_module, "surface_transmission", transmission)
+    res = march_bed(FIG9, dtau=0.05, tau_end=0.5, n_eta=17, n_radial=11,
+                    n_segments=4, samples=3)
+    assert calls == {"shape": 10 + 1, "transmission": 1}
+    assert np.all(res.x_surface[0] == 0.0) and np.all(res.x_surface[-1] > 0.0)
+
+
 @pytest.mark.parametrize("peclet, beta, phi", [(0.1, 3.3, 0.1), (0.1, 30.0, 0.05)])
 def test_march_slow_pellets_low_peclet(peclet, beta, phi):
     # surface transmission ~0.999 makes the bulk map a weak contraction

@@ -8,8 +8,10 @@ import pytest
 
 from gassolid import ConfigError, RunMode, SpatialGrid, build_model, load_config, run_qm
 from gassolid.bed import BedParams, BedResult, march_bed
-from gassolid.cli import _bed_csv, _conversion_csv, _fmt, _profiles_csv, main
+from gassolid.cli import (_bed_csv, _conversion_csv, _csv_rows, _fmt, _profiles_csv,
+                          _theta_at, main)
 from gassolid.config import config_from_entries, parse_config_text
+from gassolid.driver import RunResult
 
 BASE = """
 mode = qm_only
@@ -192,6 +194,74 @@ def test_csv_rows_are_fmt_rows():
     want = [_fmt_row(s.theta, s.y[j], s.gas[j], s.gas_c[j], s.solid[j], s.solid_a[j])
             for s in two_gas.snapshots for j in range(s.y.size)]
     assert _profiles_csv(two_gas) == ["theta,y,psi_a,psi_c,solid,solid_a"] + want
+
+
+def _old_bed_csv(res):
+    # the writer that formatted every column of every row, tau and eta included
+    lines = ["tau,eta,Y,C_Y,X_surface,X_pellet_avg"]
+    for i, t in enumerate(res.tau):
+        lines += _csv_rows([np.full(res.eta.size, t), res.eta, res.bulk[i], res.cumulative[i],
+                            res.x_surface[i], res.x_average[i]])
+    return lines
+
+
+def _old_profiles_csv(qm, cols):
+    lines = [cols]
+    for snap in qm.snapshots:
+        values = [snap.gas, snap.solid] if snap.gas_c is None else [
+            snap.gas, snap.gas_c, snap.solid, snap.solid_a]
+        lines += _csv_rows([np.full(snap.y.size, snap.theta), snap.y] + values)
+    return lines
+
+
+def _text(lines):
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_block_writers_match_the_all_column_writers():
+    # formatting each time and grid node once gives the same bytes as
+    # formatting every value of every row
+    small = march_bed(BedParams(1.1, 3.3, 10.0, 50.0), 0.05, 0.2, n_eta=9, n_radial=11,
+                      n_segments=4, samples=3)
+    lines = _bed_csv(small)
+    assert _text(lines) == _text(_old_bed_csv(small))
+    assert lines[1].startswith("0,0,") and lines[9].startswith("0,1,")  # tau 0; eta 0 and 1
+
+    one_gas = run_qm(build_model({"kind": "volume_first_order", "phi_v": 2.0}), SpatialGrid(101),
+                     1.0, 5, (0.0, 0.5, 1.0))
+    lines = _profiles_csv(one_gas)
+    assert _text(lines) == _text(_old_profiles_csv(one_gas, "theta,y,a,solid"))
+    assert lines[1] == "0,0,%s,1" % _fmt(one_gas.snapshots[0].gas[0])  # theta 0, y 0, solid 1
+    two_gas = run_qm(build_model({"kind": "simultaneous", "sigma_a": 0.3, "sigma_c": 1.0,
+                                  "psi_ab": 0.4}), SpatialGrid(101), 1.0, 5, (0.5, 1.0))
+    assert _text(_profiles_csv(two_gas)) == _text(
+        _old_profiles_csv(two_gas, "theta,y,psi_a,psi_c,solid,solid_a"))
+
+
+def _series(theta, x):
+    return RunResult(kind=None, theta=np.asarray(theta, dtype=float),
+                     x=np.asarray(x, dtype=float))
+
+
+def test_theta_at_interpolates_the_crossing_sample_step():
+    run = _series([0.0, 1.0, 2.0, 3.0], [0.0, 0.2, 0.6, 1.0])
+    assert _theta_at(run, 0.5) == pytest.approx(1.75, abs=1e-15)
+    assert _theta_at(run, 0.9) == pytest.approx(2.75, abs=1e-15)
+    assert _theta_at(run, 0.6) == 2.0  # a sample on the level is its own theta
+    assert _theta_at(run, 1.5) is None  # never reached
+
+
+def test_theta_at_past_a_flat_step():
+    # the flat samples lie below the level; the crossing is in the step after them
+    run = _series([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.3, 0.3, 0.3, 0.7])
+    assert _theta_at(run, 0.5) == pytest.approx(3.5, abs=1e-15)
+    assert _theta_at(run, 0.3) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_theta_at_first_sample_crossing():
+    run = _series([0.25, 1.0], [0.6, 0.9])
+    assert _theta_at(run, 0.5) == 0.25
+    assert _theta_at(run, 0.6) == 0.25
 
 
 def test_bed_section_writes_bed_csv(tmp_path):

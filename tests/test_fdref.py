@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gassolid import (
     FdControl,
     SolverError,
+    SpatialGrid,
     build_model,
     fd_solve,
     fd_solve_bed_bulk,
@@ -301,6 +302,26 @@ def test_plugged_pellet_x_pinned(raw, want):
     res = fd_solve(build_model(raw), 1.0, PLUG_CONTROL, samples=11)
     assert np.max(np.abs(res.x - np.asarray(want))) <= 1e-13
     assert res.diagnostics["max_flux_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("raw", [raw for raw, _ in PINNED_PLUGGED],
+                         ids=["grain_modified", "random_pore"])
+def test_plugged_pellet_warns_as_qm(raw):
+    params = build_model(raw)
+    res = fd_solve(params, 1.0, PLUG_CONTROL, samples=11)
+    assert len(res.warnings) == 1
+    assert res.warnings[0].startswith("pores closed around unreacted solid at")
+    assert res.warnings == run_qm(params, SpatialGrid(101), 1.0, 11).warnings
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.2, "Z_v": 1.4, "eps0": 0.5},
+    {"kind": "random_pore", "phi_r": 0.5, "z": 2.0, "eps0": 0.6},
+], ids=["grain_modified", "random_pore"])
+def test_open_pellet_gives_no_warning(raw):
+    # both laws carry a structure factor, and their pores stay open
+    res = fd_solve(build_model(raw), 1.0, PLUG_CONTROL, samples=11)
+    assert res.x[-1] > 0.6 and res.warnings == []
 
 
 @settings(max_examples=40, deadline=None)
