@@ -41,27 +41,19 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _conversion_csv(qm: RunResult, fd: RunResult | None) -> list[str]:
-    cols = ["theta"]
-    series = []
-    if qm is not None:
-        cols.append("X_qm")
-        series.append(qm.x)
-        if qm.x_a is not None:
-            cols.append("X_A_qm")
-            series.append(qm.x_a)
-        theta = qm.theta
-    if fd is not None:
-        cols.append("X_fd")
-        if qm is not None and not np.array_equal(fd.theta, qm.theta):
-            series.append(np.interp(theta, fd.theta, fd.x))
-        else:
-            series.append(fd.x)
-            theta = fd.theta
-        if fd.x_a is not None:
-            cols.append("X_A_fd")
-            series.append(fd.x_a if qm is None else np.interp(theta, fd.theta, fd.x_a))
-    return [",".join(cols)] + _csv_rows([theta] + series)
+def _conversion_csv(qm: RunResult | None, fd: RunResult | None) -> list[str]:
+    """X (and X_A) of each run on the first run's theta, interpolated where a
+    run's own theta differs."""
+    runs = [run for run in (qm, fd) if run is not None]
+    theta = runs[0].theta
+    cols, series = ["theta"], [theta]
+    for run in runs:
+        same = np.array_equal(run.theta, theta)
+        for name, x in (("X", run.x), ("X_A", run.x_a)):
+            if x is not None:
+                cols.append(f"{name}_{run.label}")
+                series.append(x if same else np.interp(theta, run.theta, x))
+    return [",".join(cols)] + _csv_rows(series)
 
 
 def _block_rows(blocks) -> list[str]:
@@ -177,8 +169,6 @@ def _theta_at(run: RunResult, level: float) -> float | None:
     # linear interpolation between the bracketing samples
     x0, x1 = run.x[i - 1], run.x[i]
     t0, t1 = run.theta[i - 1], run.theta[i]
-    if x1 == x0:
-        return float(t1)
     return float(t0 + (level - x0) * (t1 - t0) / (x1 - x0))
 
 

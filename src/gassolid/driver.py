@@ -28,7 +28,6 @@ class ProfileSnapshot:
 class RunResult:
     """Conversion history of one run plus optional profile snapshots."""
 
-    kind: ModelKind
     theta: np.ndarray
     x: np.ndarray
     x_a: np.ndarray | None = None
@@ -47,19 +46,29 @@ class RunResult:
             return np.where(denom > 0.0, self.x_a / np.where(denom > 0.0, denom, 1.0), np.nan)
 
 
-def sample_schedule(theta_end: float, samples: int,
-                    extra: tuple[float, ...] = ()) -> np.ndarray:
+def sample_schedule(theta_end: float, samples: int) -> np.ndarray:
     if theta_end == 0.0:
         return np.zeros(1)  # degenerate run: the initial state only
     if theta_end < 0.0:
         raise SolverError("theta_end must be nonnegative")
     if samples < 2:
         raise SolverError("need at least two samples")
-    base = np.linspace(0.0, theta_end, samples)
-    if extra:
-        pts = [t for t in extra if 0.0 <= t <= theta_end]
-        base = np.unique(np.concatenate([base, np.asarray(pts, dtype=float)]))
-    return base
+    return np.linspace(0.0, theta_end, samples)
+
+
+def _with_extra_times(schedule: np.ndarray, extra) -> tuple[np.ndarray, list[int | None]]:
+    """The schedule with the extra times added, and each extra time's index in it
+    (None for a time outside [0, schedule[-1]]).  An extra time within
+    1e-12 * schedule[-1] of a sample, or of another extra time, is that time."""
+    end = float(schedule[-1])
+    tol = 1e-12 * end
+    times = schedule.tolist()
+    for t in sorted(float(t) for t in extra if 0.0 <= t <= end):
+        if min(abs(t - s) for s in times) > tol:
+            times.append(t)
+    merged = np.asarray(sorted(times))
+    return merged, [int(np.abs(merged - t).argmin()) if 0.0 <= t <= end else None
+                    for t in extra]
 
 
 def split_interval(t0: float, t1: float, step: float) -> tuple[int, float]:
@@ -88,11 +97,10 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
            decrement_cap: float = DEFAULT_DECREMENT_CAP) -> RunResult:
     """March the incremental analytical solver and record X(theta)."""
     stepper = make_stepper(params, grid, decrement_cap)
-    schedule = sample_schedule(theta_end, samples, snapshot_thetas)
-    snap_set = {round(float(t), 12) for t in snapshot_thetas}
+    schedule, snap_at = _with_extra_times(sample_schedule(theta_end, samples), snapshot_thetas)
+    snap_idx = {i for i in snap_at if i is not None}
     warnings: list[str] = []
-    sampled = set(schedule.tolist())  # holds every snapshot time in [0, theta_end] exactly
-    dropped = [repr(float(t)) for t in snapshot_thetas if float(t) not in sampled]
+    dropped = [repr(float(t)) for t, i in zip(snapshot_thetas, snap_at) if i is None]
     if dropped:
         warnings.append(f"snapshot theta(s) outside [0, {theta_end:.6g}] dropped: "
                         f"{', '.join(dropped)}")
@@ -101,22 +109,21 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
     x_as = [conversion_by_gas_a(state, params)] if params.kind is ModelKind.SIMULTANEOUS else None
     snapshots: list[ProfileSnapshot] = []
     steps = []  # (theta, status) at the end of each sample step
-    if snap_set and 0.0 in snap_set:
+    if 0 in snap_idx:
         snapshots.append(_snapshot(state, stepper, grid))
-    for prev, nxt in zip(schedule[:-1], schedule[1:]):
+    for i, (prev, nxt) in enumerate(zip(schedule[:-1], schedule[1:]), 1):
         state, status = stepper.step(state, float(nxt - prev))
         steps.append((state.theta, status))
         xs.append(conversion(state, params))
         if x_as is not None:
             x_as.append(conversion_by_gas_a(state, params))
-        if round(float(nxt), 12) in snap_set:
+        if i in snap_idx:
             snapshots.append(_snapshot(state, stepper, grid))
     for flag, what in _STATUS_WARNINGS:
         hits = [theta for theta, status in steps if flag in status]
         if hits:
             warnings.append(sample_warning(what, hits))
     return RunResult(
-        kind=params.kind,
         theta=schedule,
         x=np.asarray(xs),
         x_a=None if x_as is None else np.asarray(x_as),

@@ -478,7 +478,6 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     xs = np.asarray(xs)
     balance_residual = abs(uptake_integral - (xs[-1] - xs[0]))
     return RunResult(
-        kind=params.kind,
         theta=schedule.copy(),
         x=xs,
         warnings=[sample_warning(PORES_CLOSED, plugged)] if plugged else [],
@@ -579,7 +578,7 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
             uptake_integral += 0.5 * pending[1] * (pending[0] + uptakes(b, solved))
         converted = np.array([x_as[-1], xs[-1] - x_as[-1]])
         return RunResult(
-            kind=params.kind, theta=schedule, x=np.asarray(xs), x_a=np.asarray(x_as), label="fd",
+            theta=schedule, x=np.asarray(xs), x_a=np.asarray(x_as), label="fd",
             diagnostics={
                 "max_flux_residual": max_flux_residual,
                 "balance_residual": float(np.max(np.abs(uptake_integral - converted))),

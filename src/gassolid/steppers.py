@@ -31,12 +31,13 @@ it together with theta_c, the switch time the front relation reads.
 Every model runs on the one step loop of `_PelletStepper.step`, which
 returns (state, status); `current_profile(state)` gives the gas profile
 of a state, as an array (a pair of arrays (A, C) for the two-gas model).
-A single-gas law is one `terms(solid, exposure)` call per lagged state, as
-in `fdref`: the frozen modulus M, the structure factor delta or None,
-whether a live node's pores closed, and k, the solid being used up at k * a
-(0 at closed nodes), which sizes the substep.  Each substep and profile
-calls it once; `advance(solid, exposure, dg)` returns the new solid, and
-the substep adds dg to the exposure.
+A single-gas law gives only its open-pore closed forms, one `terms(solid,
+exposure)` call per lagged state as in `fdref`: the frozen modulus M, the
+structure factor delta or None, and k, the solid being used up at k * a,
+which sizes the substep; `advance(solid, exposure, dg)` returns the new
+solid, and the substep adds dg to the exposure.  The stepper closes the
+pores where delta is 0 (`_lagged_terms`), and a law has a second stage
+exactly when its `surface_budget` is finite.
 The two-gas model replaces only the first-stage substep and the profile.
 """
 
@@ -136,8 +137,6 @@ def _invert_increasing(fn, dfn, target: np.ndarray, lo: np.ndarray, hi: np.ndarr
 class _PelletStepper:
     """Shared stepping machinery; subclasses provide the model laws."""
 
-    two_stage = False
-
     def __init__(self, params: ModelParams, grid: SpatialGrid,
                  decrement_cap: float = DEFAULT_DECREMENT_CAP):
         self.params = params
@@ -150,21 +149,22 @@ class _PelletStepper:
     # -- model hooks: `terms` of the lagged state, then `advance` ---------
 
     def terms(self, solid, exposure):
-        """(per-node M, per-node delta or None, plugged?, k) of the lagged state.
+        """(per-node M, per-node delta or None, k) of the lagged state, pores open.
 
         M and delta freeze the gas profile; under a gas a the solid is used
-        up at |d solid / d theta| = k * a (k per node or a scalar, 0 at
-        closed nodes), which sizes the substep.
+        up at |d solid / d theta| = k * a (k per node or a scalar), which
+        sizes the substep.
         """
         raise NotImplementedError
 
     def advance(self, solid, exposure, dg):
-        """New solid after gas exposure increment dg per node."""
+        """New solid after gas exposure increment dg per node, pores open."""
         raise NotImplementedError
 
     def surface_budget(self, solid) -> float:
-        """Remaining surface exposure until the surface node exhausts."""
-        raise NotImplementedError
+        """Remaining surface exposure until the surface node exhausts; inf for
+        a law without a second stage."""
+        return math.inf
 
     def transient_scale(self, delta):
         scale = self.params.psi * self.params.thiele**2
@@ -177,9 +177,29 @@ class _PelletStepper:
     def initial_state(self) -> PelletState:
         return PelletState.fresh(self.grid, self.params)
 
+    def _lagged_terms(self, solid, exposure):
+        """`terms` with pore closure: (M, delta, k, closed, status).
+
+        A closed node (delta 0) gets the plugged modulus and k = 0; closed is
+        None for a law without delta, and the status is PORE_PLUGGED when a
+        closed node holds solid above SOLID_FLOOR."""
+        M, delta, k = self.terms(solid, exposure)
+        if delta is None:
+            return M, None, k, None, StepStatus.OK
+        closed = delta <= 0.0
+        status = (StepStatus.PORE_PLUGGED if (closed & (solid > SOLID_FLOOR)).any()
+                  else StepStatus.OK)
+        return (np.where(closed, _PLUGGED_MODULUS, M), delta, np.where(closed, 0.0, k),
+                closed, status)
+
+    def _advance_open(self, s: PelletState, closed, dg):
+        """`advance` of the state's solid, which keeps its old value at closed nodes."""
+        solid = self.advance(s.solid, s.exposure, dg)
+        return solid if closed is None else np.where(closed, s.solid, solid)
+
     def current_profile(self, state: PelletState) -> np.ndarray:
         """Gas profile a(y) of the state's frozen modulus."""
-        M, delta, _, _ = self.terms(state.solid, state.exposure)
+        M, delta, _, _, _ = self._lagged_terms(state.solid, state.exposure)
         if state.y_m is not None and 0.0 < state.y_m < 1.0:
             return second_stage_profiles(state.y_m, self._front_modulus(M, state), self.grid,
                                          self.geometry, self.params.sherwood)
@@ -211,24 +231,22 @@ class _PelletStepper:
     # -- substeps ----------------------------------------------------------
 
     def _first_stage_substep(self, s: PelletState, remaining: float):
-        M, delta, plugged, k = self.terms(s.solid, s.exposure)
-        status = StepStatus.PORE_PLUGGED if plugged else StepStatus.OK
+        M, delta, k, closed, status = self._lagged_terms(s.solid, s.exposure)
         prof = self._first_stage_profile(M, delta, s.theta)
         if prof.truncated:
             status |= StepStatus.SERIES_WARNING
         rmax = float((k * prof.values).max())
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
         switching = False
-        if self.two_stage:
-            a_surf = float(prof.values[-1])  # constant over the increment
-            if a_surf > 0.0:
-                dt_star = self.surface_budget(s.solid) / a_surf
-                if dt_star <= dt:
-                    dt = max(dt_star, 0.0)
-                    switching = True
+        a_surf = float(prof.values[-1])  # constant over the increment
+        if a_surf > 0.0:
+            dt_star = self.surface_budget(s.solid) / a_surf  # inf without a second stage
+            if dt_star <= dt:
+                dt = max(dt_star, 0.0)
+                switching = True
         for attempt in range(60):
             dg, truncated = exposure_increment(prof, dt)
-            solid_new = self.advance(s.solid, s.exposure, dg)
+            solid_new = self._advance_open(s, closed, dg)
             dec = float((s.solid - solid_new).max())
             if switching or dec <= 2.0 * self.cap:
                 break
@@ -268,8 +286,7 @@ class _PelletStepper:
     def _second_stage_substep(self, s: PelletState, remaining: float):
         if s.theta_c is None:
             raise SolverError("a second-stage state (y_m set) requires theta_c")
-        M, _, plugged, k = self.terms(s.solid, s.exposure)
-        status = StepStatus.PORE_PLUGGED if plugged else StepStatus.OK
+        M, _, k, closed, status = self._lagged_terms(s.solid, s.exposure)
         sh = self.params.sherwood
         if s.y_m <= 0.0 or not (s.solid > SOLID_FLOOR).any():
             s.solid[:] = 0.0
@@ -291,7 +308,7 @@ class _PelletStepper:
             s.theta += dt
             return dt, status | StepStatus.EXHAUSTED
         dg = second_stage_profiles(y_new, m_eff, self.grid, self.geometry, sh) * dt
-        s.solid = self.advance(s.solid, s.exposure, dg)
+        s.solid = self._advance_open(s, closed, dg)
         s.solid[self.grid.y > y_new] = 0.0
         s.exposure += dg
         s.y_m = y_new
@@ -306,18 +323,16 @@ class _PelletStepper:
 
 class _VolumeFirstOrder(_PelletStepper):
     def terms(self, solid, exposure):
-        return self.params.thiele * np.sqrt(solid), None, False, solid
+        return self.params.thiele * np.sqrt(solid), None, solid
 
     def advance(self, solid, exposure, dg):
         return np.maximum(solid * np.exp(-dg), _B_MIN)
 
 
 class _VolumeHalfOrder(_PelletStepper):
-    two_stage = True
-
     def terms(self, solid, exposure):
         root = np.sqrt(solid)
-        return self.params.thiele * np.sqrt(root), None, False, root
+        return self.params.thiele * np.sqrt(root), None, root
 
     def advance(self, solid, exposure, dg):
         root = np.maximum(np.sqrt(solid) - 0.5 * dg, 0.0)
@@ -333,11 +348,9 @@ class _VolumeHalfOrder(_PelletStepper):
 
 
 class _GrainSimple(_PelletStepper):
-    two_stage = True
-
     def terms(self, solid, exposure):
         expo = 0.5 * (self.params.grain.shape_factor - 1)
-        return self.params.thiele * solid**expo, None, False, 1.0
+        return self.params.thiele * solid**expo, None, 1.0
 
     def advance(self, solid, exposure, dg):
         return np.maximum(solid - dg, 0.0)
@@ -353,8 +366,6 @@ class _GrainModified(_PelletStepper):
     the outer radius is 1, delta None, and g the product-layer law plus 2 s2,
     a cubic whose root `advance` takes in closed form, not by Newton.
     """
-
-    two_stage = True
 
     def __init__(self, params: ModelParams, grid: SpatialGrid,
                  decrement_cap: float = DEFAULT_DECREMENT_CAP):
@@ -392,13 +403,8 @@ class _GrainModified(_PelletStepper):
     def terms(self, solid, exposure):
         resistance = self._resistance(solid)
         delta = self._delta(solid)
-        if delta is None:
-            return self.params.thiele * solid / np.sqrt(resistance), None, False, 1.0 / resistance
-        open_ = delta > 0.0
-        plugged = bool((~open_ & (solid > SOLID_FLOOR)).any())
-        M = self.params.thiele * solid / np.sqrt(resistance * np.maximum(delta, 1e-300))
-        return (np.where(open_, M, _PLUGGED_MODULUS), delta, plugged,
-                np.where(open_, 1.0 / resistance, 0.0))
+        diffusion = resistance if delta is None else resistance * np.maximum(delta, 1e-300)
+        return self.params.thiele * solid / np.sqrt(diffusion), delta, 1.0 / resistance
 
     def _layer_root(self, target, solid):
         # g(r) = target is t^3 + P t + Q = 0 at r = t + 1/2: its middle trig root,
@@ -421,9 +427,7 @@ class _GrainModified(_PelletStepper):
                                        np.zeros_like(solid), solid, solid)
         else:
             r_new = self._layer_root(target, solid)
-        delta = self._delta(solid)
-        keep = dg <= 0.0 if delta is None else (delta <= 0.0) | (dg <= 0.0)
-        return np.where(keep, solid, r_new)
+        return np.where(dg <= 0.0, solid, r_new)
 
     def surface_budget(self, solid):
         return float(self._g(np.asarray(solid[-1])) - self._g0)
@@ -435,10 +439,9 @@ class _GrainModified(_PelletStepper):
 
 
 class _RandomPore(_PelletStepper):
-    def _split(self, solid):
-        w = -np.log(np.maximum(solid, _B_MIN))
-        u = np.sqrt(1.0 + self.params.psi_cap * w)
-        return w, u
+    def _w(self, solid):
+        # the law's solid variable, w = -ln b
+        return -np.log(np.maximum(solid, _B_MIN))
 
     def _h_of_w(self, w):
         # integral of the kinetic resistance over the solid path; H(0) = 0
@@ -461,20 +464,15 @@ class _RandomPore(_PelletStepper):
 
     def terms(self, solid, exposure):
         p = self.params
-        w, u = self._split(solid)
+        w = self._w(solid)
+        u = np.sqrt(1.0 + p.psi_cap * w)
         delta = self._delta(solid)
-        open_ = delta > 0.0
-        plugged = bool((~open_ & (solid > SOLID_FLOOR)).any())
         k = solid * u / (1.0 + p.beta * p.z_ratio * w / (1.0 + u))  # b u over the resistance
-        M = np.where(open_, np.sqrt(p.thiele**2 * k / np.maximum(delta, 1e-300)), _PLUGGED_MODULUS)
-        return M, delta, plugged, np.where(open_, k, 0.0)
+        return np.sqrt(p.thiele**2 * k / np.maximum(delta, 1e-300)), delta, k
 
     def advance(self, solid, exposure, dg):
-        w_old, _ = self._split(solid)
-        frozen = self._delta(solid) <= 0.0
-        w_new = np.minimum(self._w_of_h(self._h_of_w(w_old) + dg), LN_B_CAP)
-        b_new = np.exp(-w_new)
-        return np.where(frozen | (dg <= 0.0), solid, b_new)
+        w_new = np.minimum(self._w_of_h(self._h_of_w(self._w(solid)) + dg), LN_B_CAP)
+        return np.where(dg <= 0.0, solid, np.exp(-w_new))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +486,7 @@ class _Nucleation(_PelletStepper):
         n = p.solid_order
         # 2 F_p / |f'(b)| with f(b) = (-ln b)^(1/n) and b = exp(-g^n)
         gain = n * solid * exposure ** (n - 1.0) if n != 1.0 else solid
-        return p.thiele * np.sqrt(2.0 * p.pellet.shape_factor * gain), None, False, gain
+        return p.thiele * np.sqrt(2.0 * p.pellet.shape_factor * gain), None, gain
 
     def advance(self, solid, exposure, dg):
         g = exposure + dg

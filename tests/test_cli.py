@@ -239,7 +239,7 @@ def test_block_writers_match_the_all_column_writers():
 
 
 def _series(theta, x):
-    return RunResult(kind=None, theta=np.asarray(theta, dtype=float),
+    return RunResult(theta=np.asarray(theta, dtype=float),
                      x=np.asarray(x, dtype=float))
 
 

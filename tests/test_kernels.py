@@ -688,7 +688,7 @@ def test_step_profile_depends_only_on_frozen_state(grid):
     stepper = make_stepper(p, grid)
     state = stepper.initial_state()
     state, _ = stepper.step(state, 0.37)
-    m, _, _, _ = stepper.terms(state.solid, state.exposure)
+    m, _, _ = stepper.terms(state.solid, state.exposure)
     prof_direct = profile_qss(m, grid, SPHERE)
     prof_reported = stepper.current_profile(state)
     assert np.array_equal(prof_direct.values, prof_reported)

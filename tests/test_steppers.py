@@ -18,7 +18,7 @@ from gassolid import (
     run_qm,
     steppers,
 )
-from gassolid.core import LN_B_CAP
+from gassolid.core import LN_B_CAP, PelletState
 
 ZOO = [
     {"kind": "volume_first_order", "phi_v": 1.5},
@@ -122,23 +122,27 @@ def test_modified_grain_structure_formulas(grid):
 
 
 def test_modified_grain_pore_plugging(grid):
-    # strong volume growth consumes the porosity before full conversion
-    p = build_model({"kind": "grain_modified", "sigma": 1.0, "sigma_g_sq": 0.0,
-                     "Z_v": 3.0, "eps0": 0.2})
-    stepper = make_stepper(p, grid)
-    state = stepper.initial_state()
-    saw_plug = False
-    for _ in range(40):
-        state, status = stepper.step(state, 0.1)
-        saw_plug = saw_plug or status is StepStatus.PORE_PLUGGED
-    assert saw_plug
-    x = conversion(state, p)
-    assert x < 0.999  # plugged nodes freeze short of complete conversion
-    # frozen nodes stop moving
-    before = state.solid.copy()
-    state, _ = stepper.step(state, 0.5)
-    plugged = stepper._delta(before) <= 0.0
-    assert np.allclose(state.solid[plugged], before[plugged], atol=1e-12)
+    # strong volume growth consumes the porosity before full conversion; a
+    # swelling random-pore solid closes its pores the same way
+    for raw in ({"kind": "grain_modified", "sigma": 1.0, "sigma_g_sq": 0.0, "Z_v": 3.0,
+                 "eps0": 0.2},
+                {"kind": "random_pore", "phi_r": 1.0, "z": 2.5, "eps0": 0.3}):
+        p = build_model(raw)
+        stepper = make_stepper(p, grid)
+        state = stepper.initial_state()
+        saw_plug = False
+        for _ in range(40):
+            state, status = stepper.step(state, 0.1)
+            saw_plug = saw_plug or status is StepStatus.PORE_PLUGGED
+        assert saw_plug
+        x = conversion(state, p)
+        assert x < 0.999  # plugged nodes freeze short of complete conversion
+        # frozen nodes stop moving
+        before = state.solid.copy()
+        closed = stepper._lagged_terms(before, state.exposure)[3]
+        assert closed.any()
+        state, _ = stepper.step(state, 0.5)
+        assert np.array_equal(state.solid[closed], before[closed])
 
 
 def test_random_pore_kinetic_inversion(grid):
@@ -212,8 +216,9 @@ def test_unit_volume_ratio_has_no_structure_factor(grid):
     for raw in ({"kind": "grain_product_layer", "sigma": 1.5, "sigma_g_sq": 0.3},
                 {"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.3, "Z_v": 1.0}):
         p = build_model(raw)
-        _, delta, plugged, _ = make_stepper(p, grid).terms(r, r)
-        assert delta is None and not plugged
+        stepper = make_stepper(p, grid)
+        _, delta, _ = stepper.terms(r, r)
+        assert delta is None and stepper._lagged_terms(r, r)[3:] == (None, StepStatus.OK)
         _, fd_delta, _ = fdref._FD_MODELS[p.kind](p).terms(r)
         assert fd_delta is None and gg.conductance(fd_delta) is gg.cond
     swelling = build_model({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.3,
@@ -267,7 +272,7 @@ def test_qm_and_fd_laws_agree_on_reaction_coefficient(case):
     # two implementations of one law: M^2 delta of the QM is the FD reaction
     # coefficient rho of the same solid, wherever the pores are open
     stepper, solid, exposure, fd_state = case
-    M, delta, _, _ = stepper.terms(solid, exposure)
+    M, delta, _ = stepper.terms(solid, exposure)
     rho, fd_delta, _ = fdref._FD_MODELS[stepper.params.kind](stepper.params).terms(fd_state)
     if delta is None:
         assert fd_delta is None
@@ -282,16 +287,22 @@ def test_qm_and_fd_laws_agree_on_reaction_coefficient(case):
 def test_rate_factor_k_matches_the_update(case):
     # k, which sizes the substep, is the rate of the law's own update: the
     # one-sided difference of advance at dg 1e-7 (truncation below 1e-6 in
-    # these boxes); at closed nodes k is 0 and advance keeps the solid
+    # these boxes) on open nodes; the stepper's closure gives closed nodes
+    # (delta 0) k 0 and the plugged modulus, and keeps their solid
     stepper, solid, exposure, _ = case
-    _, delta, _, k = stepper.terms(solid, exposure)
+    M, delta, k = stepper.terms(solid, exposure)
     h = 1e-7
-    new = stepper.advance(solid, exposure, np.full(solid.shape, h))
-    k = np.broadcast_to(k, solid.shape)
-    open_ = np.ones(solid.shape, dtype=bool) if delta is None else delta > 0.0
+    dg = np.full(solid.shape, h)
+    new = stepper.advance(solid, exposure, dg)
+    M_c, _, k_c, closed, _ = stepper._lagged_terms(solid, exposure)
+    assert (closed is None) == (delta is None)
+    open_ = np.ones(solid.shape, dtype=bool) if closed is None else delta > 0.0
+    k, k_c = np.broadcast_to(k, solid.shape), np.broadcast_to(k_c, solid.shape)
     np.testing.assert_allclose(((solid - new) / h)[open_], k[open_], rtol=1e-6, atol=0.0)
-    assert np.all(k[~open_] == 0.0)
-    assert np.array_equal(new[~open_], solid[~open_])
+    assert np.array_equal(M_c[open_], M[open_]) and np.array_equal(k_c[open_], k[open_])
+    assert np.all(k_c[~open_] == 0.0) and np.all(M_c[~open_] == steppers._PLUGGED_MODULUS)
+    kept = stepper._advance_open(PelletState(0.0, solid, exposure), closed, dg)
+    assert np.array_equal(kept, np.where(open_, new, solid))
 
 
 def test_random_pore_vanishing_structure_equals_volume(grid):
@@ -435,6 +446,22 @@ def test_dropped_snapshot_reported(grid):
     assert [snap.theta for snap in res.snapshots] == [0.5]
     assert res.warnings == ["snapshot theta(s) outside [0, 1] dropped: 2.0"]
 
+
+def test_snapshot_near_a_sample_is_that_sample():
+    # 0.3 and 0.7 are an ulp off the samples of linspace(0, 1, 11): each is
+    # taken as that sample, not added as a second sample and snapshot
+    p = build_model({"kind": "volume_first_order", "phi_v": 1.0})
+    res = run_qm(p, SpatialGrid(101), 1.0, 11, (0.3, 0.7))
+    assert res.theta.size == 11 and len(res.snapshots) == 2
+    assert res.warnings == []
+    # an off-grid time and one within 1e-12 theta_end of it add one sample;
+    # a time outside [0, theta_end] is still dropped and named
+    res = run_qm(p, SpatialGrid(101), 1.0, 11, (0.35, 0.35 + 1e-15, 0.3, 1.5))
+    assert res.theta.size == 12 and np.all(np.diff(res.theta) > 0.0)
+    assert [snap.theta for snap in res.snapshots] == pytest.approx([0.3, 0.35], abs=1e-15)
+    assert res.warnings == ["snapshot theta(s) outside [0, 1] dropped: 1.5"]
+
+
 def test_grain_run_reaches_exhaustion(grid):
     p = build_model({"kind": "grain_simple", "sigma": 1.0, "F_g": 1, "F_p": 1})
     stepper = make_stepper(p, grid)
@@ -492,7 +519,7 @@ def test_modulus_bounded_by_base_thiele(grid, raw):
     state = stepper.initial_state()
     for _ in range(8):
         state, _ = stepper.step(state, 0.2)
-        m, _, _, _ = stepper.terms(state.solid, state.exposure)
+        m, _, _ = stepper.terms(state.solid, state.exposure)
         assert np.all(m <= p.thiele + 1e-12)
 
 
@@ -544,7 +571,7 @@ def test_halving_reports_exhausted_tries(grid):
     stepper = _fixed_removal(make_stepper(build_model({"kind": "volume_first_order",
                                                        "phi_v": 1.0}), grid))
     terms = stepper.terms
-    stepper.terms = lambda solid, exposure: terms(solid, exposure)[:3] + (0.0,)
+    stepper.terms = lambda solid, exposure: terms(solid, exposure)[:2] + (0.0,)
     with pytest.raises(SolverError, match="decrement cap"):
         stepper.step(stepper.initial_state(), 1e6)
 
