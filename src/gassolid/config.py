@@ -73,6 +73,8 @@ class RunConfig:
             raise ConfigError("grid.theta_end must be positive")
         if self.samples < 2:
             raise ConfigError("grid.samples must be at least 2")
+        if not self.decrement_cap > 0.0:
+            raise ConfigError(f"grid.decrement_cap must be positive, got {self.decrement_cap}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

@@ -71,29 +71,38 @@ class GrainGeometry:
 SLAB = PelletGeometry(1)
 SPHERE = PelletGeometry(3)
 
-# Neutral values fields must hold when a model does not use them.
+# Neutral values of the fields some kinds do not read: a kind that does not
+# read a field must leave it at its neutral value.
 _NEUTRAL = {
+    "thiele": 0.0,
     "sigma_g_sq": 0.0,
     "beta": 0.0,
     "z_ratio": 1.0,
     "psi_cap": 0.0,
+    "porosity0": 0.5,
     "sherwood": None,
+    "solid_order": 1.0,
     "thiele_a": 0.0,
     "thiele_c": 0.0,
     "psi_ab": 1.0,
+    "grain": GrainGeometry(3),
 }
 
-# Fields each model is allowed to set away from neutral.
+# The fields of _NEUTRAL that each kind reads.
 _RELEVANT = {
-    ModelKind.VOLUME_FIRST_ORDER: set(),
-    ModelKind.VOLUME_HALF_ORDER: set(),
-    ModelKind.GRAIN_SIMPLE: {"sherwood"},
-    ModelKind.GRAIN_PRODUCT_LAYER: {"sigma_g_sq"},
-    ModelKind.GRAIN_MODIFIED: {"sigma_g_sq", "z_ratio"},
-    ModelKind.RANDOM_PORE: {"psi_cap", "beta", "z_ratio", "sherwood"},
-    ModelKind.NUCLEATION: set(),
+    ModelKind.VOLUME_FIRST_ORDER: {"thiele"},
+    ModelKind.VOLUME_HALF_ORDER: {"thiele", "solid_order"},
+    ModelKind.GRAIN_SIMPLE: {"thiele", "grain", "sherwood"},
+    ModelKind.GRAIN_PRODUCT_LAYER: {"thiele", "sigma_g_sq"},
+    ModelKind.GRAIN_MODIFIED: {"thiele", "sigma_g_sq", "z_ratio", "porosity0"},
+    ModelKind.RANDOM_PORE: {"thiele", "psi_cap", "beta", "z_ratio", "porosity0", "sherwood"},
+    ModelKind.NUCLEATION: {"thiele", "solid_order"},
     ModelKind.SIMULTANEOUS: {"thiele_a", "thiele_c", "psi_ab"},
 }
+
+# Kinds tabulated for spherical pellets only.
+_SPHERE_ONLY = {ModelKind.GRAIN_PRODUCT_LAYER, ModelKind.GRAIN_MODIFIED,
+                ModelKind.RANDOM_PORE, ModelKind.NUCLEATION, ModelKind.SIMULTANEOUS}
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,8 @@ class ModelParams:
     ``thiele`` is the model's base modulus (phi_v, sigma, phi_r or sigma_N
     depending on ``kind``).  ``psi`` is the gas accumulation parameter;
     ``psi == 0`` selects the quasi-steady solver branch.  ``sherwood=None``
-    encodes a Dirichlet surface (no external film resistance).
+    encodes a Dirichlet surface (no external film resistance).  A field in
+    ``_NEUTRAL`` that ``kind`` does not read must hold its neutral value.
     """
 
     kind: ModelKind
@@ -124,70 +134,44 @@ class ModelParams:
 
     def __post_init__(self):
         k = self.kind
-        if self.thiele < 0.0:
-            raise ConfigError(f"thiele modulus must be nonnegative, got {self.thiele}")
-        if self.psi < 0.0:
-            raise ConfigError(f"psi must be nonnegative, got {self.psi}")
+        for name in ("thiele", "psi", "sigma_g_sq", "psi_cap", "beta", "thiele_a", "thiele_c"):
+            value = getattr(self, name)
+            if not value >= 0.0:  # NaN fails too
+                raise ConfigError(f"{name} must be nonnegative, got {value}")
         if not 0.0 < self.porosity0 < 1.0:
             raise ConfigError(f"porosity0 must lie in (0, 1), got {self.porosity0}")
         if self.sherwood is not None and not self.sherwood > 0.0:
             raise ConfigError(f"sherwood must be positive or None, got {self.sherwood}")
-        for name in ("sigma_g_sq", "psi_cap", "beta", "thiele_a", "thiele_c"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if self.z_ratio <= 0.0:
+        if not self.z_ratio > 0.0:
             raise ConfigError(f"z_ratio must be positive, got {self.z_ratio}")
+        if not 0.0 <= self.psi_ab <= 1.0:
+            raise ConfigError(f"psi_ab must lie in [0, 1], got {self.psi_ab}")
 
-        # Fields foreign to this model must stay at their neutral defaults.
         relevant = _RELEVANT[k]
         for fname, neutral in _NEUTRAL.items():
-            if fname in relevant:
-                continue
-            if getattr(self, fname) != neutral:
+            if fname not in relevant and getattr(self, fname) != neutral:
                 raise ConfigError(
                     f"{fname} is not used by model '{k.value}' and must stay "
                     f"at its neutral value {neutral!r}"
                 )
 
-        if k in (ModelKind.VOLUME_FIRST_ORDER, ModelKind.VOLUME_HALF_ORDER):
-            want = 1.0 if k is ModelKind.VOLUME_FIRST_ORDER else 0.5
-            if self.solid_order != want:
-                raise ConfigError(f"model '{k.value}' requires solid order n={want}")
-        elif k is ModelKind.NUCLEATION:
-            if self.solid_order not in (1.0, 3.0):
-                raise ConfigError("nucleation model supports n in {1, 3}")
-            if not self.pellet.is_sphere:
-                raise ConfigError("nucleation model is tabulated for spherical pellets only")
-        elif k in (ModelKind.GRAIN_PRODUCT_LAYER, ModelKind.GRAIN_MODIFIED):
-            if not self.pellet.is_sphere or self.grain.shape_factor != 3:
-                raise ConfigError(
-                    f"model '{k.value}' is tabulated for F_p=3, F_g=3 only"
-                )
-        elif k is ModelKind.RANDOM_PORE:
-            if not self.pellet.is_sphere:
-                raise ConfigError("random pore model is tabulated for spherical pellets only")
-        elif k is ModelKind.SIMULTANEOUS:
-            if not self.pellet.is_sphere:
-                raise ConfigError("simultaneous model is tabulated for spherical pellets only")
-            if not 0.0 <= self.psi_ab <= 1.0:
-                raise ConfigError(f"psi_ab must lie in [0, 1], got {self.psi_ab}")
-            if self.psi != 0.0:
+        if k is ModelKind.VOLUME_HALF_ORDER and self.solid_order != 0.5:
+            raise ConfigError(f"model '{k.value}' requires solid order n=0.5")
+        if k is ModelKind.NUCLEATION and self.solid_order not in (1.0, 3.0):
+            raise ConfigError("nucleation model supports n in {1, 3}")
+        if k in _SPHERE_ONLY and not self.pellet.is_sphere:
+            raise ConfigError(f"model '{k.value}' is tabulated for spherical pellets only")
+        if self.sherwood is not None and not self.pellet.is_sphere:
+            raise ConfigError(
+                f"finite sherwood is not tabulated for model '{k.value}' "
+                f"with F_p={self.pellet.shape_factor}"
+            )
+        if self.psi > 0.0:
+            if k is ModelKind.SIMULTANEOUS:
                 raise ConfigError("simultaneous model is quasi-steady only (psi must be 0)")
-
-        if self.sherwood is not None:
-            # Film factors exist in the tables only for the spherical simple
-            # grain model and the random pore model.
-            filmed = k is ModelKind.GRAIN_SIMPLE or k is ModelKind.RANDOM_PORE
-            if not (filmed and self.pellet.is_sphere):
-                raise ConfigError(
-                    f"finite sherwood is not tabulated for model '{k.value}' "
-                    f"with F_p={self.pellet.shape_factor}"
-                )
-            if self.psi > 0.0:
+            if self.sherwood is not None:
                 raise ConfigError("finite sherwood is tabulated for quasi-steady runs only")
-
-        if k is ModelKind.RANDOM_PORE and self.psi > 0.0:
-            if self.beta != 0.0 or self.z_ratio != 1.0:
+            if k is ModelKind.RANDOM_PORE and (self.beta != 0.0 or self.z_ratio != 1.0):
                 raise ConfigError(
                     "unsteady random pore model is tabulated for beta=0, Z=1 only"
                 )
@@ -296,7 +280,6 @@ def build_model(raw: Mapping[str, object]) -> ModelParams:
     required = {"thiele"}
     if kind is ModelKind.SIMULTANEOUS:
         required = {"psi_ab", "thiele_a", "thiele_c"}
-        kwargs.setdefault("thiele", 0.0)
     missing = sorted(required - set(kwargs))
     if missing:
         raise ConfigError(f"model '{kind.value}' missing required key(s): {missing}")

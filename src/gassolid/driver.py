@@ -59,16 +59,18 @@ def sample_schedule(theta_end: float, samples: int) -> np.ndarray:
 def _with_extra_times(schedule: np.ndarray, extra) -> tuple[np.ndarray, list[int | None]]:
     """The schedule with the extra times added, and each extra time's index in it
     (None for a time outside [0, schedule[-1]]).  An extra time within
-    1e-12 * schedule[-1] of a sample, or of another extra time, is that time."""
+    1e-12 * schedule[-1] of a sample, or of another extra time, is that time;
+    the same tolerance widens both ends of the range."""
     end = float(schedule[-1])
     tol = 1e-12 * end
+    inside = [-tol <= t <= end + tol for t in extra]
     times = schedule.tolist()
-    for t in sorted(float(t) for t in extra if 0.0 <= t <= end):
+    for t in sorted(float(t) for t, ok in zip(extra, inside) if ok):
         if min(abs(t - s) for s in times) > tol:
             times.append(t)
     merged = np.asarray(sorted(times))
-    return merged, [int(np.abs(merged - t).argmin()) if 0.0 <= t <= end else None
-                    for t in extra]
+    return merged, [int(np.abs(merged - t).argmin()) if ok else None
+                    for t, ok in zip(extra, inside)]
 
 
 def split_interval(t0: float, t1: float, step: float) -> tuple[int, float]:
@@ -110,7 +112,7 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
     snapshots: list[ProfileSnapshot] = []
     steps = []  # (theta, status) at the end of each sample step
     if 0 in snap_idx:
-        snapshots.append(_snapshot(state, stepper, grid))
+        snapshots.append(_snapshot(0.0, state, stepper, grid))
     for i, (prev, nxt) in enumerate(zip(schedule[:-1], schedule[1:]), 1):
         state, status = stepper.step(state, float(nxt - prev))
         steps.append((state.theta, status))
@@ -118,7 +120,7 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
         if x_as is not None:
             x_as.append(conversion_by_gas_a(state, params))
         if i in snap_idx:
-            snapshots.append(_snapshot(state, stepper, grid))
+            snapshots.append(_snapshot(float(nxt), state, stepper, grid))
     for flag, what in _STATUS_WARNINGS:
         hits = [theta for theta, status in steps if flag in status]
         if hits:
@@ -134,10 +136,12 @@ def run_qm(params: ModelParams, grid: SpatialGrid, theta_end: float,
     )
 
 
-def _snapshot(state: PelletState, stepper, grid: SpatialGrid) -> ProfileSnapshot:
+def _snapshot(theta: float, state: PelletState, stepper, grid: SpatialGrid) -> ProfileSnapshot:
+    """The profiles of ``state``, stamped with its sample time ``theta`` (the
+    state's own theta is a sum of substeps and may differ in its last digits)."""
     gas = stepper.current_profile(state)  # a fresh array, or the two-gas pair
     gas_c = solid_a = None
     if isinstance(gas, tuple):
         (gas, gas_c), solid_a = gas, state.solid_aux.copy()
-    return ProfileSnapshot(theta=state.theta, y=grid.y.copy(), gas=gas,
+    return ProfileSnapshot(theta=theta, y=grid.y.copy(), gas=gas,
                            solid=state.solid.copy(), gas_c=gas_c, solid_a=solid_a)

@@ -136,6 +136,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-0.1", "nan"])
+def test_nonpositive_decrement_cap_exit_code(tmp_path, capsys, cap):
+    # rejected when the config loads, before any output
+    cfg = _write(tmp_path, BASE + f"grid.decrement_cap = {cap}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "config error: grid.decrement_cap must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_removed_settings_are_rejected(tmp_path, capsys):
     # conversion.csv and profiles.csv have no switch, and grid.n has no CLI override
     for key in ("output.conversion_csv", "output.profiles_csv"):

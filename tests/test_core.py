@@ -16,6 +16,7 @@ from gassolid import (
     build_model,
 )
 from gassolid import core
+from gassolid.cli import main
 
 
 def test_minimal_volume_config():
@@ -128,6 +129,13 @@ def test_value_validation():
         build_model({"kind": "simultaneous", "sigma_a": 1, "sigma_c": 1, "psi_ab": 1.4})
     with pytest.raises(ConfigError):
         build_model({"kind": "volume_first_order", "phi_v": 1, "psi": -0.1})
+    # NaN is out of every range; a NaN phi_v used to run as phi_v 0
+    with pytest.raises(ConfigError, match="thiele must be nonnegative, got nan"):
+        build_model({"kind": "volume_first_order", "phi_v": "nan"})
+    for name in ("thiele", "psi", "sigma_g_sq", "psi_cap", "beta", "z_ratio", "thiele_a",
+                 "thiele_c", "porosity0", "psi_ab"):
+        with pytest.raises(ConfigError, match=rf"^{name} must .*, got nan"):
+            ModelParams(kind=ModelKind.RANDOM_PORE, **{name: float("nan")})
 
 
 def test_irrelevant_fields_must_stay_neutral():
@@ -137,6 +145,36 @@ def test_irrelevant_fields_must_stay_neutral():
         build_model({"kind": "grain_simple", "sigma": 1, "beta": 0.2})
     with pytest.raises(ConfigError, match="z_ratio"):
         build_model({"kind": "grain_product_layer", "sigma": 1, "sigma_g_sq": 0.1, "z": 2.0})
+
+
+# A group each kind does not read, set away from its neutral value, and the
+# ModelParams field it names.
+_UNREAD_GROUPS = [
+    pytest.param({"kind": "grain_simple", "sigma": 1, "eps0": 0.3}, "porosity0",
+                 id="grain_simple-eps0"),
+    pytest.param({"kind": "grain_product_layer", "sigma": 1, "sigma_g_sq": 0.2, "eps0": 0.3},
+                 "porosity0", id="grain_product_layer-eps0"),
+    pytest.param({"kind": "random_pore", "phi_r": 1, "psi_cap": 1, "n": 3}, "solid_order",
+                 id="random_pore-n"),
+    pytest.param({"kind": "volume_first_order", "phi_v": 1, "F_g": 2}, "grain",
+                 id="volume_first_order-F_g"),
+    pytest.param({"kind": "nucleation", "sigma_n": 1, "F_g": 2}, "grain",
+                 id="nucleation-F_g"),
+    pytest.param({"kind": "simultaneous", "sigma": 7, "sigma_a": 1, "sigma_c": 1,
+                  "psi_ab": 0.5}, "thiele", id="simultaneous-sigma"),
+]
+
+
+@pytest.mark.parametrize("raw, field_name", _UNREAD_GROUPS)
+def test_unread_groups_are_rejected(raw, field_name, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=rf"^{field_name} is not used by model '{raw['kind']}'"):
+        build_model(raw)
+    text = "".join(f"model.{key} = {value}\n" for key, value in raw.items())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "grid.theta_end = 1\ngrid.samples = 3\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"config error: {field_name} is not used" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_film_resistance_only_where_tabulated():
@@ -221,7 +259,16 @@ def _outcome(build):
 
 @settings(max_examples=500, deadline=None)
 @given(_model_inputs(), st.booleans())
-@example((ModelKind.VOLUME_HALF_ORDER, _fields(solid_order=0.5), 1, 2), True)  # rarely drawn
+# accepted models, one per kind: most draws name a group their kind does not read
+@example((ModelKind.VOLUME_FIRST_ORDER, _fields(), 3, 3), False)
+@example((ModelKind.VOLUME_HALF_ORDER, _fields(solid_order=0.5), 1, 3), True)  # rarely drawn
+@example((ModelKind.GRAIN_SIMPLE, _fields(sherwood=5.0), 3, 2), True)
+@example((ModelKind.GRAIN_PRODUCT_LAYER, _fields(sigma_g_sq=0.3), 3, 3), False)
+@example((ModelKind.GRAIN_MODIFIED, _fields(z_ratio=1.4, porosity0=0.3), 3, 3), True)
+@example((ModelKind.RANDOM_PORE, _fields(psi_cap=2.0, beta=0.5), 3, 3), False)
+@example((ModelKind.NUCLEATION, _fields(solid_order=3.0, psi=0.05), 3, 3), True)
+@example((ModelKind.SIMULTANEOUS, _fields(thiele=0.0, psi_ab=0.5, thiele_a=1.0,
+                                          thiele_c=2.0), 3, 3), False)
 def test_build_model_and_constructor_validate_alike(inputs, as_text):
     # a config file gives every value as text; "inf" spells sherwood None
     kind, fields, fp, fg = inputs

@@ -462,6 +462,27 @@ def test_snapshot_near_a_sample_is_that_sample():
     assert res.warnings == ["snapshot theta(s) outside [0, 1] dropped: 1.5"]
 
 
+def test_snapshot_theta_is_its_sample_theta():
+    # the state's theta is a sum of substeps; a snapshot carries its sample's theta
+    p = build_model({"kind": "volume_first_order", "phi_v": 1.5})
+    res = run_qm(p, SpatialGrid(101), 3.0, 61, (0.5, 1.0))
+    assert [snap.theta for snap in res.snapshots] == [res.theta[10], res.theta[20]]
+    assert [snap.theta for snap in res.snapshots] == [0.5, 1.0]
+
+
+def test_snapshot_tolerance_at_both_ends():
+    # an ulp past either end of [0, theta_end] is that end; 1e-9 past it is dropped
+    p = build_model({"kind": "volume_first_order", "phi_v": 1.0})
+    res = run_qm(p, SpatialGrid(101), 1.0, 11, (1.0000000000000002, 0.9999999999999999))
+    assert res.theta.size == 11
+    assert [snap.theta for snap in res.snapshots] == [1.0]
+    assert res.warnings == []
+    res = run_qm(p, SpatialGrid(101), 1.0, 11, (-1e-13, 1.0 + 1e-9))
+    assert res.theta.size == 11
+    assert [snap.theta for snap in res.snapshots] == [0.0]
+    assert res.warnings == ["snapshot theta(s) outside [0, 1] dropped: 1.000000001"]
+
+
 def test_grain_run_reaches_exhaustion(grid):
     p = build_model({"kind": "grain_simple", "sigma": 1.0, "F_g": 1, "F_p": 1})
     stepper = make_stepper(p, grid)
