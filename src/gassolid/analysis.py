@@ -42,19 +42,21 @@ def _solid_integrand(solid: np.ndarray, params: ModelParams) -> np.ndarray:
     return solid
 
 
+def converted(unreacted: np.ndarray, shape_factor: int) -> float:
+    """Conversion X = 1 - the radial average of the unreacted field, clipped to [0, 1]."""
+    return float(min(max(1.0 - radial_average(unreacted, shape_factor), 0.0), 1.0))
+
+
 def conversion(state: PelletState, params: ModelParams) -> float:
     """Solid conversion X from the radial quadrature of the solid field."""
-    unreacted = radial_average(_solid_integrand(state.solid, params),
-                               params.pellet.shape_factor)
-    return float(min(max(1.0 - unreacted, 0.0), 1.0))
+    return converted(_solid_integrand(state.solid, params), params.pellet.shape_factor)
 
 
 def conversion_by_gas_a(state: PelletState, params: ModelParams) -> float:
     """Conversion X_A attributable to gas A (simultaneous model)."""
     if state.solid_aux is None:
         raise SolverError("state carries no b_A field")
-    unreacted = radial_average(state.solid_aux, params.pellet.shape_factor)
-    return float(min(max(1.0 - unreacted, 0.0), 1.0))
+    return converted(state.solid_aux, params.pellet.shape_factor)
 
 
 @dataclass(frozen=True)

@@ -42,16 +42,11 @@ class BedParams:
     bed_length: float = 1.0
 
     def __post_init__(self):
-        if self.peclet <= 0.0:
-            raise ConfigError(f"peclet must be positive, got {self.peclet}")
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
-        if self.phi <= 0.0:
-            raise ConfigError(f"phi must be positive, got {self.phi}")
-        if self.biot_m <= 0.0:
-            raise ConfigError(f"biot_m must be positive, got {self.biot_m}")
-        if self.bed_length <= 0.0:
-            raise ConfigError(f"bed_length must be positive, got {self.bed_length}")
+        for name, value in vars(self).items():  # beta may be 0; the others must be positive
+            sign = "nonnegative" if name == "beta" else "positive"
+            above = value >= 0.0 if name == "beta" else value > 0.0  # NaN fails both
+            if not (above and value < math.inf):
+                raise ConfigError(f"{name} must be {sign} and finite, got {value}")
 
 
 def characteristic_roots(peclet: float, beta: float) -> tuple[float, float]:
@@ -251,7 +246,7 @@ def march_bed(bed: BedParams, dtau: float, tau_end: float, n_eta: int, n_radial:
     fresh bed's transmission is a separate ``surface_transmission`` call.
     b and X are formed only at the samples.
     """
-    if dtau <= 0.0 or tau_end <= 0.0:
+    if not (dtau > 0.0 and tau_end > 0.0):  # NaN fails too
         raise SolverError("dtau and tau_end must be positive")
     if n_radial % 2 == 0:
         raise SolverError("n_radial must be odd (Simpson quadrature)")

@@ -21,6 +21,7 @@ and invalid values raise it naming the key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -69,8 +70,10 @@ class RunConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.theta_end <= 0.0:
-            raise ConfigError("grid.theta_end must be positive")
+        for key, value in (("grid.theta_end", self.theta_end), ("bed.dtau", self.bed_dtau),
+                           ("bed.tau_end", self.bed_tau_end)):
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
         if self.samples < 2:
             raise ConfigError("grid.samples must be at least 2")
         if not self.decrement_cap > 0.0:

@@ -17,6 +17,7 @@ import numpy as np
 
 SOLID_FLOOR = 1e-12          # below this a node counts as fully reacted
 LN_B_CAP = 700.0             # b is clamped to exp(-700) to avoid underflow
+B_MIN = math.exp(-LN_B_CAP)  # the smallest b that clamp leaves
 
 
 class ConfigError(ValueError):
@@ -134,6 +135,10 @@ class ModelParams:
 
     def __post_init__(self):
         k = self.kind
+        for name in (*_FLOAT_KEYS, "sherwood"):  # None is a Dirichlet surface
+            value = getattr(self, name)
+            if value is not None and math.isinf(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("thiele", "psi", "sigma_g_sq", "psi_cap", "beta", "thiele_a", "thiele_c"):
             value = getattr(self, name)
             if not value >= 0.0:  # NaN fails too

@@ -49,8 +49,8 @@ class RunResult:
 def sample_schedule(theta_end: float, samples: int) -> np.ndarray:
     if theta_end == 0.0:
         return np.zeros(1)  # degenerate run: the initial state only
-    if theta_end < 0.0:
-        raise SolverError("theta_end must be nonnegative")
+    if not 0.0 < theta_end < math.inf:  # NaN fails too
+        raise SolverError(f"theta_end must be nonnegative and finite, got {theta_end}")
     if samples < 2:
         raise SolverError("need at least two samples")
     return np.linspace(0.0, theta_end, samples)

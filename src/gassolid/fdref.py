@@ -42,10 +42,10 @@ scipy is imported on the first solve, not with the module, so runs that
 never use the oracle (QM and bed runs) never load it.
 Each :class:`_GasGrid` builds the face conductances and the bands of the
 flux operator without a structure factor once, read-only; conversions use
-``analysis.radial_weights``.  The caller forms the reaction term
-``rho * vol`` once per gas solve and passes it to the solve, which copies
-the bands and adds it (plus the capacity term for Crank-Nicolson), and to
-the balance ``_gas_balance``.
+``analysis.converted``.  The caller forms the reaction term ``rho * vol``
+once per gas solve and passes it to the solve, which copies the bands and
+adds it (plus the capacity term for Crank-Nicolson), and to the balance
+``_gas_balance``; ``_qss_uptake`` does all three for a quasi-steady state.
 
 The moving-boundary second stage needs no special casing here: clamping
 the solid at zero and keeping the reaction indicator reproduces the
@@ -54,17 +54,15 @@ receding-front behavior on its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import radial_weights
-from .core import LN_B_CAP, SOLID_FLOOR, ModelKind, ModelParams, SolverError
+from .analysis import converted
+from .core import B_MIN, LN_B_CAP, SOLID_FLOOR, ModelKind, ModelParams, SolverError
 from .driver import PORES_CLOSED, RunResult, sample_schedule, sample_warning, split_interval
 
 _R_FLOOR = 1e-12
-_B_MIN = math.exp(-LN_B_CAP)
 _dgtsv = None  # scipy.linalg.lapack.dgtsv, bound by the first solve_banded call
 _REFINE_TOL = 1e-5  # auto_refine stops once the sampled conversions move less than this
 _MAX_REFINES = 6  # halvings of dtheta before auto_refine gives up
@@ -125,7 +123,7 @@ class _FdModel:
 
 
 class _FdVolumeFirst(_FdModel):
-    lo = _B_MIN  # state: b
+    lo = B_MIN  # state: b
 
     def terms(self, b):
         return self.phi2 * b, None, -b
@@ -336,6 +334,20 @@ def _gas_balance(a: np.ndarray, rv: np.ndarray, cond: np.ndarray, sherwood: floa
     return flux, consumption
 
 
+def _flux_residual(flux: float, consumption: float) -> float:
+    """Gap between a gas solve's surface uptake and its consumption, relative above 1."""
+    return abs(flux - consumption) / max(1.0, abs(flux))
+
+
+def _qss_uptake(model: _FdModel, gg: _GasGrid, st: np.ndarray, rho: np.ndarray, delta):
+    """(gas, flux residual, dX/dtheta) of the state, whose terms are rho and
+    delta, under its quasi-steady gas."""
+    rv = rho * gg.vol
+    a, cond = _solve_gas_qss(gg, rv, delta, model.p.sherwood)
+    flux, consumption = _gas_balance(a, rv, cond, model.p.sherwood)
+    return a, _flux_residual(flux, consumption), model.uptake(flux, st, a, gg)
+
+
 def fd_solve(params: ModelParams, theta_end: float, ctl: FdControl = FdControl(),
              samples: int = 201) -> RunResult:
     """Reference solution of a single-pellet model, sampled like a QM run.
@@ -353,8 +365,6 @@ def fd_solve(params: ModelParams, theta_end: float, ctl: FdControl = FdControl()
     """
     if params.kind is ModelKind.SIMULTANEOUS:
         return _fd_solve_simultaneous(params, theta_end, ctl, samples)
-    if params.kind not in _FD_MODELS:
-        raise SolverError(f"no reference model for kind '{params.kind.value}'")
     schedule = sample_schedule(theta_end, samples)
     return _refined(
         lambda dtheta: _fd_march(params, schedule, ctl, dtheta), ctl,
@@ -390,11 +400,10 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
     model = _FD_MODELS[params.kind](params)
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
     st = np.full(gg.n, model.start)
-    sw = radial_weights(gg.n, params.pellet.shape_factor)
     lo, hi = model.lo, model.hi
 
     def x_of(state) -> float:
-        return float(min(max(1.0 - np.sum(sw * model.unreacted_integrand(state)), 0.0), 1.0))
+        return converted(model.unreacted_integrand(state), params.pellet.shape_factor)
 
     def clamp(state):
         # an infinite bound clamps nothing, so it is skipped
@@ -405,8 +414,6 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
 
     unsteady = not params.quasi_steady
     accum = params.psi * model.phi2
-    if unsteady and params.sherwood is not None:
-        raise SolverError("unsteady reference runs support Dirichlet surfaces only")
     if unsteady and not accum > 0.0:
         raise SolverError("psi_phi_sq must be positive in unsteady mode")
 
@@ -427,10 +434,7 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
         for _ in range(nsub):
             rho, delta, k = model.terms(st)
             if not unsteady:
-                rv = rho * gg.vol
-                a, cond = _solve_gas_qss(gg, rv, delta, params.sherwood)
-                flux, consumption = _gas_balance(a, rv, cond, params.sherwood)
-                uptake = model.uptake(flux, st, a, gg)
+                a, residual, uptake = _qss_uptake(model, gg, st, rho, delta)
                 if pending is not None:
                     uptake_integral += 0.5 * pending[1] * (pending[0] + uptake)
                 pending = (uptake, dt)
@@ -451,11 +455,10 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
                 # the step's surface flux feeds its storage and its consumption
                 flux, consumption = _gas_balance(0.5 * (a + a2), rv, cond, None)
                 flux -= accum * float(np.dot(gg.vol, a2 - a)) / dt
+                residual = _flux_residual(flux, consumption)
                 uptake_integral += dt * consumption * model.norm
                 a = a2
-            max_flux_residual = max(
-                max_flux_residual, abs(flux - consumption) / max(1.0, abs(flux))
-            )
+            max_flux_residual = max(max_flux_residual, residual)
             np.multiply(k, a2, out=k2)
             k1 *= half
             k2 *= half
@@ -469,11 +472,8 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
 
     if pending is not None:
         # close the trapezoid with the uptake of the final state
-        rho, delta, _ = model.terms(st)
-        rv = rho * gg.vol
-        a_end, cond = _solve_gas_qss(gg, rv, delta, params.sherwood)
-        flux, _ = _gas_balance(a_end, rv, cond, params.sherwood)
-        uptake_integral += 0.5 * pending[1] * (pending[0] + model.uptake(flux, st, a_end, gg))
+        uptake = _qss_uptake(model, gg, st, *model.terms(st)[:2])[2]
+        uptake_integral += 0.5 * pending[1] * (pending[0] + uptake)
 
     xs = np.asarray(xs)
     balance_residual = abs(uptake_integral - (xs[-1] - xs[0]))
@@ -524,7 +524,6 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
 
     def march(dtheta: float) -> RunResult:
         gg = _GasGrid(ctl.n_space, fp)
-        sw = radial_weights(gg.n, fp)
         b = np.ones(gg.n)
         b_a = np.ones(gg.n)
         two_fp = 2.0 * fp
@@ -542,10 +541,8 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
             """(dX_A, dX_C)/dtheta under the solid bb; records the flux residuals."""
             nonlocal max_flux_residual
             for rv, p in solved:
-                flux, consumption = _gas_balance(p, rv, gg.cond, None)
-                max_flux_residual = max(
-                    max_flux_residual, abs(flux - consumption) / max(1.0, abs(flux))
-                )
+                residual = _flux_residual(*_gas_balance(p, rv, gg.cond, None))
+                max_flux_residual = max(max_flux_residual, residual)
             # Fp * sum(vol b P) is the consumption over 2 sigma^2, defined also at sigma = 0
             return psis * fp * np.array([np.sum(gg.vol * bb * p) for _, p in solved])
 
@@ -563,25 +560,25 @@ def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl
                 pending = (uptake, dt)
                 k1b = -(pa + pc) * b
                 k1a = -pa * b
-                b_pred = np.maximum(b + dt * k1b, _B_MIN)
+                b_pred = np.maximum(b + dt * k1b, B_MIN)
                 (pa2, pc2), _ = profiles(b_pred)
                 k2b = -(pa2 + pc2) * b_pred
                 k2a = -pa2 * b_pred
-                b = np.maximum(b + 0.5 * dt * (k1b + k2b), _B_MIN)
+                b = np.maximum(b + 0.5 * dt * (k1b + k2b), B_MIN)
                 b_a = np.maximum(b_a + 0.5 * dt * (k1a + k2a), 0.0)
-            xs.append(float(min(max(1.0 - np.sum(sw * b), 0.0), 1.0)))
-            x_as.append(float(min(max(1.0 - np.sum(sw * b_a), 0.0), 1.0)))
+            xs.append(converted(b, fp))
+            x_as.append(converted(b_a, fp))
 
         # close the trapezoid with the uptakes of the final state
         if pending is not None:
             _, solved = profiles(b)
             uptake_integral += 0.5 * pending[1] * (pending[0] + uptakes(b, solved))
-        converted = np.array([x_as[-1], xs[-1] - x_as[-1]])
+        by_gas = np.array([x_as[-1], xs[-1] - x_as[-1]])  # X_A, X_C
         return RunResult(
             theta=schedule, x=np.asarray(xs), x_a=np.asarray(x_as), label="fd",
             diagnostics={
                 "max_flux_residual": max_flux_residual,
-                "balance_residual": float(np.max(np.abs(uptake_integral - converted))),
+                "balance_residual": float(np.max(np.abs(uptake_integral - by_gas))),
                 "dtheta": dtheta,
             },
         )
@@ -596,11 +593,7 @@ def initial_conversion_rate(params: ModelParams, ctl: FdControl = FdControl()) -
     model = _FD_MODELS[params.kind](params)
     gg = _GasGrid(ctl.n_space, params.pellet.shape_factor)
     st = np.full(gg.n, model.start)
-    rho, delta, _ = model.terms(st)
-    rv = rho * gg.vol
-    a, cond = _solve_gas_qss(gg, rv, delta, params.sherwood)
-    flux, _ = _gas_balance(a, rv, cond, params.sherwood)
-    return model.uptake(flux, st, a, gg)
+    return _qss_uptake(model, gg, st, *model.terms(st)[:2])[2]
 
 
 # ---------------------------------------------------------------------------

@@ -69,21 +69,18 @@ class GasProfile:
     _transient: _Transient | None = field(default=None, repr=False, compare=False)
 
 
-def m_coth_m_minus_1(x):
-    """x*coth(x) - 1, stable for x -> 0 and large x (vectorized).
+def m_coth_m_minus_1(x: float) -> float:
+    """x*coth(x) - 1 of a float, stable for x -> 0 and large x.
 
-    With q = 1 - exp(-2x) taken from expm1, x coth x = x (2 - q) / q; below
-    1e-2 the Taylor series, whose first omitted term is below 1e-19 there.
+    With q = 1 - exp(-2x) taken from numpy's expm1, x coth x = x (2 - q) / q;
+    below 1e-2 the Taylor series, whose first omitted term is below 1e-19 there.
+    (math.expm1 differs from numpy's in the last bit on some arguments.)
     """
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-2
-    xs = np.where(small, 1.0, x)  # dummy to avoid 0/0 in the large branch
-    q = -np.expm1(-2.0 * xs)
-    large_val = xs * (2.0 - q) / q - 1.0
-    x2 = x * x
-    small_val = x2 / 3.0 - x2 * x2 / 45.0 + 2.0 * x2**3 / 945.0
-    out = np.where(small, small_val, large_val)
-    return out if out.ndim else float(out)
+    if x < 1e-2:
+        x2 = x * x
+        return x2 / 3.0 - x2 * x2 / 45.0 + 2.0 * x2**3 / 945.0
+    q = -float(np.expm1(-2.0 * x))
+    return x * (2.0 - q) / q - 1.0
 
 
 def slab_ratio(M, y):
@@ -327,14 +324,14 @@ def front_bracket(geometry: PelletGeometry, M: float, y_m: float) -> float:
     if geometry.is_sphere:
         return (M * M / 6.0) * (1.0 - y_m) ** 2 * (1.0 + 2.0 * y_m) + (
             1.0 - y_m
-        ) * float(m_coth_m_minus_1(M * y_m))
+        ) * m_coth_m_minus_1(M * y_m)
     return (M * M / 2.0) * (1.0 - y_m) ** 2 + M * (1.0 - y_m) * math.tanh(M * y_m)
 
 
 def _film_terms(M: float, y_m: float, sherwood: float) -> float:
     return (M * M / 3.0) * (1.0 - y_m**3) / sherwood + (
         y_m / sherwood
-    ) * float(m_coth_m_minus_1(M * y_m))
+    ) * m_coth_m_minus_1(M * y_m)
 
 
 def front_time(y_m: float, M: float, geometry: PelletGeometry,
@@ -420,7 +417,7 @@ def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
     in_core = y <= y_m
     values = np.empty_like(y)
     if geometry.is_sphere:
-        q = float(m_coth_m_minus_1(M * y_m))  # M y_m coth(M y_m) - 1
+        q = m_coth_m_minus_1(M * y_m)  # M y_m coth(M y_m) - 1
         inv_sh = 0.0 if sherwood is None else 1.0 / sherwood
         a_m = 1.0 / (1.0 + (1.0 - y_m + y_m * inv_sh) * q)
         const = a_m * (1.0 + q)

@@ -49,6 +49,7 @@ from enum import Flag
 import numpy as np
 
 from .core import (
+    B_MIN,
     LN_B_CAP,
     SOLID_FLOOR,
     ModelKind,
@@ -70,7 +71,6 @@ from .kernels import (
 
 DEFAULT_DECREMENT_CAP = 0.01
 _PLUGGED_MODULUS = 1e4  # large enough that the local profile underflows to 0
-_B_MIN = math.exp(-LN_B_CAP)
 
 
 class StepStatus(Flag):
@@ -288,21 +288,18 @@ class _PelletStepper:
             raise SolverError("a second-stage state (y_m set) requires theta_c")
         M, _, k, closed, status = self._lagged_terms(s.solid, s.exposure)
         sh = self.params.sherwood
-        if s.y_m <= 0.0 or not (s.solid > SOLID_FLOOR).any():
-            s.solid[:] = 0.0
-            s.y_m = 0.0
-            s.theta += remaining
-            return remaining, status | StepStatus.EXHAUSTED
-        m_eff = self._front_modulus(M, s)
-        if s.y_m >= 1.0:
-            a0 = profile_qss(m_eff, self.grid, self.geometry, sh).values
-        else:
-            a0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
-        rmax = float(np.where(s.solid > SOLID_FLOOR, k * a0, 0.0).max())
-        dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
-        target = front_time(s.y_m, m_eff, self.geometry, s.theta_c, sh) + dt
-        y_new = solve_moving_boundary(target, m_eff, self.geometry, s.theta_c, sh)
-        if y_new <= 0.0:
+        dt, y_new = remaining, 0.0  # an exhausted pellet takes the rest of the step
+        if s.y_m > 0.0 and (s.solid > SOLID_FLOOR).any():
+            m_eff = self._front_modulus(M, s)
+            if s.y_m >= 1.0:
+                a0 = profile_qss(m_eff, self.grid, self.geometry, sh).values
+            else:
+                a0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
+            rmax = float(np.where(s.solid > SOLID_FLOOR, k * a0, 0.0).max())
+            dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
+            target = front_time(s.y_m, m_eff, self.geometry, s.theta_c, sh) + dt
+            y_new = solve_moving_boundary(target, m_eff, self.geometry, s.theta_c, sh)
+        if y_new <= 0.0:  # exhausted, or the front reaches the centre within dt
             s.solid[:] = 0.0
             s.y_m = 0.0
             s.theta += dt
@@ -326,7 +323,7 @@ class _VolumeFirstOrder(_PelletStepper):
         return self.params.thiele * np.sqrt(solid), None, solid
 
     def advance(self, solid, exposure, dg):
-        return np.maximum(solid * np.exp(-dg), _B_MIN)
+        return np.maximum(solid * np.exp(-dg), B_MIN)
 
 
 class _VolumeHalfOrder(_PelletStepper):
@@ -350,7 +347,9 @@ class _VolumeHalfOrder(_PelletStepper):
 class _GrainSimple(_PelletStepper):
     def terms(self, solid, exposure):
         expo = 0.5 * (self.params.grain.shape_factor - 1)
-        return self.params.thiele * solid**expo, None, 1.0
+        # a used-up grain reacts no more; with F_g = 1, solid ** 0 would still be 1
+        core = solid**expo if expo else (solid > 0.0).astype(float)
+        return self.params.thiele * core, None, 1.0
 
     def advance(self, solid, exposure, dg):
         return np.maximum(solid - dg, 0.0)
@@ -441,7 +440,7 @@ class _GrainModified(_PelletStepper):
 class _RandomPore(_PelletStepper):
     def _w(self, solid):
         # the law's solid variable, w = -ln b
-        return -np.log(np.maximum(solid, _B_MIN))
+        return -np.log(np.maximum(solid, B_MIN))
 
     def _h_of_w(self, w):
         # integral of the kinetic resistance over the solid path; H(0) = 0
@@ -491,7 +490,7 @@ class _Nucleation(_PelletStepper):
     def advance(self, solid, exposure, dg):
         g = exposure + dg
         b = np.exp(-np.minimum(g**self.params.solid_order, LN_B_CAP))
-        return np.maximum(b, _B_MIN)
+        return np.maximum(b, B_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +524,7 @@ class _Simultaneous(_PelletStepper):
         dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
         shrink = -np.expm1(-total * dt)  # 1 - exp(-(psiA+psiC) dt)
         kernel = np.where(total > 0.0, shrink / np.where(total > 0.0, total, 1.0), dt)
-        b_new = np.maximum(s.solid * (1.0 - shrink), _B_MIN)
+        b_new = np.maximum(s.solid * (1.0 - shrink), B_MIN)
         s.solid_aux = np.maximum(s.solid_aux - psi_a * s.solid * kernel, 0.0)
         s.solid = b_new
         s.theta += dt

@@ -442,9 +442,10 @@ def test_march_matches_pinned_bed():
 
 
 def test_march_validates_inputs():
-    with pytest.raises(SolverError):
-        march_bed(FIG9, dtau=-0.1, tau_end=1.0, n_eta=257, n_radial=101, n_segments=64,
-                  samples=101)
+    for dtau in (-0.1, math.nan):  # a NaN dtau used to fail converting NaN to an integer
+        with pytest.raises(SolverError, match="dtau and tau_end must be positive"):
+            march_bed(FIG9, dtau=dtau, tau_end=1.0, n_eta=257, n_radial=101, n_segments=64,
+                      samples=101)
     with pytest.raises(SolverError):
         march_bed(FIG9, dtau=0.1, tau_end=1.0, n_eta=257, n_radial=100, n_segments=64,
                   samples=101)

@@ -146,6 +146,44 @@ def test_nonpositive_decrement_cap_exit_code(tmp_path, capsys, cap):
     assert not out.exists()
 
 
+_BED_TEXT = """
+bed.peclet = 1.1
+bed.beta = 3.3
+bed.phi = 10
+bed.biot_m = 50
+bed.tau_end = 0.2
+bed.dtau = 0.05
+bed.n_eta = 33
+bed.n_radial = 21
+bed.n_segments = 4
+bed.samples = 3
+"""
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("grid.theta_end", "nan", "grid.theta_end must be positive and finite, got nan"),
+    ("grid.theta_end", "inf", "grid.theta_end must be positive and finite, got inf"),
+    ("bed.dtau", "nan", "bed.dtau must be positive and finite, got nan"),
+    ("bed.dtau", "inf", "bed.dtau must be positive and finite, got inf"),
+    ("bed.tau_end", "nan", "bed.tau_end must be positive and finite, got nan"),
+    ("bed.tau_end", "inf", "bed.tau_end must be positive and finite, got inf"),
+    ("bed.peclet", "nan", "peclet must be positive and finite, got nan"),
+    ("bed.beta", "nan", "beta must be nonnegative and finite, got nan"),
+    ("bed.phi", "inf", "phi must be positive and finite, got inf"),
+    ("bed.biot_m", "inf", "biot_m must be positive and finite, got inf"),
+    ("bed.bed_length", "nan", "bed_length must be positive and finite, got nan"),
+])
+def test_nonfinite_run_and_bed_settings_exit_code(tmp_path, capsys, key, value, message):
+    # each used to load: a NaN theta_end ran to X 0 and exit 0, a NaN dtau or
+    # tau_end ended in a traceback, and a NaN peclet or beta in exit 3
+    lines = [line for line in (BASE + _BED_TEXT).splitlines() if not line.startswith(key)]
+    cfg = _write(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_removed_settings_are_rejected(tmp_path, capsys):
     # conversion.csv and profiles.csv have no switch, and grid.n has no CLI override
     for key in ("output.conversion_csv", "output.profiles_csv"):

@@ -136,6 +136,24 @@ def test_value_validation():
                  "thiele_c", "porosity0", "psi_ab"):
         with pytest.raises(ConfigError, match=rf"^{name} must .*, got nan"):
             ModelParams(kind=ModelKind.RANDOM_PORE, **{name: float("nan")})
+    # so is infinity; an infinite group used to end in a solver error (X = nan for sigma_a)
+    for name in (*core._FLOAT_KEYS, "sherwood"):
+        with pytest.raises(ConfigError, match=rf"^{name} must be finite, got inf"):
+            ModelParams(kind=ModelKind.RANDOM_PORE, **{name: float("inf")})
+
+
+@pytest.mark.parametrize("raw, field_name", [
+    pytest.param({"kind": "volume_first_order", "phi_v": "inf"}, "thiele", id="phi_v"),
+    pytest.param({"kind": "simultaneous", "sigma_a": "inf", "sigma_c": 1, "psi_ab": 0.5},
+                 "thiele_a", id="sigma_a"),
+])
+def test_infinite_group_exit_code(raw, field_name, tmp_path, capsys):
+    text = "".join(f"model.{key} = {value}\n" for key, value in raw.items())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "grid.theta_end = 1\ngrid.samples = 3\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"config error: {field_name} must be finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_irrelevant_fields_must_stay_neutral():
@@ -221,19 +239,20 @@ def test_tabulated_geometry_restrictions():
 
 # Per field: its default (or neutral) value first, then values that some
 # kind accepts and values that every kind rejects.
+_INF = float("inf")
 _FIELD_VALUES = {
-    "thiele": [1.5, 0.0, -1.0],
-    "psi": [0.0, 0.05, -0.1],
-    "sigma_g_sq": [0.0, 0.3, -0.1],
-    "psi_cap": [0.0, 2.0, -1.0],
-    "beta": [0.0, 0.5, -1.0],
-    "z_ratio": [1.0, 1.4, 0.7, 0.0],
-    "porosity0": [0.5, 0.3, 0.0, 1.0],
-    "solid_order": [1.0, 0.5, 3.0, 2.0],
-    "psi_ab": [1.0, 0.5, 0.0, 1.5],
-    "thiele_a": [0.0, 1.0, -1.0],
-    "thiele_c": [0.0, 2.0, -1.0],
-    "sherwood": [None, 5.0, 0.0, -1.0],
+    "thiele": [1.5, 0.0, -1.0, _INF],
+    "psi": [0.0, 0.05, -0.1, _INF],
+    "sigma_g_sq": [0.0, 0.3, -0.1, _INF],
+    "psi_cap": [0.0, 2.0, -1.0, _INF],
+    "beta": [0.0, 0.5, -1.0, _INF],
+    "z_ratio": [1.0, 1.4, 0.7, 0.0, _INF],
+    "porosity0": [0.5, 0.3, 0.0, 1.0, _INF],
+    "solid_order": [1.0, 0.5, 3.0, 2.0, _INF],
+    "psi_ab": [1.0, 0.5, 0.0, 1.5, _INF],
+    "thiele_a": [0.0, 1.0, -1.0, _INF],
+    "thiele_c": [0.0, 2.0, -1.0, _INF],
+    "sherwood": [None, 5.0, 0.0, -1.0],  # "inf" spells None in a config
 }
 
 
@@ -243,11 +262,19 @@ def _fields(**moved):
 
 @st.composite
 def _model_inputs(draw):
-    """Every ModelParams field set, up to two off their default, as (kind, fields, F_p, F_g)."""
+    """Every ModelParams field set, as (kind, fields, F_p, F_g).  Up to two of the
+    groups the kind reads, or psi, move off their default, and F_p is drawn; a
+    group the kind does not read stays at its neutral value."""
     kind = draw(st.sampled_from(list(ModelKind)))
-    moved = draw(st.sets(st.sampled_from(list(_FIELD_VALUES)), max_size=2))
-    fields = _fields(**{name: draw(st.sampled_from(_FIELD_VALUES[name][1:])) for name in moved})
-    return kind, fields, draw(st.sampled_from([3, 1, 2])), draw(st.sampled_from([3, 2, 1, 4]))
+    reads = core._RELEVANT[kind]
+    moved = draw(st.sets(st.sampled_from(sorted(_FIELD_VALUES.keys() & (reads | {"psi"}))),
+                         max_size=2))
+    unread = {name: neutral for name, neutral in core._NEUTRAL.items()
+              if name in _FIELD_VALUES and name not in reads}
+    fields = _fields(**unread, **{name: draw(st.sampled_from(_FIELD_VALUES[name][1:]))
+                                  for name in moved})
+    fg = draw(st.sampled_from([3, 2, 1, 4])) if "grain" in reads else 3
+    return kind, fields, draw(st.sampled_from([3, 1, 2])), fg
 
 
 def _outcome(build):
@@ -259,7 +286,7 @@ def _outcome(build):
 
 @settings(max_examples=500, deadline=None)
 @given(_model_inputs(), st.booleans())
-# accepted models, one per kind: most draws name a group their kind does not read
+# accepted models, one per kind
 @example((ModelKind.VOLUME_FIRST_ORDER, _fields(), 3, 3), False)
 @example((ModelKind.VOLUME_HALF_ORDER, _fields(solid_order=0.5), 1, 3), True)  # rarely drawn
 @example((ModelKind.GRAIN_SIMPLE, _fields(sherwood=5.0), 3, 2), True)

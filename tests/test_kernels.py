@@ -212,7 +212,7 @@ def test_m_coth_m_minus_1_against_mpmath():
     # subtraction was off by 3e-13 just above the former 1e-4 series cutoff
     mp = pytest.importorskip("mpmath")
     xs = np.concatenate([[0.0], np.geomspace(1e-8, 50.0, 400)])
-    got = m_coth_m_minus_1(xs)
+    got = [m_coth_m_minus_1(float(x)) for x in xs]
     with mp.workdps(50):
         exact = [mp.mpf(x) / mp.tanh(mp.mpf(x)) - 1 if x else mp.mpf(0) for x in xs]
         err = max(abs(mp.mpf(g) - e) for g, e in zip(got, exact))

@@ -19,6 +19,7 @@ from gassolid import (
     steppers,
 )
 from gassolid.core import LN_B_CAP, PelletState
+from gassolid.driver import sample_schedule
 
 ZOO = [
     {"kind": "volume_first_order", "phi_v": 1.5},
@@ -483,6 +484,13 @@ def test_snapshot_tolerance_at_both_ends():
     assert res.warnings == ["snapshot theta(s) outside [0, 1] dropped: 1.000000001"]
 
 
+@pytest.mark.parametrize("theta_end", [math.nan, math.inf])
+def test_sample_schedule_rejects_nonfinite_end(theta_end):
+    # a NaN or infinite end used to give a schedule of NaN
+    with pytest.raises(SolverError, match="theta_end must be nonnegative and finite"):
+        sample_schedule(theta_end, 11)
+
+
 def test_grain_run_reaches_exhaustion(grid):
     p = build_model({"kind": "grain_simple", "sigma": 1.0, "F_g": 1, "F_p": 1})
     stepper = make_stepper(p, grid)
@@ -495,6 +503,20 @@ def test_grain_run_reaches_exhaustion(grid):
     assert status is StepStatus.EXHAUSTED
     assert conversion(state, p) == pytest.approx(1.0, abs=1e-12)
     assert state.y_m == 0.0
+
+
+@pytest.mark.parametrize("fg", [1, 2, 3])
+@pytest.mark.parametrize("sherwood", [None, 5.0])
+def test_exhausted_grain_pellet_consumes_no_gas(fg, sherwood):
+    # a used-up grain takes no gas, so the gas fills the exhausted pellet; with
+    # F_g = 1 the law's r ** 0 used to give it the full modulus (gas min 0.551)
+    raw = {"kind": "grain_simple", "sigma": 2.0, "F_g": fg}
+    if sherwood is not None:
+        raw["sh"] = sherwood
+    res = run_qm(build_model(raw), SpatialGrid(101), 8.0, 5, (8.0,))
+    (snap,) = res.snapshots
+    assert res.x[-1] == 1.0 and not snap.solid.any()
+    assert np.all(snap.gas == 1.0)
 
 
 def test_decrement_cap_respected(grid):
