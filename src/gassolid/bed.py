@@ -65,6 +65,14 @@ def surface_transmission(M, biot_m: float):
     return filmed_sphere_ratio(M, 1.0, biot_m)
 
 
+def segment_spans(eta: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, stop) per segment between consecutive ``edges``: its nodes of
+    the ascending grid ``eta``, those within 1e-12 of its ends, are
+    ``eta[first:stop]``; a segment with ``stop <= first`` holds none."""
+    return (np.searchsorted(eta, edges[:-1] - 1e-12, side="left"),
+            np.searchsorted(eta, edges[1:] + 1e-12, side="right"))
+
+
 class SegmentedBulkSolver:
     """Piecewise closed-form solver for the axial bulk balance.
 
@@ -90,12 +98,10 @@ class SegmentedBulkSolver:
         # each segment's nodes, padded to the longest by repeating its last node,
         # and their trapezoid mean weights, read by every segment mean; the
         # repeats span no length, so they weigh 0
-        seg_nodes = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            idx = np.nonzero((self.eta >= lo - 1e-12) & (self.eta <= hi + 1e-12))[0]
-            if idx.size == 0:
-                raise SolverError("axial grid too coarse for the requested segment count")
-            seg_nodes.append(idx)
+        first, stop = segment_spans(self.eta, edges)
+        if np.any(stop <= first):
+            raise SolverError("axial grid too coarse for the requested segment count")
+        seg_nodes = [np.arange(i, j) for i, j in zip(first, stop)]
         k = max(idx.size for idx in seg_nodes)
         self.nodes = np.array([np.pad(idx, (0, k - idx.size), mode="edge") for idx in seg_nodes])
         x = self.eta[self.nodes]

@@ -110,6 +110,9 @@ def _summary(cfg: RunConfig, qm: RunResult | None, fd: RunResult | None,
             lines.append(f"final_X_A = {_fmt(run.x_a[-1])}")
         for warning in run.warnings:
             lines.append(f"warning = {warning}")
+        if run.diagnostics is not None:  # the oracle's last step, marches run and residuals
+            for key in ("dtheta", "levels", "max_flux_residual", "balance_residual"):
+                lines.append(f"{key} = {_fmt(run.diagnostics[key])}")
     if metrics is not None:
         lines.append("[compare]")
         lines.append(f"max_abs_dX = {_fmt(metrics.max_abs_dx)}")

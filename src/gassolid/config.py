@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .bed import BedParams
-from .core import ConfigError, ModelParams, _as_float, build_model
+import numpy as np
+
+from .bed import BedParams, segment_spans
+from .core import ConfigError, ModelParams, SpatialGrid, _as_float, build_model
 from .steppers import DEFAULT_DECREMENT_CAP
 
 
@@ -78,6 +80,23 @@ class RunConfig:
             raise ConfigError("grid.samples must be at least 2")
         if not self.decrement_cap > 0.0:
             raise ConfigError(f"grid.decrement_cap must be positive, got {self.decrement_cap}")
+        SpatialGrid(self.grid_n)  # its own rule on the node count
+        if self.bed is None:
+            return
+        # the sizes march_bed would reject, checked before anything is solved
+        n_radial, n_segments, n_eta = self.bed_n_radial, self.bed_n_segments, self.bed_n_eta
+        if n_radial < 3 or n_radial % 2 == 0:
+            raise ConfigError(f"bed.n_radial must be odd and >= 3, got {n_radial}")
+        if n_segments < 1:
+            raise ConfigError(f"bed.n_segments must be at least 1, got {n_segments}")
+        if n_eta >= 2:
+            first, stop = segment_spans(np.linspace(0.0, self.bed.bed_length, n_eta),
+                                        np.linspace(0.0, self.bed.bed_length, n_segments + 1))
+        if n_eta < 2 or np.any(stop <= first):
+            raise ConfigError(f"bed.n_eta = {n_eta} is too coarse for "
+                              f"bed.n_segments = {n_segments}: a segment holds no node")
+        if self.bed_samples < 2:
+            raise ConfigError(f"bed.samples must be at least 2, got {self.bed_samples}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

@@ -24,7 +24,10 @@ accumulation the gas and the solid advance together, second order in the
 step: the predictor takes the rates under the gas at the step start, one
 Crank-Nicolson step from that gas under the reaction and structure
 averaged over the state and the predictor gives the end-of-step gas, and
-the corrector's rates take the predictor under it.  A cell whose pores
+the corrector's rates take the predictor under it.  That step is an
+implicit half step to its mean gas m, (2C + L) m = 2C a_old with C the
+capacity and L the operator, and a_new = 2m - a_old (Crank and Nicolson,
+1947), so the operator is never applied explicitly.  A cell whose pores
 closed on both faces and that no longer reacts has a zero row in the
 quasi-steady system and is given a = 0.  At each sample end a law with a
 structure factor looks for cells whose pores closed (delta = 0) around
@@ -44,7 +47,7 @@ Each :class:`_GasGrid` builds the face conductances and the bands of the
 flux operator without a structure factor once, read-only; conversions use
 ``analysis.converted``.  The caller forms the reaction term ``rho * vol``
 once per gas solve and passes it to the solve, which copies the bands and
-adds it (plus the capacity term for Crank-Nicolson), and to the balance
+adds it (with twice the capacity for Crank-Nicolson), and to the balance
 ``_gas_balance``; ``_qss_uptake`` does all three for a quasi-steady state.
 
 The moving-boundary second stage needs no special casing here: clamping
@@ -54,6 +57,7 @@ receding-front behavior on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -242,7 +246,9 @@ def solve_banded(bands: np.ndarray) -> np.ndarray:
     solution returned is a view of its last row.
     """
     global _dgtsv
-    if not np.isfinite(bands).all():
+    flat = bands.ravel()  # a finite sum of squares proves every entry finite; past
+    # about 1e154 it overflows (numpy warns), and only then is each entry checked
+    if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(bands).all():
         raise ValueError("array must not contain infs or NaNs")
     if _dgtsv is None:
         from scipy.linalg.lapack import dgtsv as _dgtsv
@@ -378,21 +384,25 @@ def _refined(march, ctl: FdControl, failure: str) -> RunResult:
     Each level restarts the march with half the step.  The sampled
     conversions (X, and X_a for two gases) must move by less than
     ``_REFINE_TOL`` within ``_MAX_REFINES`` levels, else ``failure``
-    (formatted with the last ``drift``) is raised.
+    (formatted with the last ``drift``) is raised.  The result's
+    diagnostics get ``levels``, the number of marches run.
     """
     result = march(ctl.dtheta)
-    if not ctl.auto_refine:
-        return result
-    dtheta = ctl.dtheta
-    for _ in range(_MAX_REFINES):
-        dtheta /= 2.0
-        finer = march(dtheta)
-        drift = max(float(np.max(np.abs(f - c)))
-                    for f, c in ((finer.x, result.x), (finer.x_a, result.x_a)) if c is not None)
-        result = finer
-        if drift < _REFINE_TOL:
-            return result
-    raise SolverError(failure.format(drift=drift))
+    levels = 1
+    if ctl.auto_refine:
+        dtheta = ctl.dtheta
+        for levels in range(2, _MAX_REFINES + 2):
+            dtheta /= 2.0
+            finer = march(dtheta)
+            drift = max(float(np.max(np.abs(f - c))) for f, c in
+                        ((finer.x, result.x), (finer.x_a, result.x_a)) if c is not None)
+            result = finer
+            if drift < _REFINE_TOL:
+                break
+        else:
+            raise SolverError(failure.format(drift=drift))
+    result.diagnostics["levels"] = levels
+    return result
 
 
 def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
@@ -483,8 +493,8 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
         warnings=[sample_warning(PORES_CLOSED, plugged)] if plugged else [],
         label="fd",
         diagnostics={
-            "max_flux_residual": max_flux_residual,
-            "balance_residual": balance_residual,
+            "max_flux_residual": float(max_flux_residual),
+            "balance_residual": float(balance_residual),
             "dtheta": dtheta,
         },
     )
@@ -492,21 +502,18 @@ def _fd_march(params: ModelParams, schedule: np.ndarray, ctl: FdControl,
 
 def _advance_gas_cn(gg: _GasGrid, a_old: np.ndarray, rv: np.ndarray, delta,
                     accum: float, dt: float):
-    """One Crank-Nicolson gas step (Dirichlet surface); ``rv`` is ``rho * vol``."""
+    """One Crank-Nicolson gas step (Dirichlet surface), solved for the step's
+    mean gas m = (a_old + a_new) / 2; ``rv`` is ``rho * vol``."""
     cond = gg.conductance(delta)
-    cap = accum * gg.vol / dt
-    # explicit part: the operator div(cond grad a) - rho a applied to a_old
-    explicit = np.empty(gg.n)
-    flux = cond * (a_old[1:] - a_old[:-1])
-    explicit[0] = flux[0] - rv[0] * a_old[0]
-    explicit[1:-1] = flux[1:] - flux[:-1] - rv[1:-1] * a_old[1:-1]
-    explicit[-1] = 0.0
-    bands = gg.operator_bands(cond, rv)
-    bands[:3] *= 0.5
-    bands[1] += cap
-    bands[3] = cap * a_old + 0.5 * explicit
+    cap = (2.0 * accum / dt) * gg.vol
+    bands = gg.operator_bands(cond, rv + cap)
+    bands[3] = cap * a_old
     _dirichlet_surface(bands)
-    return solve_banded(bands), cond
+    bands[3, -1] = 0.5 * (1.0 + a_old[-1])  # the mean of the surface gas
+    a_new = solve_banded(bands)
+    a_new *= 2.0
+    a_new -= a_old
+    return a_new, cond
 
 
 def _fd_solve_simultaneous(params: ModelParams, theta_end: float, ctl: FdControl,

@@ -108,6 +108,21 @@ def test_compare_mode(tmp_path):
     assert float(line.split("=")[1]) < 0.02
 
 
+def test_compare_summary_reports_the_oracle_refinement(tmp_path):
+    # aim 4: the oracle's last step, its marches and its residuals in summary.txt
+    cfg = Path(__file__).resolve().parents[1] / "sample_configs" / "grain_compare.cfg"
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    fd = lines[lines.index("[fd]") + 1:lines.index("[compare]")]
+    values = dict(line.split(" = ") for line in fd)
+    assert values["dtheta"] == "0.002"
+    assert values["levels"] == "2"
+    assert float(values["max_flux_residual"]) <= 1e-6
+    assert float(values["balance_residual"]) <= 1e-4
+    assert "levels" not in lines[:lines.index("[fd]")]  # the QM section has none
+
+
 def test_fd_only_mode(tmp_path):
     text = BASE.replace("mode = qm_only", "mode = fd_only").replace(
         "grid.theta_end = 2.0", "grid.theta_end = 1.0").replace(
@@ -404,25 +419,18 @@ def test_sweep_bad_specs(tmp_path):
 
 
 def test_solver_error_exit_code(tmp_path, capsys):
-    # axial grid too coarse for the segment count -> hard solver error
-    text = BASE + """
-bed.peclet = 1.1
-bed.beta = 3.3
-bed.phi = 10
-bed.biot_m = 50
-bed.n_eta = 17
-bed.n_segments = 64
-bed.tau_end = 0.1
-bed.dtau = 0.05
-bed.samples = 3
-"""
+    # gas accumulation without a modulus leaves the QM step no gas capacity
+    text = BASE.replace("phi_v = 1.0", "phi_v = 0").replace("model.psi = 0", "model.psi = 0.05")
     cfg = _write(tmp_path, text)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 3
-    assert "solver error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver error" in err and "psi_phi_sq must be positive" in err
 
 
 @pytest.mark.parametrize("n_segments, samples", [(0, 3), (4, 1)])
 def test_bad_bed_counts_exit_code(tmp_path, capsys, n_segments, samples):
+    # rejected when the config loads; both used to end in a solver error
+    # (exit 3) after the pellet had been solved, leaving an empty directory
     text = BASE + f"""
 bed.peclet = 1.1
 bed.beta = 3.3
@@ -435,9 +443,41 @@ bed.dtau = 0.05
 bed.samples = {samples}
 """
     out = tmp_path / "o"
-    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), "--quiet"]) == 3
-    assert "solver error" in capsys.readouterr().err
-    assert not (out / "bed.csv").exists()
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("grid.n", "100", "grid size must be odd and >= 101, got 100"),
+    ("grid.n", "99", "grid size must be odd and >= 101, got 99"),
+    ("bed.n_radial", "100", "bed.n_radial must be odd and >= 3, got 100"),
+    ("bed.n_radial", "1", "bed.n_radial must be odd and >= 3, got 1"),
+    ("bed.n_segments", "0", "bed.n_segments must be at least 1, got 0"),
+    ("bed.n_eta", "1", "bed.n_eta = 1 is too coarse for bed.n_segments = 4"),
+    ("bed.n_eta", "2", "bed.n_eta = 2 is too coarse for bed.n_segments = 4"),
+    ("bed.samples", "1", "bed.samples must be at least 2, got 1"),
+])
+def test_bad_sizes_exit_code(tmp_path, capsys, key, value, message):
+    # each size is checked when the config loads, so nothing is solved or
+    # written; a bad grid.n used to leave an empty output directory
+    lines = [line for line in (BASE + _BED_TEXT).splitlines() if not line.startswith(key + " ")]
+    cfg = _write(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coarsest_axial_grid_that_fills_every_segment_runs():
+    # 3 nodes (0, 1/2, 1) put one on an end of every quarter of the bed (2
+    # leave the middle quarters empty), and the config check takes what the
+    # bulk solver takes
+    entries = {**parse_config_text(BASE + _BED_TEXT), "bed.n_eta": "3"}
+    cfg = config_from_entries(entries)
+    res = march_bed(cfg.bed, cfg.bed_dtau, cfg.bed_tau_end, cfg.bed_n_eta, cfg.bed_n_radial,
+                    cfg.bed_n_segments, cfg.bed_samples)
+    assert res.bulk.shape == (3, 3)
 
 
 def test_quasi_steady_and_unsteady_sweep(tmp_path):

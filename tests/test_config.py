@@ -16,9 +16,15 @@ BED = {"bed.peclet": "1.1", "bed.beta": "3.3", "bed.phi": "10", "bed.biot_m": "5
 
 _POSITIVE = st.floats(1e-9, 1e9)
 
+
+def _odd(lo: int, hi: int):
+    """(text, value) of an odd integer in [lo, hi], both odd."""
+    return st.integers(lo // 2, hi // 2).map(lambda k: (str(2 * k + 1), 2 * k + 1))
+
+
 # key -> (where load_config puts it, how to draw a (text, value) pair)
 FIELDS = {
-    "grid.n": ("grid_n", st.integers(1, 10**6).map(lambda v: (str(v), v))),
+    "grid.n": ("grid_n", _odd(101, 999_999)),
     "grid.theta_end": ("theta_end", _POSITIVE.map(lambda v: (repr(v), v))),
     "grid.samples": ("samples", st.integers(2, 10**6).map(lambda v: (str(v), v))),
     "grid.decrement_cap": ("decrement_cap", _POSITIVE.map(lambda v: (repr(v), v))),
@@ -33,8 +39,9 @@ FIELDS = {
     "bed.bed_length": ("bed.bed_length", _POSITIVE.map(lambda v: (repr(v), v))),
     "bed.dtau": ("bed_dtau", _POSITIVE.map(lambda v: (repr(v), v))),
     "bed.tau_end": ("bed_tau_end", _POSITIVE.map(lambda v: (repr(v), v))),
-    "bed.n_eta": ("bed_n_eta", st.integers(2, 10**6).map(lambda v: (str(v), v))),
-    "bed.n_radial": ("bed_n_radial", st.integers(3, 10**6).map(lambda v: (str(v), v))),
+    # more nodes than the most segments drawn, so that every segment holds one
+    "bed.n_eta": ("bed_n_eta", st.integers(10**4 + 1, 10**6).map(lambda v: (str(v), v))),
+    "bed.n_radial": ("bed_n_radial", _odd(3, 999_999)),
     "bed.n_segments": ("bed_n_segments", st.integers(1, 10**4).map(lambda v: (str(v), v))),
     "bed.samples": ("bed_samples", st.integers(2, 10**6).map(lambda v: (str(v), v))),
 }

@@ -55,6 +55,24 @@ def test_flux_identity_and_global_balance():
     assert d["balance_residual"] <= 1e-4    # time-integrated uptake equals X
 
 
+@pytest.mark.parametrize("raw", [
+    {"kind": "volume_first_order", "phi_v": 1.0},
+    {"kind": "volume_first_order", "phi_v": 1.0, "psi": 0.1},
+    {"kind": "simultaneous", "sigma_a": 0.3, "sigma_c": 1.0, "psi_ab": 0.4},
+])
+@pytest.mark.parametrize("auto_refine", [False, True])
+def test_diagnostics_are_python_numbers(raw, auto_refine):
+    # summary.txt prints them, so no numpy scalar; levels counts the marches run
+    ctl = FdControl(n_space=21, dtheta=0.05, auto_refine=auto_refine)
+    d = fd_solve(build_model(raw), 0.5, ctl, samples=6).diagnostics
+    assert set(d) == {"dtheta", "levels", "max_flux_residual", "balance_residual"}
+    assert type(d["levels"]) is int
+    assert all(type(d[key]) is float for key in ("dtheta", "max_flux_residual",
+                                                  "balance_residual"))
+    assert d["dtheta"] == 0.05 / 2 ** (d["levels"] - 1)
+    assert d["levels"] >= 2 if auto_refine else d["levels"] == 1
+
+
 def test_flux_identity_with_film_and_structure():
     p = build_model({"kind": "random_pore", "phi_r": 1.0, "psi_cap": 1.5,
                      "beta": 0.2, "z": 1.2, "eps0": 0.5, "sh": 5})
@@ -218,6 +236,16 @@ PINNED_X = [
      [0.0, 0.007619599233290364, 0.053526899924531524, 0.15135916232111024,
       0.2923293857853585, 0.4549039253626097, 0.6137300254667077, 0.7486309253726018,
       0.8503062615690773, 0.9195990630928507, 0.9624605091040134]),
+    # unsteady gas under a structure factor averaged over the state and the predictor
+    ({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.2, "Z_v": 1.4, "eps0": 0.5,
+      "psi": 0.05}, 2.0,
+     [0.0, 0.394572599780037, 0.6516440957478402, 0.8184990073229869,
+      0.9219640344104211, 0.9774687983952371, 0.9976755651230415, 0.9999960720584707,
+      1.0, 1.0, 1.0]),
+    ({"kind": "random_pore", "phi_r": 1.5, "psi_cap": 2, "psi": 0.02}, 2.0,
+     [0.0, 0.17166848472908813, 0.33670659261197244, 0.48627094845881114,
+      0.61584957540643, 0.7232064840073782, 0.8081916418849193, 0.8723795687122683,
+      0.9185681294175881, 0.9502020403066955, 0.9708173287995114]),
 ]
 PINNED_BED = [
     0.5974679699744052, 0.5751219340037282, 0.5525629535365406, 0.5299799632400277,
@@ -406,14 +434,31 @@ def _dominant_bands(n: int, seed: int) -> np.ndarray:
     return bands
 
 
-@pytest.mark.parametrize("n", [3, 401])
-def test_solve_banded_matches_scipy(n):
-    bands = _dominant_bands(n, seed=n)
+def _scipy_solve(bands: np.ndarray) -> np.ndarray:
+    n = bands.shape[1]
     ab = np.zeros((3, n))  # scipy's (1, 1) layout
     ab[0, 1:] = bands[2, :-1]
     ab[1] = bands[1]
     ab[2, :-1] = bands[0, :-1]
-    want = scipy.linalg.solve_banded((1, 1), ab, bands[3].copy())
+    return scipy.linalg.solve_banded((1, 1), ab, bands[3].copy())
+
+
+@pytest.mark.parametrize("n", [3, 401])
+def test_solve_banded_matches_scipy(n):
+    bands = _dominant_bands(n, seed=n)
+    want = _scipy_solve(bands)
+    assert np.array_equal(fdref.solve_banded(bands), want)
+
+
+@pytest.mark.parametrize("row", range(4))
+@pytest.mark.parametrize("big", [1e200, -1e200])
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_solve_banded_takes_huge_finite_entries(row, big):
+    # the sum of squares overflows, so only the entrywise check may decide
+    bands = _dominant_bands(5, seed=2)
+    bands[row, 1] = big
+    want = _scipy_solve(bands)
+    assert np.all(np.isfinite(want))
     assert np.array_equal(fdref.solve_banded(bands), want)
 
 
