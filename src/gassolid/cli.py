@@ -126,8 +126,11 @@ def _summary(cfg: RunConfig, qm: RunResult | None, fd: RunResult | None,
 
 
 def execute_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> dict:
-    """Run one configuration and write its artifacts; returns summary values."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run one configuration and write its artifacts; returns summary values.
+
+    Every solve runs before the first file is written, and writing creates
+    ``out_dir``, so a run that fails leaves no output directory behind.
+    """
     grid = SpatialGrid(cfg.grid_n)
     qm = fd = None
     metrics = None

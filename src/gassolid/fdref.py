@@ -41,8 +41,8 @@ bed's bulk BVP) goes through :func:`solve_banded`, a direct call of LAPACK
 ``gtsv``, the routine ``scipy.linalg.solve_banded`` calls for one band on
 each side, so the solutions are bit-identical to it; scipy's two checks
 stay (inf or NaN raises ``ValueError``, a zero pivot ``LinAlgError``).
-scipy is imported on the first solve, not with the module, so runs that
-never use the oracle (QM and bed runs) never load it.
+LAPACK is bound on the first solve, not with the module, so runs that never
+use the oracle (QM and bed runs) never load scipy; see :func:`_load_dgtsv`.
 Each :class:`_GasGrid` builds the face conductances and the bands of the
 flux operator without a structure factor once, read-only; conversions use
 ``analysis.converted``.  The caller forms the reaction term ``rho * vol``
@@ -57,8 +57,12 @@ receding-front behavior on its own.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 
@@ -67,7 +71,7 @@ from .core import B_MIN, LN_B_CAP, SOLID_FLOOR, ModelKind, ModelParams, SolverEr
 from .driver import PORES_CLOSED, RunResult, sample_schedule, sample_warning, split_interval
 
 _R_FLOOR = 1e-12
-_dgtsv = None  # scipy.linalg.lapack.dgtsv, bound by the first solve_banded call
+_dgtsv = None  # LAPACK dgtsv, bound by the first solve_banded call
 _REFINE_TOL = 1e-5  # auto_refine stops once the sampled conversions move less than this
 _MAX_REFINES = 6  # halvings of dtheta before auto_refine gives up
 
@@ -237,6 +241,33 @@ _FD_MODELS = {
 # ---------------------------------------------------------------------------
 
 
+def _load_dgtsv():
+    """LAPACK ``dgtsv`` from scipy's f2py module ``scipy.linalg._flapack``.
+
+    The module is loaded straight from its file, so the package init of
+    ``scipy.linalg``, most of a fresh FD run's start-up, never runs.  The
+    extension enters itself in ``sys.modules``, where a later ``import
+    scipy.linalg`` finds it, and a module already there is reused.  The
+    file's place is private to scipy, so if anything about loading it
+    fails, the public import binds dgtsv.
+    """
+    name = "scipy.linalg._flapack"
+    try:
+        flapack = sys.modules.get(name)
+        if flapack is None:
+            import scipy
+
+            folder = Path(scipy.__file__).parent / "linalg"
+            path = next(p for s in EXTENSION_SUFFIXES if (p := folder / f"_flapack{s}").is_file())
+            spec = importlib.util.spec_from_file_location(name, path)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+        return flapack.dgtsv
+    except Exception:  # whatever changed in scipy's private layout, the public path holds
+        from scipy.linalg.lapack import dgtsv
+        return dgtsv
+
+
 def solve_banded(bands: np.ndarray) -> np.ndarray:
     """Solve a tridiagonal system packed as a ``(4, n)`` float64 array.
 
@@ -251,7 +282,7 @@ def solve_banded(bands: np.ndarray) -> np.ndarray:
     if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(bands).all():
         raise ValueError("array must not contain infs or NaNs")
     if _dgtsv is None:
-        from scipy.linalg.lapack import dgtsv as _dgtsv
+        _dgtsv = _load_dgtsv()
     *_, x, info = _dgtsv(bands[0, :-1], bands[1], bands[2, :-1], bands[3], 1, 1, 1, 1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

@@ -27,12 +27,17 @@ array is formed.  The cut is the first k with
 (min M^2 + lam_k^2) / max(scale) * t >= 36.  That bound is at most
 omega_k t at every node, and the rounded bound is too, because every
 operation in it rounds monotonically.  omega_k increases with k at each node, so every mode after
-the cut is dead as well.  The first dead mode is kept as the last term, so
+the cut is dead as well.  When the cut falls at the first mode, the whole
+transient is dead and profile_unsteady returns the steady profile before
+any series is built.  The first dead mode is kept as the last term, so
 the tail smoothing and the truncation flags see a dead last term, as with
 all _MAX_TERMS modes.  Whenever mode _MAX_TERMS is still live (theta = 0 or
 the early transient), no mode is dropped, and a last term above _TERM_TOL
 (times dtheta for the exposure integral) flags the series as truncated, as
 does an early-transient value that the clip to [0, 1] moves by more.
+A late-transient profile (its last kept mode dead) keeps the decay
+exp(-omega_k theta) of its modes, which exposure_increment reuses rather
+than forming it again; an early-transient one keeps none.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ _Y_NORMAL = np.finfo(float).tiny  # the smallest normal y; below it a sphere sha
 _FILM_SCALE = 2.0**600  # exact factor that keeps the filmed sphere's products normal
 _DEAD = 36.0  # omega * theta beyond which exp(-omega theta) < 2.4e-16: a dead mode
 _MAX_TERMS = 200  # modes of the unsteady eigen-series
+# lam_1^2 of the sphere (True) and the slab, rounded as _series_basis rounds lam**2
+_LAM1_SQ = {True: math.pi * math.pi, False: (math.pi / 2.0) * (math.pi / 2.0)}
 _TERM_TOL = 1e-10  # a last term above this marks the series as truncated
 _FRONT_TOL = 1e-10  # bracket width on y_m at which the front solve stops
 _FRONT_STEPS = math.ceil(-math.log2(_FRONT_TOL))  # halvings of [0, 1] to _FRONT_TOL: 34
@@ -226,6 +233,17 @@ def _series_basis(y_bytes: bytes, is_sphere: bool, n_terms: int):
     return lam_sq, basis
 
 
+def _decay_bound(m_sq, lam_sq, scale, t: float):
+    """(min M^2 + lam_k^2) / max(scale) * t for lam_sq, one lam_k^2 or an array of them.
+
+    The bound is at most omega_k t at every node (module docstring), so a
+    mode whose bound is at least _DEAD is dead at every node.  ``m_sq`` is
+    a numpy value.  The two reductions are numpy scalars, so a float lam_sq
+    costs no array operation: profile_unsteady's test of the first mode.
+    """
+    return (m_sq.min() + lam_sq) / np.asarray(scale).max() * t
+
+
 def _series_terms(M, scale, t: float, y, geometry: PelletGeometry, n_terms: int):
     """Coefficients C (K, n) and decay rates omega (K, n) of the modes live at time t.
 
@@ -234,7 +252,7 @@ def _series_terms(M, scale, t: float, y, geometry: PelletGeometry, n_terms: int)
     """
     lam_sq, basis = _series_basis(y.tobytes(), geometry.is_sphere, n_terms)
     m_sq = np.broadcast_to(np.asarray(M, dtype=float), y.shape) ** 2
-    dead = (np.min(m_sq) + lam_sq) / np.max(scale) * t >= _DEAD
+    dead = _decay_bound(m_sq, lam_sq, scale, t) >= _DEAD
     n_live = int(np.argmax(dead)) + 1 if dead[-1] else n_terms
     denom = m_sq[None, :] + lam_sq[:n_live, None]
     return basis[:n_live] / denom, denom / scale
@@ -248,6 +266,7 @@ class _Transient:
     coef: np.ndarray
     omega: np.ndarray
     theta: float
+    decay: np.ndarray | None  # exp(-omega theta) in the late transient, else None
 
 
 def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
@@ -259,20 +278,25 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
     to the quasi-steady one as the exponentials decay; at theta = 0 it is
     identically zero in the open interior (surface node pinned to 1).
     Unless every mode has decayed, the profile keeps its modes for
-    `exposure_increment`.
+    `exposure_increment`, and in the late transient also their decay
+    exp(-omega theta).  When `_decay_bound` already finds the first mode
+    dead, the steady profile is returned before any series is built.
     """
     if theta < 0.0:
         raise SolverError("theta must be nonnegative")
     scale = _positive_scale(psi_phi_sq)
     steady = shape_ratio(geometry, M, grid.y)
+    if _decay_bound(np.asarray(M, dtype=float) ** 2, _LAM1_SQ[geometry.is_sphere], scale, theta) >= _DEAD:
+        return GasProfile(values=steady)
     coef, omega = _series_terms(M, scale, theta, grid.y, geometry, _MAX_TERMS)
     if float(np.min(omega[0]) * theta) >= _DEAD:
         # every mode has decayed below double precision
         return GasProfile(values=steady)
-    truncated = False
+    truncated, decay = False, None
     if float(np.min(omega[-1]) * theta) >= _DEAD:
         # the retained modes resolve the transient; the truncated tail is dead
-        values = steady + _smoothed_sum(coef * np.exp(-omega * theta))
+        decay = np.exp(-omega * theta)
+        values = steady + _smoothed_sum(coef * decay)
     else:
         # Very early transient: sum coef * expm1(-omega theta), which makes
         # the Fourier cancellation at theta = 0 exact term by term.  The
@@ -286,7 +310,7 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
         truncated = theta > 0.0 and (clipped or float(np.max(np.abs(terms[-1]))) > _TERM_TOL)
     values[-1] = steady[-1]  # Dirichlet surface holds for all theta > 0
     return GasProfile(values=values, truncated=truncated,
-                      _transient=_Transient(steady, coef, omega, theta))
+                      _transient=_Transient(steady, coef, omega, theta, decay))
 
 
 def exposure_increment(profile: GasProfile, dtheta: float):
@@ -303,7 +327,8 @@ def exposure_increment(profile: GasProfile, dtheta: float):
     if tr is None:
         return profile.values * dtheta, False
     # exp(-w t0) - exp(-w t1) = -exp(-w t0) * expm1(-w dtheta)
-    terms = tr.coef * (-np.exp(-tr.omega * tr.theta) * np.expm1(-tr.omega * dtheta) / tr.omega)
+    decay = np.exp(-tr.omega * tr.theta) if tr.decay is None else tr.decay
+    terms = tr.coef * (-decay * np.expm1(-tr.omega * dtheta) / tr.omega)
     truncated = float(np.max(np.abs(terms[-1]))) > _TERM_TOL * max(dtheta, 1e-300)
     out = tr.steady * dtheta + _smoothed_sum(terms)
     out[-1] = tr.steady[-1] * dtheta  # series vanishes at the surface

@@ -427,6 +427,13 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert "solver error" in err and "psi_phi_sq must be positive" in err
 
 
+def test_solver_error_leaves_no_output_directory(tmp_path):
+    text = BASE.replace("phi_v = 1.0", "phi_v = 0").replace("model.psi = 0", "model.psi = 0.05")
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), "--quiet"]) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_segments, samples", [(0, 3), (4, 1)])
 def test_bad_bed_counts_exit_code(tmp_path, capsys, n_segments, samples):
     # rejected when the config loads; both used to end in a solver error
@@ -490,8 +497,8 @@ def test_quasi_steady_and_unsteady_sweep(tmp_path):
 
 
 # A fresh interpreter: QM and bed runs through execute_run, then one oracle
-# solve.  Only the oracle may load scipy, and only a parallel sweep
-# concurrent.futures.
+# solve.  Only the oracle may load scipy, and then not scipy.linalg's package
+# init, and only a parallel sweep concurrent.futures.
 _LAZY_IMPORTS = """
 import sys
 from pathlib import Path
@@ -515,6 +522,9 @@ assert not loaded, f"QM and bed runs loaded {loaded}"
 res = gassolid.fd_solve(gassolid.build_model({"kind": "volume_first_order", "phi_v": 1.0}), 0.5,
                         gassolid.FdControl(n_space=21, dtheta=0.05, auto_refine=False), 3)
 assert res.x[-1] > 0.0 and "scipy" in sys.modules
+assert "scipy.linalg" not in sys.modules, "the oracle ran scipy.linalg's package init"
+import scipy.linalg.lapack
+assert gassolid.fdref._dgtsv is scipy.linalg.lapack.dgtsv
 print("ok")
 """
 

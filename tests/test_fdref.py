@@ -1,9 +1,12 @@
+import importlib.util
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -448,6 +451,27 @@ def test_solve_banded_matches_scipy(n):
     bands = _dominant_bands(n, seed=n)
     want = _scipy_solve(bands)
     assert np.array_equal(fdref.solve_banded(bands), want)
+
+
+@pytest.mark.parametrize("loader_fails", [False, True])
+def test_solve_banded_binds_flapack_or_falls_back(monkeypatch, loader_fails):
+    # scipy.linalg is loaded here, so its _flapack is reused; with the module
+    # gone and a file loader that raises, the public import binds dgtsv
+    bands = _dominant_bands(401, seed=3)
+    want = _scipy_solve(bands)
+    refused = []
+
+    def refuse(*args):
+        refused.append(args)
+        raise ImportError("no loader")
+
+    monkeypatch.setattr(fdref, "_dgtsv", None)
+    if loader_fails:
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", refuse)
+    assert np.array_equal(fdref.solve_banded(bands), want)
+    assert fdref._dgtsv is scipy.linalg.lapack.dgtsv
+    assert len(refused) == loader_fails
 
 
 @pytest.mark.parametrize("row", range(4))

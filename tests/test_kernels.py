@@ -3,7 +3,7 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gassolid import (
@@ -481,6 +481,60 @@ def test_live_mode_cut_matches_full_series(M, scale, theta, dtheta, sphere, n_te
     assert prof.truncated == want_truncated
     want, want_truncated = _full_exposure(M, theta, dtheta, scale, grid, geom, n_terms)
     assert np.max(np.abs(dg - want)) <= 1e-14
+    assert truncated == want_truncated
+
+
+@pytest.mark.parametrize("sphere", [False, True])
+def test_first_mode_eigenvalue_matches_series_basis(sphere):
+    lam_sq, _ = _series_basis(SpatialGrid(_N_PROP).y.tobytes(), sphere, 200)
+    assert kernels._LAM1_SQ[sphere] == lam_sq[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=_modulus, scale=_scale, stretch=st.floats(1.0, 4.0), sphere=st.booleans())
+def test_early_exit_is_the_full_series_steady_profile(M, scale, stretch, sphere):
+    # from the time the bound finds mode 1 dead, the profile is the one the
+    # full series returns there, its steady part, and it builds no series
+    grid = SpatialGrid(_N_PROP)
+    geom = SPHERE if sphere else SLAB
+    lam1_sq = kernels._LAM1_SQ[sphere]
+    m_sq = np.asarray(M, dtype=float) ** 2
+    theta = stretch * 36.0 * np.max(scale) / (np.min(m_sq) + lam1_sq)
+    assume(kernels._decay_bound(m_sq, lam1_sq, scale, theta) >= 36.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_series_terms", None)  # a build would raise
+        prof = profile_unsteady(M, theta, scale, grid, geom)
+    _, omega = _series_terms(M, scale, theta, grid.y, geom, 200)
+    assert np.min(omega[0]) * theta >= 36.0  # the full series' all-dead check
+    assert np.array_equal(prof.values, shape_ratio(geom, M, grid.y))
+    assert prof._transient is None and not prof.truncated
+
+
+def _exposure_recomputed(tr, dtheta):
+    """exposure_increment of a transient, with exp(-omega theta) formed again."""
+    terms = tr.coef * (-np.exp(-tr.omega * tr.theta) * np.expm1(-tr.omega * dtheta) / tr.omega)
+    truncated = float(np.max(np.abs(terms[-1]))) > 1e-10 * max(dtheta, 1e-300)
+    out = tr.steady * dtheta + (np.sum(terms, axis=0) - 0.5 * terms[-1])
+    out[-1] = tr.steady[-1] * dtheta
+    return out, truncated
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=_modulus, scale=_scale, theta=_theta, dtheta=st.floats(0.0, 0.5), sphere=st.booleans())
+@example(M=1.5, scale=0.1, theta=0.05, dtheta=0.01, sphere=True)  # late transient
+@example(M=1.5, scale=0.1, theta=1e-6, dtheta=0.01, sphere=False)  # early transient
+def test_exposure_increment_reuses_the_late_transient_decay(M, scale, theta, dtheta, sphere):
+    prof = profile_unsteady(M, theta, scale, SpatialGrid(_N_PROP), SPHERE if sphere else SLAB)
+    tr = prof._transient
+    assume(tr is not None)
+    late = np.min(tr.omega[-1]) * theta >= 36.0
+    if late:
+        assert np.array_equal(tr.decay, np.exp(-tr.omega * theta))
+    else:
+        assert tr.decay is None
+    dg, truncated = exposure_increment(prof, dtheta)
+    want, want_truncated = _exposure_recomputed(tr, dtheta)
+    assert np.array_equal(dg, want)
     assert truncated == want_truncated
 
 

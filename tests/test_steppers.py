@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -977,22 +978,52 @@ def test_two_half_steps_match_one_step(case, theta0, dtheta):
         assert abs(measure(one, params) - measure(two, params)) <= stepper.cap
 
 
+_PSI_ORDERED = ("volume_first_order", "grain_simple", "nucleation")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unsteady_models().filter(lambda case: case[0].kind.value in _PSI_ORDERED))
+def test_more_accumulation_never_converts_faster(case):
+    # psi x 1.5 slows the gas's approach to its steady profile, so X at every
+    # sample is no higher; the bound is 0, as 600 draws of this box broke it by 0
+    params, theta_end = case
+    slower = dataclasses.replace(params, psi=1.5 * params.psi)
+    base = run_qm(params, SpatialGrid(101), theta_end, samples=31).x
+    assert np.all(run_qm(slower, SpatialGrid(101), theta_end, samples=31).x <= base)
+
+
 @pytest.mark.parametrize("raw", [
     {"kind": "volume_first_order", "phi_v": 2.0, "F_p": 1, "psi": 0.05},
     {"kind": "grain_simple", "sigma": 1.5, "F_g": 2, "psi": 0.05},
 ])
 def test_unsteady_substep_builds_series_once(monkeypatch, grid, raw):
-    calls = {"series": 0, "substeps": 0}
+    # at most one build per first-stage substep: exactly one where
+    # kernels._decay_bound finds the first mode live, none where it is dead
+    series, builds, live = [0], [], []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_series(*args):
+        series[0] += 1
+        return series_terms(*args)
 
-    monkeypatch.setattr(kernels, "_series_terms", counted("series", kernels._series_terms))
-    monkeypatch.setattr(steppers._PelletStepper, "_first_stage_substep",
-                        counted("substeps", steppers._PelletStepper._first_stage_substep))
+    def bounded_profile(M, theta, scale, grid, geometry):
+        bound = kernels._decay_bound(np.asarray(M, dtype=float) ** 2,
+                                     kernels._LAM1_SQ[geometry.is_sphere], scale, theta)
+        live[-1] += int(bound < kernels._DEAD)
+        return profile_unsteady(M, theta, scale, grid, geometry)
+
+    def counted_substep(self, *args):
+        before = series[0]
+        live.append(0)
+        out = substep(self, *args)
+        builds.append(series[0] - before)
+        return out
+
+    series_terms, profile_unsteady = kernels._series_terms, steppers.profile_unsteady
+    substep = steppers._PelletStepper._first_stage_substep
+    monkeypatch.setattr(kernels, "_series_terms", counted_series)
+    monkeypatch.setattr(steppers, "profile_unsteady", bounded_profile)
+    monkeypatch.setattr(steppers._PelletStepper, "_first_stage_substep", counted_substep)
     run_qm(build_model(raw), grid, 3.0, samples=31)
-    assert calls["substeps"] > 0
-    assert calls["series"] == calls["substeps"]
+    assert 0 < sum(live) < len(live)  # both live and fully decayed substeps
+    assert max(builds) <= 1
+    assert builds == live
