@@ -60,6 +60,7 @@ _LAM1_SQ = {True: math.pi * math.pi, False: (math.pi / 2.0) * (math.pi / 2.0)}
 _TERM_TOL = 1e-10  # a last term above this marks the series as truncated
 _FRONT_TOL = 1e-10  # bracket width on y_m at which the front solve stops
 _FRONT_STEPS = math.ceil(-math.log2(_FRONT_TOL))  # halvings of [0, 1] to _FRONT_TOL: 34
+_LAMBERT_ODD = tuple(float(k) for k in range(21, 1, -2))  # m_coth_m_minus_1's fraction, inside out
 
 
 @dataclass
@@ -79,13 +80,21 @@ class GasProfile:
 def m_coth_m_minus_1(x: float) -> float:
     """x*coth(x) - 1 of a float, stable for x -> 0 and large x.
 
-    With q = 1 - exp(-2x) taken from numpy's expm1, x coth x = x (2 - q) / q;
-    below 1e-2 the Taylor series, whose first omitted term is below 1e-19 there.
+    Below 1e-2 the Taylor series, whose first omitted term is below 1e-19
+    there.  Below 2 Lambert's continued fraction x^2 / (3 + x^2 / (5 + ...))
+    cut at 23, whose terms are all positive: within 2.5e-16 relative.  From 2
+    on, with q = 1 - exp(-2x) from numpy's expm1, x coth x = x (2 - q) / q;
+    below 2 its difference with 1 cancels (3e-12 relative just above 1e-2).
     (math.expm1 differs from numpy's in the last bit on some arguments.)
     """
+    x2 = x * x
     if x < 1e-2:
-        x2 = x * x
         return x2 / 3.0 - x2 * x2 / 45.0 + 2.0 * x2**3 / 945.0
+    if x < 2.0:
+        tail = 23.0
+        for k in _LAMBERT_ODD:
+            tail = k + x2 / tail
+        return x2 / tail
     q = -float(np.expm1(-2.0 * x))
     return x * (2.0 - q) / q - 1.0
 
@@ -190,9 +199,18 @@ def profile_qss(M, grid: SpatialGrid, geometry: PelletGeometry,
 # ---------------------------------------------------------------------------
 
 
-def _positive_scale(psi_phi_sq) -> np.ndarray:
-    scale = np.asarray(psi_phi_sq, dtype=float)
-    if np.any(scale <= 0.0):
+def _positive_scale(psi_phi_sq):
+    """The accumulation group as a float or an array; raises if any entry is <= 0.
+
+    A NaN entry passes, as NaN <= 0 is False.  A float is compared directly
+    and an array by one method reduction, which saves numpy's dispatch."""
+    if isinstance(psi_phi_sq, float):
+        scale = psi_phi_sq
+        bad = scale <= 0.0
+    else:
+        scale = np.asarray(psi_phi_sq, dtype=float)
+        bad = (scale <= 0.0).any()
+    if bad:
         raise SolverError("psi_phi_sq must be positive in unsteady mode")
     return scale
 

@@ -15,11 +15,15 @@ that have one) and the random pore update are implicit: the new solid
 solves g(r) = target for an increasing law g.  The random-pore law is a
 quadratic in sqrt(1 + Psi w) - 1, and the product-layer law (Z_v = 1) a
 cubic in r, so both are inverted in closed form.  Only the swelling grain
-law is inverted by Newton: `_invert_increasing` solves it per node from
-the old solid, with the grain resistance as the derivative, safeguarded
-by a bracket that every iterate shrinks: a step leaving the bracket is
-replaced by its midpoint, and nodes not converged after a fixed number of
-steps finish by bisection.  A law whose derivative is not positive raises.
+law is inverted by Newton: `_invert_increasing` solves it per node, with
+the grain resistance as the derivative, from a start interpolated in a
+table of g on a uniform grid of r that the stepper builds once (g is
+strictly increasing, so the table inverts by linear interpolation); that
+usually leaves one Newton step and the evaluation that confirms it.
+Newton is safeguarded by a bracket that every iterate shrinks: a step
+leaving the bracket is replaced by its midpoint, and nodes not converged
+after a fixed number of steps finish by bisection.  A law whose
+derivative is not positive raises.
 
 Models whose solid reaches zero in finite time (half-order volume and the
 grain family) switch to a second stage once the surface node exhausts:
@@ -86,6 +90,7 @@ _NEWTON_STEPS = 12  # a step capped by the decrement cap converges in about five
 _BISECT_STEPS = 52
 _STOP_ULPS = 4.0 * np.finfo(float).eps
 _TRIG_S2_MIN = 1e-6  # below it one polish takes the linear root to within 3 s2^3
+_START_POINTS = 4097  # r grid of the swelling grain's start table: starts within 1e-7 of the root
 
 
 def _invert_increasing(fn, dfn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -371,6 +376,9 @@ class _GrainModified(_PelletStepper):
         super().__init__(params, grid, decrement_cap)
         self._swells = abs(params.z_ratio - 1.0) >= 1e-12
         self._g0 = self._g(0.0)  # g of a fully converted grain
+        if self._swells:  # g' is the grain resistance, at least 1: the table increases
+            self._r_tab = np.linspace(0.0, 1.0, _START_POINTS)
+            self._g_tab = self._g(self._r_tab)
 
     def _x(self, r):
         # relative growth of the grain volume: r**3 = 1 + x
@@ -422,8 +430,8 @@ class _GrainModified(_PelletStepper):
     def advance(self, solid, exposure, dg):
         target = np.maximum(self._g(solid) - dg, self._g0)
         if self._swells:
-            r_new = _invert_increasing(self._g, self._resistance, target,
-                                       np.zeros_like(solid), solid, solid)
+            r_new = _invert_increasing(self._g, self._resistance, target, np.zeros_like(solid),
+                                       solid, np.interp(target, self._g_tab, self._r_tab))
         else:
             r_new = self._layer_root(target, solid)
         return np.where(dg <= 0.0, solid, r_new)
@@ -512,8 +520,11 @@ class _Simultaneous(_PelletStepper):
             raise SolverError("simultaneous model state requires solid_aux (b_A)")
         p = self.params
         root = np.sqrt(2.0 * p.pellet.shape_factor * state.solid)
-        psi_a = p.psi_ab * shape_ratio(self.geometry, p.thiele_a * root, self.grid.y)
-        psi_c = p.psi_cb * shape_ratio(self.geometry, p.thiele_c * root, self.grid.y)
+        # both gases in one kernel call on the stacked (2, n) modulus: the kernel
+        # works element by element, so each row is the single-gas shape bit for bit
+        moduli = np.array([[p.thiele_a], [p.thiele_c]]) * root
+        psi_a, psi_c = np.array([[p.psi_ab], [p.psi_cb]]) * shape_ratio(self.geometry, moduli,
+                                                                        self.grid.y)
         return psi_a, psi_c
 
     def _first_stage_substep(self, s: PelletState, remaining: float):

@@ -209,14 +209,18 @@ def test_m_coth_m_minus_1_small_and_large():
 
 def test_m_coth_m_minus_1_against_mpmath():
     # q = -expm1(-2x) in x (2 - q) / q - 1; forming 1 - exp(-2x) by
-    # subtraction was off by 3e-13 just above the former 1e-4 series cutoff
+    # subtraction was off by 3e-13 just above the former 1e-4 series cutoff.
+    # Relative to the value: x (2 - q) / q - 1 itself cancels below 2, 3e-12
+    # just above the 1e-2 series cutoff, which the continued fraction avoids
     mp = pytest.importorskip("mpmath")
-    xs = np.concatenate([[0.0], np.geomspace(1e-8, 50.0, 400)])
+    xs = np.concatenate([[0.0], np.geomspace(1e-8, 50.0, 400), [0.0101, 0.0124, 1.999]])
     got = [m_coth_m_minus_1(float(x)) for x in xs]
     with mp.workdps(50):
         exact = [mp.mpf(x) / mp.tanh(mp.mpf(x)) - 1 if x else mp.mpf(0) for x in xs]
         err = max(abs(mp.mpf(g) - e) for g, e in zip(got, exact))
+        rel = max(abs(mp.mpf(g) - e) / e for g, e in zip(got[1:], exact[1:]))
     assert err <= 1e-14
+    assert rel <= 4 * np.finfo(float).eps
 
 
 def test_film_factor_satisfies_robin(grid):
@@ -366,6 +370,24 @@ def test_unsteady_clip_is_reported():
     prof = profile_unsteady(2.0, theta, 1.0, grid, SLAB)
     assert prof.truncated
     assert np.min(prof.values) == 0.0
+
+
+def test_positive_scale_raises_on_exactly_the_non_positive_groups():
+    # a float and an array take separate checks; both raise on an entry <= 0
+    # (-0.0 too) and let NaN through, as NaN <= 0 is False
+    ok = np.array([0.3, 2.0, 1e-300])
+    for bad in (0.0, -0.0, -0.5, np.float64(0.0), 0, -1):
+        with pytest.raises(SolverError, match="positive"):
+            kernels._positive_scale(bad)
+        with pytest.raises(SolverError, match="positive"):
+            kernels._positive_scale(np.append(ok, bad))
+    with pytest.raises(SolverError, match="positive"):
+        kernels._positive_scale(np.array([math.nan, -1.0, 0.3]))
+    assert kernels._positive_scale(0.3) == 0.3
+    assert math.isnan(kernels._positive_scale(math.nan))
+    assert np.array_equal(kernels._positive_scale(ok), ok)
+    with_nan = np.array([0.3, math.nan])
+    assert np.array_equal(kernels._positive_scale(with_nan), with_nan, equal_nan=True)
 
 
 def test_unsteady_requires_positive_scale(grid):
@@ -627,6 +649,9 @@ def _front_bisection(theta, M, geometry, theta_c, sherwood):
 @example(sphere=True, sherwood=None, M=3.0, theta_c=1.0, frac=1.0)  # the centre itself
 @example(sphere=True, sherwood=8.0, M=5.0, theta_c=1.0, frac=1.0 - 1e-9)  # flat near the centre
 @example(sphere=False, sherwood=None, M=0.03, theta_c=1.0, frac=0.998)
+# M y_m just above the 1e-2 series cutoff, where x coth x - 1 cancelled, and
+# sh < 1 weighs that error into theta: the relation was off by 37 ulp and not monotone
+@example(sphere=True, sherwood=0.3125, M=0.01236851835556885, theta_c=0.21875, frac=0.013671875)
 def test_front_solve_matches_bisection(sphere, sherwood, M, theta_c, frac):
     geometry = SPHERE if sphere else SLAB
     sh = sherwood if sphere else None

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -19,7 +20,7 @@ from gassolid import (
     run_qm,
     steppers,
 )
-from gassolid.core import LN_B_CAP, PelletState
+from gassolid.core import LN_B_CAP, PelletGeometry, PelletState
 from gassolid.driver import sample_schedule
 
 ZOO = [
@@ -725,7 +726,12 @@ def _implicit_law(kind, s2=0.3, z=1.3, psi_cap=1.0, bz=0.5):
 
 
 def _update_problem(stepper, solid, dg):
-    """(fn, dfn, target, lo, hi, x0) as the grain law's advance poses them."""
+    """(fn, dfn, target, lo, hi, x0) of the grain law's update, started from the old solid.
+
+    `advance` poses the same problem but starts the swelling law from its
+    tabulated inverse; the old solid is a far start, which exercises Newton's
+    safeguards over several steps.
+    """
     g0 = stepper._g(np.zeros_like(solid))
     return (stepper._g, stepper._resistance, np.maximum(stepper._g(solid) - dg, g0),
             np.zeros_like(solid), solid, solid)
@@ -748,8 +754,8 @@ def _bisection(fn, target, lo, hi):
 
 
 @st.composite
-def _implicit_updates(draw):
-    kind = draw(st.sampled_from(["grain_product_layer", "grain_modified"]))
+def _implicit_updates(draw, kinds=("grain_product_layer", "grain_modified")):
+    kind = draw(st.sampled_from(kinds))
     stepper = _implicit_law(kind, s2=draw(st.floats(0.0, 1.0)), z=draw(st.floats(0.6, 2.0)))
     n = draw(st.integers(1, 12))
     solid = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n)))
@@ -779,6 +785,82 @@ def test_newton_update_matches_bisection(case):
     s0 = np.full(dg.size, solid[0])
     new = stepper.advance(s0, np.zeros_like(s0), np.sort(dg))
     assert np.all(np.diff(new) <= 8 * _EPS * s0[0])
+
+
+@contextlib.contextmanager
+def _counted_invert():
+    """Evaluations of the law per `_invert_increasing` call, one list entry per call.
+
+    Wraps the fn that `advance` passes, as the benchmark's tracer does."""
+    calls = []
+    invert = steppers._invert_increasing
+
+    def wrapped(fn, *args):
+        calls.append(0)
+
+        def counted(x):
+            calls[-1] += 1
+            return fn(x)
+
+        return invert(counted, *args)
+
+    steppers._invert_increasing = wrapped
+    try:
+        yield calls
+    finally:
+        steppers._invert_increasing = invert
+
+
+_SWELLING_EVALS = 3  # the most evaluations one advance took over this box, in 3,000 scratch draws
+
+
+@settings(max_examples=100, deadline=None)
+@given(_implicit_updates(kinds=("grain_modified",)).filter(lambda case: case[0]._swells))
+def test_swelling_update_from_the_table_matches_bisection(case):
+    # advance starts Newton from the interpolated table: the root is the
+    # bisection's, one or two Newton steps and the confirming evaluation away
+    stepper, solid, dg = case
+    fn, _, target, lo, hi, _ = _update_problem(stepper, solid, dg)
+    with _counted_invert() as calls:
+        r = stepper.advance(solid, np.zeros_like(solid), dg)
+    assert len(calls) == 1 and calls[0] <= _SWELLING_EVALS
+    assert np.all((lo <= r) & (r <= hi))
+    ref = _bisection(fn, target, lo, hi)
+    assert np.all(np.abs(r - ref) <= 1e-14)
+    assert np.all(np.abs(fn(r) - target) <= 8 * _EPS * np.maximum(np.abs(target), 1.0))
+
+
+def test_swelling_update_takes_two_evaluations_at_the_nominal_case():
+    # the benchmark's swelling case: one Newton step from the table and the
+    # evaluation that confirms it, at every update of a run to exhaustion
+    p = build_model({"kind": "grain_modified", "sigma": 1.5, "sigma_g_sq": 0.2, "Z_v": 1.4,
+                     "eps0": 0.5})
+    with _counted_invert() as calls:
+        res = run_qm(p, SpatialGrid(201), 4.0, samples=81)
+    assert res.x[-1] > 0.99
+    assert len(calls) > 50 and set(calls) == {2}
+
+
+@pytest.mark.parametrize("geometry", [PelletGeometry(3), PelletGeometry(1)], ids=["sphere", "slab"])
+def test_stacked_shapes_are_the_single_shapes(grid, geometry):
+    # the kernel works element by element, so a (2, n) modulus gives each
+    # row's own shape bit for bit, with M = 0 nodes and the centre node among them
+    root = np.linspace(-0.5, 1.0, grid.n).clip(0.0) ** 2
+    moduli = np.array([[0.7], [25.0]]) * root
+    stacked = kernels.shape_ratio(geometry, moduli, grid.y)
+    for row, m in zip(stacked, moduli):
+        assert np.array_equal(row, kernels.shape_ratio(geometry, m, grid.y))
+
+
+def test_two_gas_profile_is_two_single_gas_shapes(grid):
+    p = build_model({"kind": "simultaneous", "sigma_a": 0.7, "sigma_c": 2.5, "psi_ab": 0.4})
+    stepper = make_stepper(p, grid)
+    state = stepper.initial_state()
+    state.solid = np.linspace(-0.5, 1.0, grid.n).clip(0.0) ** 2
+    root = np.sqrt(2.0 * p.pellet.shape_factor * state.solid)
+    psi_a, psi_c = stepper.current_profile(state)
+    assert np.array_equal(psi_a, p.psi_ab * kernels.shape_ratio(p.pellet, p.thiele_a * root, grid.y))
+    assert np.array_equal(psi_c, p.psi_cb * kernels.shape_ratio(p.pellet, p.thiele_c * root, grid.y))
 
 
 @settings(max_examples=150, deadline=None)
