@@ -215,8 +215,6 @@ def run_sweep(config_path: Path, specs: list[str], out_root: Path, quiet: bool,
         if key == "mode" or key.split(".", 1)[0] not in ("model", "grid", "bed", "output"):
             raise ConfigError(f"cannot sweep key '{key}'")
     combos = list(itertools.product(*[[(k, v) for v in vals] for k, vals in keys_values]))
-    if not combos:
-        raise ConfigError("empty sweep")
     jobs = [(entries, dict(combo), str(out_root), quiet) for combo in combos]
     if parallel and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it

@@ -277,9 +277,6 @@ def build_model(raw: Mapping[str, object]) -> ModelParams:
         if fname in canon:
             kwargs[fname] = _as_float(fname, canon.pop(fname))
 
-    if canon:
-        raise ConfigError(f"unhandled model keys: {sorted(canon)}")
-
     if kind is ModelKind.VOLUME_HALF_ORDER:
         kwargs.setdefault("solid_order", 0.5)
     required = {"thiele"}

@@ -215,7 +215,7 @@ class _FdNucleation(_FdModel):
 
     def terms(self, u):
         n = self.p.solid_order
-        gain = n * self._b(u) * (u ** (n - 1.0) if n != 1.0 else 1.0)
+        gain = n * self._b(u) * u ** (n - 1.0)
         return 2.0 * self.p.pellet.shape_factor * self.phi2 * gain, None, 1.0
 
     def unreacted_integrand(self, u):

@@ -9,7 +9,8 @@ module evaluates the resulting closed forms:
   every spherical one, the packed bed's too, from the filmed sphere kernel,
 * the exposure integral of a given profile over an increment (the time
   integral of a), from the modes an unsteady profile keeps,
-* the second-stage (receding reaction front) piecewise profiles, and
+* the second-stage (receding reaction front) piecewise profiles, from the
+  front at the surface (y_m = 1, the quasi-steady profile) inwards, and
 * the front-position relation theta(y_m) with its bracketed inverse.
 
 All hyperbolic ratios are evaluated in exponentially scaled form so the
@@ -35,9 +36,10 @@ all _MAX_TERMS modes.  Whenever mode _MAX_TERMS is still live (theta = 0 or
 the early transient), no mode is dropped, and a last term above _TERM_TOL
 (times dtheta for the exposure integral) flags the series as truncated, as
 does an early-transient value that the clip to [0, 1] moves by more.
-A late-transient profile (its last kept mode dead) keeps the decay
-exp(-omega_k theta) of its modes, which exposure_increment reuses rather
-than forming it again; an early-transient one keeps none.
+Every profile that keeps its modes, early transient or late, keeps their
+decay exp(-omega_k theta) too, formed once per profile: exposure_increment
+reuses it on every increment, halvings included, rather than forming it
+again.
 """
 
 from __future__ import annotations
@@ -80,17 +82,15 @@ class GasProfile:
 def m_coth_m_minus_1(x: float) -> float:
     """x*coth(x) - 1 of a float, stable for x -> 0 and large x.
 
-    Below 1e-2 the Taylor series, whose first omitted term is below 1e-19
-    there.  Below 2 Lambert's continued fraction x^2 / (3 + x^2 / (5 + ...))
-    cut at 23, whose terms are all positive: within 2.5e-16 relative.  From 2
-    on, with q = 1 - exp(-2x) from numpy's expm1, x coth x = x (2 - q) / q;
-    below 2 its difference with 1 cancels (3e-12 relative just above 1e-2).
+    Two ranges.  Below 2, Lambert's continued fraction
+    x^2 / (3 + x^2 / (5 + ...)) cut at 23, whose terms are all positive:
+    within 2.5e-16 relative, down to x = 0, where it gives 0.  From 2 on,
+    with q = 1 - exp(-2x) from numpy's expm1, x coth x = x (2 - q) / q;
+    below 2 its difference with 1 cancels (3e-12 relative at x 1e-2).
     (math.expm1 differs from numpy's in the last bit on some arguments.)
     """
-    x2 = x * x
-    if x < 1e-2:
-        return x2 / 3.0 - x2 * x2 / 45.0 + 2.0 * x2**3 / 945.0
     if x < 2.0:
+        x2 = x * x
         tail = 23.0
         for k in _LAMBERT_ODD:
             tail = k + x2 / tail
@@ -284,7 +284,7 @@ class _Transient:
     coef: np.ndarray
     omega: np.ndarray
     theta: float
-    decay: np.ndarray | None  # exp(-omega theta) in the late transient, else None
+    decay: np.ndarray  # exp(-omega theta)
 
 
 def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
@@ -295,10 +295,10 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
     be an array for node-dependent diffusivity scaling.  The profile tends
     to the quasi-steady one as the exponentials decay; at theta = 0 it is
     identically zero in the open interior (surface node pinned to 1).
-    Unless every mode has decayed, the profile keeps its modes for
-    `exposure_increment`, and in the late transient also their decay
-    exp(-omega theta).  When `_decay_bound` already finds the first mode
-    dead, the steady profile is returned before any series is built.
+    Unless every mode has decayed, the profile keeps its modes and their
+    decay exp(-omega theta) for `exposure_increment`.  When `_decay_bound`
+    already finds the first mode dead, the steady profile is returned
+    before any series is built.
     """
     if theta < 0.0:
         raise SolverError("theta must be nonnegative")
@@ -310,10 +310,9 @@ def profile_unsteady(M, theta: float, psi_phi_sq, grid: SpatialGrid,
     if float(np.min(omega[0]) * theta) >= _DEAD:
         # every mode has decayed below double precision
         return GasProfile(values=steady)
-    truncated, decay = False, None
+    truncated, decay = False, np.exp(-omega * theta)
     if float(np.min(omega[-1]) * theta) >= _DEAD:
         # the retained modes resolve the transient; the truncated tail is dead
-        decay = np.exp(-omega * theta)
         values = steady + _smoothed_sum(coef * decay)
     else:
         # Very early transient: sum coef * expm1(-omega theta), which makes
@@ -345,8 +344,7 @@ def exposure_increment(profile: GasProfile, dtheta: float):
     if tr is None:
         return profile.values * dtheta, False
     # exp(-w t0) - exp(-w t1) = -exp(-w t0) * expm1(-w dtheta)
-    decay = np.exp(-tr.omega * tr.theta) if tr.decay is None else tr.decay
-    terms = tr.coef * (-decay * np.expm1(-tr.omega * dtheta) / tr.omega)
+    terms = tr.coef * (-tr.decay * np.expm1(-tr.omega * dtheta) / tr.omega)
     truncated = float(np.max(np.abs(terms[-1]))) > _TERM_TOL * max(dtheta, 1e-300)
     out = tr.steady * dtheta + _smoothed_sum(terms)
     out[-1] = tr.steady[-1] * dtheta  # series vanishes at the surface
@@ -453,9 +451,12 @@ def second_stage_profiles(y_m: float, M: float, grid: SpatialGrid,
     shape rescaled to the front value a_m, which is fixed by matching the
     diffusive flux through the shell to the inner uptake.  The result is
     capped at 1, which rounding exceeds by a few ulp near the surface.
+    At y_m = 1 the shell is empty and the profile is the quasi-steady one:
+    `profile_qss`'s bit for bit without a film, and with one its filmed
+    sphere to rounding, since a_m is then the film factor.
     """
-    if not 0.0 < y_m < 1.0:
-        raise SolverError(f"y_m must lie in (0, 1), got {y_m}")
+    if not 0.0 < y_m <= 1.0:
+        raise SolverError(f"y_m must lie in (0, 1], got {y_m}")
     y = grid.y
     in_core = y <= y_m
     values = np.empty_like(y)

@@ -30,7 +30,9 @@ grain family) switch to a second stage once the surface node exhausts:
 a reaction front y_m recedes behind a fully converted shell, advanced by
 inverting the tabulated theta(y_m) relation incrementally.  The front is
 the stage: a state's y_m is None in the first stage, and the switch sets
-it together with theta_c, the switch time the front relation reads.
+it to 1 together with theta_c, the switch time the front relation reads.
+A second-stage substep is sized by the second-stage profile of its
+front, which at y_m = 1 is the quasi-steady one.
 
 Every model runs on the one step loop of `_PelletStepper.step`, which
 returns (state, status); `current_profile(state)` gives the gas profile
@@ -171,12 +173,6 @@ class _PelletStepper:
         a law without a second stage."""
         return math.inf
 
-    def transient_scale(self, delta):
-        scale = self.params.psi * self.params.thiele**2
-        if delta is None:
-            return scale
-        return scale / np.maximum(delta, 1e-30)
-
     # -- stepping ----------------------------------------------------------
 
     def initial_state(self) -> PelletState:
@@ -214,7 +210,10 @@ class _PelletStepper:
         if self.params.quasi_steady:
             return profile_qss(M, self.grid, self.geometry, self.params.sherwood,
                                1.0 if delta is None else delta)
-        return profile_unsteady(M, theta, self.transient_scale(delta), self.grid, self.geometry)
+        scale = self.params.psi * self.params.thiele**2  # the accumulation group
+        if delta is not None:
+            scale = scale / np.maximum(delta, 1e-30)
+        return profile_unsteady(M, theta, scale, self.grid, self.geometry)
 
     def step(self, state: PelletState, dtheta: float):
         """Advance by dtheta (internally subdivided); returns (state, status)."""
@@ -296,10 +295,7 @@ class _PelletStepper:
         dt, y_new = remaining, 0.0  # an exhausted pellet takes the rest of the step
         if s.y_m > 0.0 and (s.solid > SOLID_FLOOR).any():
             m_eff = self._front_modulus(M, s)
-            if s.y_m >= 1.0:
-                a0 = profile_qss(m_eff, self.grid, self.geometry, sh).values
-            else:
-                a0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
+            a0 = second_stage_profiles(s.y_m, m_eff, self.grid, self.geometry, sh)
             rmax = float(np.where(s.solid > SOLID_FLOOR, k * a0, 0.0).max())
             dt = remaining if rmax <= 0.0 else min(remaining, self.cap / rmax)
             target = front_time(s.y_m, m_eff, self.geometry, s.theta_c, sh) + dt
@@ -492,7 +488,7 @@ class _Nucleation(_PelletStepper):
         p = self.params
         n = p.solid_order
         # 2 F_p / |f'(b)| with f(b) = (-ln b)^(1/n) and b = exp(-g^n)
-        gain = n * solid * exposure ** (n - 1.0) if n != 1.0 else solid
+        gain = n * solid * exposure ** (n - 1.0)
         return p.thiele * np.sqrt(2.0 * p.pellet.shape_factor * gain), None, gain
 
     def advance(self, solid, exposure, dg):

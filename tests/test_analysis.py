@@ -105,6 +105,9 @@ def test_conversion_series_validation():
     theta = np.linspace(0.0, 1.0, 11)
     x = np.linspace(0.0, 0.5, 11)
     ConversionSeries(theta, x, ModelKind.VOLUME_FIRST_ORDER)
+    for bad_theta, bad_x in ((theta, x[:-1]), (theta[None, :], x[None, :])):
+        with pytest.raises(SolverError, match="matching 1-d arrays"):
+            ConversionSeries(bad_theta, bad_x, ModelKind.VOLUME_FIRST_ORDER)
     with pytest.raises(SolverError):
         ConversionSeries(theta, x[::-1], ModelKind.VOLUME_FIRST_ORDER)
     with pytest.raises(SolverError):

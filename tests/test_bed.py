@@ -340,6 +340,12 @@ def test_bulk_solver_rejects_no_segments(n_segments):
         bed_module.SegmentedBulkSolver(FIG9, _ETA_257, n_segments)
 
 
+@pytest.mark.parametrize("eta", [np.zeros(1), np.zeros((2, 2))])
+def test_bulk_solver_rejects_a_short_or_2d_grid(eta):
+    with pytest.raises(SolverError, match="1-d grid with at least 2 nodes"):
+        bed_module.SegmentedBulkSolver(FIG9, eta, 1)
+
+
 @pytest.mark.parametrize("samples", [0, 1])
 def test_march_rejects_fewer_than_two_samples(samples):
     with pytest.raises(SolverError, match="at least two samples"):

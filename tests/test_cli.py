@@ -37,6 +37,8 @@ def test_parse_config_text_line_errors():
         parse_config_text("mode = qm_only\nnot a key value\n", source="x.cfg")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("grid.n = 201\ngrid.n = 401\n")
+    with pytest.raises(ConfigError, match=":2: empty key or value"):
+        parse_config_text("grid.n = 201\ngrid.samples =  # none\n", source="x.cfg")
     entries = parse_config_text("a.b = 1  # trailing comment\n\n# full comment\n")
     assert entries == {"a.b": "1"}
 
@@ -59,6 +61,9 @@ def test_config_unknown_key():
                              "wat": "3"})
     with pytest.raises(ConfigError, match="model"):
         config_from_entries({"mode": "qm_only"})
+    with pytest.raises(ConfigError, match="key 'mode': unknown mode 'fast'"):
+        config_from_entries({"mode": "fast", "model.kind": "volume_first_order",
+                             "model.phi_v": "1"})
 
 
 def test_config_rejects_bed_csv_switch():
@@ -464,6 +469,7 @@ bed.samples = {samples}
     ("bed.n_eta", "1", "bed.n_eta = 1 is too coarse for bed.n_segments = 4"),
     ("bed.n_eta", "2", "bed.n_eta = 2 is too coarse for bed.n_segments = 4"),
     ("bed.samples", "1", "bed.samples must be at least 2, got 1"),
+    ("grid.samples", "1", "grid.samples must be at least 2"),
 ])
 def test_bad_sizes_exit_code(tmp_path, capsys, key, value, message):
     # each size is checked when the config loads, so nothing is solved or

@@ -73,6 +73,12 @@ def test_unknown_kind_and_keys():
         build_model({"kind": "volume_first_order", "phi_v": 1, "no_such_key": 2})
     with pytest.raises(ConfigError, match="kind"):
         build_model({"phi_v": 1})
+    # two aliases of one group: the same value is one key, different values conflict
+    assert build_model({"kind": "grain_simple", "sigma": 2, "phi_v": 2}).thiele == 2.0
+    with pytest.raises(ConfigError, match="key 'phi_v' conflicts with an alias already given"):
+        build_model({"kind": "grain_simple", "sigma": 2, "phi_v": 3})
+    with pytest.raises(ConfigError, match=r"model 'random_pore' missing required key\(s\): \['thiele'\]"):
+        build_model({"kind": "random_pore", "psi_cap": 1})
     # the square-root-rate law is the only half-order modulus law
     with pytest.raises(ConfigError, match="half_order_modulus"):
         build_model({"kind": "volume_half_order", "phi_v": 1,

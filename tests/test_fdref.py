@@ -191,6 +191,23 @@ def test_unsteady_zero_modulus_rejected(grid, raw):
         run_qm(p, grid, 1.0, samples=11)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_space": 4}, "n_space must be odd and >= 3"),
+    ({"n_space": 1}, "n_space must be odd and >= 3"),
+    ({"dtheta": 0.0}, "dtheta must be positive"),
+    ({"dtheta": math.nan}, "dtheta must be positive"),
+])
+def test_fd_control_rejects_bad_sizes(kwargs, message):
+    with pytest.raises(SolverError, match=message):
+        FdControl(**kwargs)
+
+
+def test_initial_rate_has_no_two_gas_reference():
+    p = build_model({"kind": "simultaneous", "sigma_a": 1.0, "sigma_c": 2.0, "psi_ab": 0.5})
+    with pytest.raises(SolverError, match="no reference model for kind 'simultaneous'"):
+        initial_conversion_rate(p, FdControl(n_space=101))
+
+
 def test_bed_bulk_input_validation():
     with pytest.raises(SolverError):
         fd_solve_bed_bulk(0.0, 1.0, 1.0, np.zeros(11))

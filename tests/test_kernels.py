@@ -211,16 +211,21 @@ def test_m_coth_m_minus_1_against_mpmath():
     # q = -expm1(-2x) in x (2 - q) / q - 1; forming 1 - exp(-2x) by
     # subtraction was off by 3e-13 just above the former 1e-4 series cutoff.
     # Relative to the value: x (2 - q) / q - 1 itself cancels below 2, 3e-12
-    # just above the 1e-2 series cutoff, which the continued fraction avoids
+    # at 1e-2, which the continued fraction avoids.  Below 1e-2 the fraction
+    # is within 1.1 eps, where the former Taylor branch reached 3.6 eps
     mp = pytest.importorskip("mpmath")
-    xs = np.concatenate([[0.0], np.geomspace(1e-8, 50.0, 400), [0.0101, 0.0124, 1.999]])
+    small = np.concatenate([np.geomspace(1e-8, 1e-2, 300, endpoint=False),
+                            np.linspace(1e-3, 1e-2, 300, endpoint=False)])
+    xs = np.concatenate([[0.0], np.geomspace(1e-8, 50.0, 400), [0.0101, 0.0124, 1.999], small])
     got = [m_coth_m_minus_1(float(x)) for x in xs]
     with mp.workdps(50):
         exact = [mp.mpf(x) / mp.tanh(mp.mpf(x)) - 1 if x else mp.mpf(0) for x in xs]
         err = max(abs(mp.mpf(g) - e) for g, e in zip(got, exact))
-        rel = max(abs(mp.mpf(g) - e) / e for g, e in zip(got[1:], exact[1:]))
+        rel = [float(abs(mp.mpf(g) - e) / e) for g, e in zip(got[1:], exact[1:])]
+    assert got[0] == 0.0
     assert err <= 1e-14
-    assert rel <= 4 * np.finfo(float).eps
+    assert max(rel) <= 4 * np.finfo(float).eps
+    assert max(rel[-len(small):]) <= 2 * np.finfo(float).eps
 
 
 def test_film_factor_satisfies_robin(grid):
@@ -546,14 +551,12 @@ def _exposure_recomputed(tr, dtheta):
 @example(M=1.5, scale=0.1, theta=0.05, dtheta=0.01, sphere=True)  # late transient
 @example(M=1.5, scale=0.1, theta=1e-6, dtheta=0.01, sphere=False)  # early transient
 def test_exposure_increment_reuses_the_late_transient_decay(M, scale, theta, dtheta, sphere):
+    # every transient, early or late, keeps exp(-omega theta), and the
+    # exposure that reuses it is the one that forms it again, bit for bit
     prof = profile_unsteady(M, theta, scale, SpatialGrid(_N_PROP), SPHERE if sphere else SLAB)
     tr = prof._transient
     assume(tr is not None)
-    late = np.min(tr.omega[-1]) * theta >= 36.0
-    if late:
-        assert np.array_equal(tr.decay, np.exp(-tr.omega * theta))
-    else:
-        assert tr.decay is None
+    assert np.array_equal(tr.decay, np.exp(-tr.omega * theta))
     dg, truncated = exposure_increment(prof, dtheta)
     want, want_truncated = _exposure_recomputed(tr, dtheta)
     assert np.array_equal(dg, want)
@@ -750,13 +753,33 @@ def test_second_stage_front_value_matches_shape(grid):
     assert np.allclose(two[inner], ref, atol=1e-14)
 
 
+def test_slab_film_is_rejected(grid):
+    with pytest.raises(SolverError, match="tabulated for spheres only"):
+        profile_qss(1.0, grid, SLAB, sherwood=3.0)
+    with pytest.raises(SolverError, match="tabulated for spheres only"):
+        front_time(0.5, 1.0, SLAB, sherwood=3.0)
+
+
 def test_second_stage_rejects_bad_front(grid):
-    with pytest.raises(SolverError):
-        second_stage_profiles(0.0, 1.0, grid, SPHERE)
-    with pytest.raises(SolverError):
-        second_stage_profiles(1.0, 1.0, grid, SPHERE)
+    for y_m in (0.0, 1.5, math.nan):
+        with pytest.raises(SolverError):
+            second_stage_profiles(y_m, 1.0, grid, SPHERE)
     with pytest.raises(SolverError):
         second_stage_profiles(0.5, 1.0, grid, SLAB, sherwood=3.0)
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-3, 0.5, 2.0, 8.0, 50.0])
+def test_second_stage_at_the_surface_is_the_quasi_steady_profile(grid, m):
+    # with the front at the surface the shell is empty: the profile is
+    # profile_qss's, bit for bit without a film, and to rounding with one,
+    # where a_m is the film factor times the Dirichlet shape
+    for geom in (SPHERE, SLAB):
+        assert np.array_equal(second_stage_profiles(1.0, m, grid, geom),
+                              profile_qss(m, grid, geom).values)
+    for sh in (0.5, 5.0, 50.0):
+        got = second_stage_profiles(1.0, m, grid, SPHERE, sh)
+        np.testing.assert_allclose(got, profile_qss(m, grid, SPHERE, sh).values,
+                                   rtol=0.0, atol=1e-15)
 
 
 def test_step_profile_depends_only_on_frozen_state(grid):
